@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .model import (
     ConfigurationError,
-    Message,
     NoiseChannel,
     RngStream,
     complement,
-    deliver_round,
     derive_rng,
     flip,
 )
@@ -34,12 +32,10 @@ from .protocols import (
     World,
     logs_equal_modulo_complement,
     majority_bias,
-    majority_update,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
     run_desynchronized,
     run_majority_consensus,
-    select_initial_opinion,
 )
 from . import oracle

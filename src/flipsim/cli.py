@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lemma_p.add_argument("--delta", type=float, required=True)
     lemma_p.add_argument("--r-scale", type=float, default=None,
                          help="override the sample-radius scale (default: the literal 2**22)")
-    lemma_p.add_argument("--paper-constants", action="store_true",
-                         help="force the literal 2**22 scale (the default)")
 
     stir_p = osub.add_parser("stirling", help="central binomial lower bound over an r grid")
     stir_p.add_argument("--r-max", type=int, default=10000)

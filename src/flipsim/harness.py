@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import NoiseChannel, derive_rng
+from .model import ConfigurationError, NoiseChannel, derive_rng
 from .params import ProtocolConstants, SimConfig, _ceil_log2
 from .protocols import (
     ClockConfiguration,
@@ -67,6 +67,14 @@ _CONSTANTS_KEYS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     protocol: str
@@ -91,42 +99,48 @@ class ExperimentSpec:
             out.append(f"protocol: {self.protocol!r} not one of {PROTOCOLS}")
         if not self.n_grid:
             out.append("nGrid: must be nonempty")
-        elif any((not isinstance(n, int)) or n < 2 for n in self.n_grid):
+        elif any(not _is_int(n) or n < 2 for n in self.n_grid):
             out.append("nGrid: entries must be integers >= 2")
         if not self.epsilon_grid:
             out.append("epsilonGrid: must be nonempty")
-        elif any(not (0.0 < e <= 0.5) for e in self.epsilon_grid):
-            out.append("epsilonGrid: entries must lie in (0, 1/2]")
-        if self.runs_per_cell < 1:
-            out.append("runsPerCell: must be >= 1")
-        if self.master_seed < 0 or self.master_seed >= 2 ** 64:
+        elif any(not _is_real(e) or not (0.0 < e <= 0.5) for e in self.epsilon_grid):
+            out.append("epsilonGrid: entries must be numbers in (0, 1/2]")
+        if not _is_int(self.runs_per_cell) or self.runs_per_cell < 1:
+            out.append("runsPerCell: must be an integer >= 1")
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2 ** 64:
             out.append("masterSeed: must be a 64-bit unsigned integer")
         if self.protocol == "consensus":
-            if self.initial_set_size is None:
+            size = self.initial_set_size
+            ns = [n for n in self.n_grid if _is_int(n) and n >= 2]    # the rest is reported above
+            epss = [e for e in self.epsilon_grid if _is_real(e) and 0.0 < e <= 0.5]
+            if size is None:
                 out.append("initialSetSize: required for consensus")
-            elif self.n_grid and any(self.initial_set_size > n for n in self.n_grid):
+            elif not _is_int(size):
+                out.append("initialSetSize: must be an integer")
+            elif any(size > n for n in ns):
                 out.append("initialSetSize: exceeds some grid n")
             else:
-                for n in self.n_grid:
-                    if not isinstance(n, int) or n < 2:
-                        continue    # already reported above
-                    for eps in self.epsilon_grid:
-                        if not (0.0 < eps <= 0.5):
-                            continue
-                        minimum = math.ceil(self.constants.c_entry * math.log2(n) / (eps * eps))
-                        if self.initial_set_size < minimum:
+                for n in ns:
+                    for eps in epss:
+                        try:
+                            minimum = math.ceil(self.constants.c_entry * math.log2(n) / (eps * eps))
+                        except (ZeroDivisionError, OverflowError):    # eps * eps underflows
+                            minimum = math.inf
+                        if size < minimum:
                             out.append(
-                                f"initialSetSize: {self.initial_set_size} below the "
+                                f"initialSetSize: {size} below the "
                                 f"admissible minimum {minimum} at (n={n}, eps={eps})"
                             )
             if self.initial_bias is None:
                 out.append("initialBias: required for consensus")
-            elif not (0.0 <= self.initial_bias <= 0.5):
-                out.append("initialBias: must lie in [0, 1/2]")
-        if self.protocol == "baseline-silent" and self.threshold < 1:
+            elif not _is_real(self.initial_bias) or not (0.0 <= self.initial_bias <= 0.5):
+                out.append("initialBias: must be a number in [0, 1/2]")
+        if not _is_int(self.threshold):
+            out.append("threshold: must be an integer")
+        elif self.protocol == "baseline-silent" and self.threshold < 1:
             out.append("threshold: must be >= 1")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            out.append("maxRounds: must be >= 1")
+        if self.max_rounds is not None and (not _is_int(self.max_rounds) or self.max_rounds < 1):
+            out.append("maxRounds: must be an integer >= 1")
         return out
 
     def validate(self):
@@ -158,11 +172,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "<spec>") -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise SpecParseError(f"{source}: a spec must be a JSON object")
         d = dict(d)
         version = d.pop("schemaVersion", None)
         if version is None:
             raise SpecParseError(f"{source}: missing schemaVersion")
-        if version != SCHEMA_VERSION:
+        if not _is_int(version) or version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"{source}: schemaVersion {version} not supported (current: {SCHEMA_VERSION})"
             )
@@ -175,10 +191,21 @@ class ExperimentSpec:
         if unknown:
             raise SpecParseError(f"{source}: unknown fields {sorted(unknown)}")
         const_in = d.get("constants", {})
+        if not isinstance(const_in, dict):
+            raise SpecParseError(f"{source}: constants must be a JSON object")
         bad = set(const_in) - set(_CONSTANTS_KEYS)
         if bad:
             raise SpecParseError(f"{source}: unknown constants fields {sorted(bad)}")
-        constants = ProtocolConstants(**{_CONSTANTS_KEYS[k]: v for k, v in const_in.items()})
+        not_numbers = [f"constants.{k}: must be a number" for k, v in const_in.items() if not _is_real(v)]
+        if not_numbers:
+            raise SpecValidationError(not_numbers)
+        try:
+            constants = ProtocolConstants(**{_CONSTANTS_KEYS[k]: v for k, v in const_in.items()})
+        except ConfigurationError as e:
+            raise SpecValidationError([f"constants: {e}"]) from None
+        for key in ("nGrid", "epsilonGrid"):
+            if key in d and not isinstance(d[key], list):
+                raise SpecParseError(f"{source}: {key} must be a list")
         try:
             return cls(
                 protocol=d["protocol"],
@@ -372,8 +399,15 @@ def _fit_scaling(spec, per_cell) -> ScalingFit | None:
 
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("FLIPSIM_THREADS")
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
+    if not env:
+        return max(1, min(os.cpu_count() or 1, n_tasks))
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"FLIPSIM_THREADS must be a positive integer, got {env!r}")
+    return min(workers, n_tasks)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -91,16 +91,6 @@ def derive_rng(master_seed: int, *stream_id) -> np.random.Generator:
     return RngStream(master_seed, tuple(stream_id)).generator()
 
 
-@dataclass(frozen=True)
-class Message:
-    """One delivered bit.  ``sender_index`` is diagnostics-only metadata and
-    is never visible to protocol logic (anonymity)."""
-
-    payload: int
-    sender_index: int
-    round_sent: int
-
-
 def flip(bit, channel: NoiseChannel, rng: np.random.Generator):
     """Pass an opinion (or an array of opinions) through the channel.
 
@@ -160,21 +150,3 @@ def deliver_round_arrays(
     out = (receivers, accepted, sender_ids[chosen])
     return out + (targets,) if return_targets else out
 
-
-def deliver_round(senders, n: int, channel: NoiseChannel, rng: np.random.Generator) -> dict:
-    """Deliver one round of push gossip for a set of ``(agent, opinion)`` pairs.
-
-    Protocol-facing form: the returned map contains only receivers that
-    accepted a message, mapping receiver index to the accepted opinion.
-    Sender identities are not exposed (anonymity).
-    """
-    pairs = sorted(senders)
-    ids = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    if ids.size:
-        if ids.min() < 0 or ids.max() >= n:
-            raise ConfigurationError("sender index out of range")
-        if np.unique(ids).size != ids.size:
-            raise ConfigurationError("duplicate sender index")
-    pay = np.asarray([p[1] for p in pairs], dtype=np.int8)
-    receivers, accepted, _ = deliver_round_arrays(ids, pay, n, channel, rng)
-    return {int(r): int(v) for r, v in zip(receivers, accepted)}

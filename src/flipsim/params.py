@@ -51,8 +51,8 @@ class ProtocolConstants:
 
     def __post_init__(self):
         for name in ("c_s", "c_beta", "c_f", "c_final_stage2", "c_direct", "c_entry", "r_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if not (0.0 < self.eta < 0.5):
             raise ConfigurationError(f"eta must lie in (0, 1/2), got {self.eta}")
 

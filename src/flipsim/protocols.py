@@ -1,6 +1,15 @@
 """Protocol state machines: two-stage noisy broadcast, majority consensus,
 the clock-free (desynchronized) variant, and the two failing baselines.
 
+One windowed engine runs stage 1 and stage 2 of all three two-stage
+protocols.  The schedule is a row of phase windows on a local clock, and
+every agent belongs to a clock group whose local clock reads ``t - shift``
+at global round ``t``.  Broadcast is one group with shift 0 and no gap
+between windows; majority consensus is one group that enters the schedule
+at ``r_entry``, the first round of its entry phase, so the earlier windows
+are skipped; the clock-free variant is many groups, one per clock offset,
+with a gap of D rounds between windows.
+
 Engines are array-based for speed.  Per-agent state lives in a
 struct-of-arrays :class:`World`; the spec-level ``AgentState`` record is an
 inspection view over it.  Two vectorized equivalences keep the hot path
@@ -18,7 +27,7 @@ entire message pattern is invariant under relabeling the opinions 0 <-> 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +40,7 @@ from .model import (
 from .params import ScheduleParams, SimConfig, _ceil_log2, derive_schedule, majority_entry_phase
 
 _NEVER = np.int32(2 ** 31 - 1)   # send_from sentinel: dormant, never sends
-_UNSET = np.int64(2 ** 62)       # clock-reset sentinel in the desync engine
-
-
-class ProtocolInvariantError(RuntimeError):
-    """Internal bookkeeping violated a protocol invariant."""
+_UNSET = np.int64(2 ** 62)       # shift of an agent the preamble has not reached
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +107,7 @@ class Outcome:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Inspection view of one agent. ``phase_inbox`` is transient per-phase
-    state and is empty between phases (the engine folds it into a reservoir
-    as messages arrive)."""
+    """Inspection view of one agent."""
 
     id: int
     activated: bool
@@ -112,7 +115,6 @@ class AgentState:
     activation_round: int | None
     local_clock: int
     current_opinion: int | None
-    phase_inbox: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -214,38 +216,7 @@ def logs_equal_modulo_complement(a: EventLog, b: EventLog) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# contract-level operations
-
-
-def select_initial_opinion(inbox, rng: np.random.Generator) -> int:
-    """Uniform choice among the messages of an agent's activation phase.
-
-    The result's distribution depends only on the multiset of inbox values,
-    never on arrival order.
-    """
-    if len(inbox) == 0:
-        raise ProtocolInvariantError("activation bookkeeping violated: empty inbox")
-    return int(inbox[int(rng.integers(0, len(inbox)))])
-
-
-def majority_update(samples, subset_size: int, rng: np.random.Generator) -> int:
-    """Majority opinion of a uniformly random subset of exactly
-    ``subset_size`` samples.  ``subset_size`` must be odd (no ties)."""
-    if subset_size % 2 == 0 or subset_size < 1:
-        raise ConfigurationError(f"subset size must be odd and positive, got {subset_size}")
-    if len(samples) < subset_size:
-        raise ProtocolInvariantError(
-            f"{len(samples)} samples cannot fill a subset of {subset_size}; "
-            "callers must gate on successfulness"
-        )
-    samples = np.asarray(samples)
-    idx = rng.choice(len(samples), size=subset_size, replace=False)
-    ones = int(samples[idx].sum())
-    return 1 if 2 * ones > subset_size else 0
-
-
-# ---------------------------------------------------------------------------
-# synchronized engines
+# the windowed engine
 
 
 def _deliver(senders, payloads, n, channel, gen, log, rnd):
@@ -254,54 +225,6 @@ def _deliver(senders, payloads, n, channel, gen, log, rnd):
     recv, acc, src, targets = deliver_round_arrays(senders, payloads, n, channel, gen, return_targets=True)
     log.record(rnd, senders, targets, recv, src, acc)
     return recv, acc, src
-
-
-def _run_stage1(world, config, schedule, gen, first_phase=0, log=None):
-    """Execute stage-1 phases ``first_phase .. T+1``; returns
-    ``(Stage1Result, messages_sent)``."""
-    n = world.n
-    channel = config.channel
-    correct = world.correct
-    bounds = schedule.phase_bounds_stage1
-    cnt = np.zeros(n, np.int32)
-    choice = np.full(n, -1, np.int8)
-    first_seen = np.full(n, -1, np.int64)
-    per_phase = []
-    x_cum = 0
-    messages = 0
-    world.clock = bounds[first_phase][0]
-    for p in range(first_phase, schedule.t_phases + 2):
-        start, length = bounds[p]
-        senders = np.flatnonzero(world.send_from <= p)
-        payloads = world.opinion[senders]
-        for rr in range(start, start + length):
-            recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, rr)
-            messages += senders.size
-            listening = world.send_from[recv] == _NEVER   # activated agents discard
-            dr = recv[listening]
-            dp = acc[listening]
-            c = cnt[dr] + 1
-            cnt[dr] = c
-            fresh = c == 1
-            first_seen[dr[fresh]] = rr
-            u = gen.random(dr.size)
-            take = u * c < 1.0         # reservoir: keep the j-th arrival w.p. 1/j
-            choice[dr[take]] = dp[take]
-            world.clock = rr + 1
-        new = np.flatnonzero((world.send_from == _NEVER) & (cnt > 0))
-        world.level[new] = p
-        world.send_from[new] = p + 1
-        world.opinion[new] = choice[new]
-        world.activation_round[new] = first_seen[new]
-        y = int(new.size)
-        z = int((choice[new] == correct).sum())
-        x_cum += y
-        per_phase.append(PhaseMetrics(p, x_cum, y, z, z / y - 0.5 if y else None))
-        cnt[new] = 0
-        choice[new] = -1
-    rounds = sum(bounds[p][1] for p in range(first_phase, schedule.t_phases + 2))
-    all_activated = bool((world.send_from != _NEVER).all())
-    return Stage1Result(tuple(per_phase), all_activated, rounds), messages
 
 
 def _stage2_apply(world, successful, cnt, corr, subset, gen):
@@ -320,37 +243,193 @@ def _stage2_apply(world, successful, cnt, corr, subset, gen):
     world.opinion[successful] = np.where(2 * h > subset, correct, complement(correct)).astype(np.int8)
 
 
-def _run_stage2(world, config, schedule, gen, log=None):
-    """Execute the k+1 stage-2 phases; returns ``(records, messages_sent)``.
+def _local_windows(schedule: ScheduleParams, d: int):
+    """Local-clock window layout: stage-1 phase i shifted to start at
+    r_i + i*d, one further d-gap isolating stage 2, stage-2 phases
+    contiguous.  Window codes: 0..T+1 stage 1, T+1+j for stage-2 phase j,
+    -1 between windows.  Returns the code of every local round.
+    """
+    t = schedule.t_phases
+    st2 = schedule.stage1_rounds + (t + 2) * d
+    wcode = np.full(st2 + schedule.stage2_rounds, -1, np.int32)
+    for i, (start, length) in enumerate(schedule.phase_bounds_stage1):
+        wcode[start + i * d:start + i * d + length] = i
+    off = st2
+    for j, m in enumerate(schedule.stage2_phase_lengths, start=1):
+        wcode[off:off + m] = t + 1 + j
+        off += m
+    return wcode
 
-    Agents that reached stage 2 without an opinion stay silent but still
-    collect samples, so a successful straggler acquires an opinion.
+
+def _run_windows(world, config, schedule, gen, log, shift, d=0):
+    """Run the stage-1 and stage-2 windows of ``schedule`` on each agent's
+    local clock; returns ``(Outcome, DesyncInfo)``.
+
+    ``shift[i]`` is the global round at which agent i's local clock reads 0,
+    and ``d`` is the gap between windows.  Agents that share a shift form a
+    clock group, and a window closes (phase activation, or subset-majority
+    update) one group at a time.  With ``shift=None`` an activation preamble
+    sets the shifts: every informed agent broadcasts a junk bit for
+    2*ceil(log2 n) rounds and its clock reads 0 exactly 4*ceil(log2 n)
+    rounds after its first received message.
+
+    Senders, payloads and listener masks change only at rounds where some
+    group's window opens or closes or a preamble send window starts or
+    ends; they are rebuilt there, and every other round costs O(receivers).
+    The run ends when the last window of the latest group has closed.
     """
     n = world.n
     channel = config.channel
     correct = world.correct
+    t1 = schedule.t_phases + 1                 # code of the last stage-1 window
+    log2n = _ceil_log2(n)
+    wcode = _local_windows(schedule, d)
+    local_total = wcode.size
+    edges = np.flatnonzero(np.diff(wcode, prepend=-2, append=-2))   # local rounds where the code changes
+    closes = [(e, int(wcode[e - 1])) for e in edges.tolist() if e and wcode[e - 1] >= 0]
+    wpad = np.concatenate(([-1], wcode, [-1]))     # codes of local rounds -1 .. local_total
     cnt = np.zeros(n, np.int32)
     corr = np.zeros(n, np.int32)
-    records = []
-    messages = 0
-    for j, m in enumerate(schedule.stage2_phase_lengths, start=1):
-        subset = m // 2
-        senders = np.flatnonzero(world.opinion >= 0)
-        payloads = world.opinion[senders]
-        start_frac = world.correct_fraction()
-        for _ in range(m):
-            rr = world.clock
-            recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, rr)
-            messages += senders.size
+    choice = np.full(n, -1, np.int8)
+
+    groups = set()  # shift values of the clock groups
+    events = {}     # global round -> [(window code, shift value)] closing at its end
+    rebuild = {0}   # global rounds at which senders or listeners may change
+
+    def register(v):
+        if v in groups:
+            return
+        groups.add(v)
+        rebuild.update((v + edges).tolist())
+        for close_local, code in closes:
+            et = v + close_local - 1
+            if et >= 0:     # a window fully before t=0 saw no traffic; skipping == empty finalize
+                events.setdefault(et, []).append((code, v))
+
+    preamble = shift is None
+    pre_rounds = 2 * log2n
+    uninformed = 0      # agents the preamble has not reached
+    if preamble:
+        shift = np.full(n, _UNSET, np.int64)
+        send_start = np.full(n, _UNSET, np.int64)   # preamble broadcast window start
+        shift[0] = 4 * log2n                        # source: informed at start, resets at 4*log2n
+        send_start[0] = 0
+        rebuild.add(pre_rounds)
+        register(4 * log2n)
+        uninformed = n - 1
+    else:
+        for v in np.unique(shift):
+            register(int(v))
+    horizon = max(groups) + local_total
+
+    y_acc = [0] * (t1 + 1)
+    z_acc = [0] * (t1 + 1)
+    n_st2 = len(schedule.stage2_phase_lengths)
+    succ_acc = [0] * n_st2
+    end_frac = [None] * n_st2
+    start_frac = [None] * n_st2
+
+    def round_setup(t):
+        """Senders, payloads and the stage-1 and stage-2 listener masks of round t."""
+        code = wpad[np.clip(t - shift, -1, local_total) + 1]
+        in1 = (code >= 0) & (code <= t1)
+        in2 = code > t1
+        main = (in1 & (world.send_from <= code)) | (in2 & (world.opinion >= 0))
+        if preamble:
+            senders = np.flatnonzero(main | ((send_start <= t) & (t < send_start + pre_rounds)))
+            # preamble broadcasts carry a junk bit; content is never read
+            payloads = np.where(main[senders], world.opinion[senders], 0).astype(np.int8)
+        else:
+            senders = np.flatnonzero(main)
+            payloads = world.opinion[senders]
+        listen1 = in1 & (world.send_from == _NEVER)    # activated agents discard stage-1 traffic
+        return senders, payloads, listen1, in2
+
+    def listen(recv, acc, t):
+        """Stage-1 listeners fold their arrivals into a reservoir; stage-2
+        listeners count samples.  Reads the masks of the latest rebuild."""
+        if any1:
+            heard = listen1[recv]
+            dr = recv[heard]
+            dp = acc[heard]
+            c = cnt[dr] + 1
+            cnt[dr] = c
+            world.activation_round[dr[c == 1]] = t    # a listener that hears activates at the close
+            take = gen.random(dr.size) * c < 1.0    # reservoir: keep the j-th arrival w.p. 1/j
+            choice[dr[take]] = dp[take]
+        if all2:
             cnt[recv] += 1
             corr[recv] += acc == correct
-            world.clock = rr + 1
-        successful = np.flatnonzero(cnt >= subset)
-        _stage2_apply(world, successful, cnt, corr, subset, gen)
-        records.append(Stage2PhaseRecord(j, int(successful.size), world.correct_fraction(), start_frac))
-        cnt[:] = 0
-        corr[:] = 0
-    return tuple(records), messages
+        elif any2:
+            heard = in2[recv]
+            sr = recv[heard]
+            cnt[sr] += 1
+            corr[sr] += acc[heard] == correct
+
+    def close(code_v, v):
+        """Close window ``code_v`` for the clock group with shift ``v``."""
+        members = np.flatnonzero(shift == v)
+        if code_v <= t1:
+            new = members[(world.send_from[members] == _NEVER) & (cnt[members] > 0)]
+            world.level[new] = code_v
+            world.send_from[new] = code_v + 1
+            world.opinion[new] = choice[new]
+            y_acc[code_v] += int(new.size)
+            z_acc[code_v] += int((choice[new] == correct).sum())
+            cnt[new] = 0     # stage 2 counts its samples from zero
+        else:
+            j = code_v - t1 - 1
+            subset = schedule.stage2_phase_lengths[j] // 2
+            if start_frac[j] is None:
+                start_frac[j] = world.correct_fraction()
+            successful = members[cnt[members] >= subset]
+            _stage2_apply(world, successful, cnt, corr, subset, gen)
+            succ_acc[j] += int(successful.size)
+            end_frac[j] = world.correct_fraction()   # last group's close wins
+            cnt[members] = 0
+            corr[members] = 0
+
+    messages = 0
+    t = 0
+    while t < horizon:
+        if t in rebuild:
+            senders, payloads, listen1, in2 = round_setup(t)
+            any1 = bool(listen1.any())
+            all2 = bool(in2.all())
+            any2 = bool(in2.any())
+        if senders.size:
+            recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
+            messages += senders.size
+            if uninformed:
+                fresh = recv[shift[recv] == _UNSET]
+                if fresh.size:
+                    uninformed -= fresh.size
+                    send_start[fresh] = t + 1
+                    shift[fresh] = t + 4 * log2n
+                    rebuild.update((t + 1, t + 1 + pre_rounds))
+                    register(t + 4 * log2n)
+                    horizon = max(groups) + local_total
+            listen(recv, acc, t)
+        for code_v, v in sorted(events.pop(t, ())):
+            close(code_v, v)
+        t += 1
+
+    world.clock = t
+    per_phase = []
+    x = 0
+    for p, (y, z) in enumerate(zip(y_acc, z_acc)):
+        x += y
+        per_phase.append(PhaseMetrics(p, x, y, z, z / y - 0.5 if y else None))
+    stage1 = Stage1Result(tuple(per_phase), bool((world.send_from != _NEVER).all()), schedule.stage1_rounds)
+    stage2 = tuple(Stage2PhaseRecord(j + 1, succ_acc[j], end_frac[j], start_frac[j]) for j in range(n_st2))
+    info = DesyncInfo(
+        d_bound=d,
+        offset_spread=max(groups) - min(groups),
+        preamble_rounds=4 * log2n if preamble else 0,
+        local_total=local_total,
+        stalled=uninformed > 0,
+    )
+    return Outcome(world.opinion.copy(), world.correct_fraction(), t, messages, stage1, stage2), info
 
 
 def _as_generator(rng, config: SimConfig, purpose: str) -> np.random.Generator:
@@ -361,23 +440,15 @@ def _as_generator(rng, config: SimConfig, purpose: str) -> np.random.Generator:
     return rng.generator()
 
 
-def run_broadcast(config: SimConfig, rng=None, log=None, schedule: ScheduleParams | None = None) -> Outcome:
-    """Full two-stage noisy broadcast.  The protocol is oblivious: the round
-    count equals the schedule total no matter what happens."""
+def run_broadcast(config: SimConfig, rng=None, log=None) -> Outcome:
+    """Full two-stage noisy broadcast: one clock group with shift 0 and no
+    gap between windows.  The protocol is oblivious: the round count equals
+    the schedule total no matter what happens."""
     gen = _as_generator(rng, config, "broadcast")
-    if schedule is None:
-        schedule = derive_schedule(config.n, config.channel, config.constants)
+    schedule = derive_schedule(config.n, config.channel, config.constants)
     world = make_broadcast_world(config)
-    stage1, msg1 = _run_stage1(world, config, schedule, gen, log=log)
-    stage2, msg2 = _run_stage2(world, config, schedule, gen, log=log)
-    return Outcome(
-        final_opinions=world.opinion.copy(),
-        correct_fraction=world.correct_fraction(),
-        rounds_used=schedule.total_rounds,
-        messages_sent=msg1 + msg2,
-        stage1=stage1,
-        stage2=stage2,
-    )
+    out, _ = _run_windows(world, config, schedule, gen, log, np.zeros(config.n, np.int64))
+    return out
 
 
 def majority_bias(initial_opinions: np.ndarray, correct: int) -> float:
@@ -392,7 +463,11 @@ def majority_bias(initial_opinions: np.ndarray, correct: int) -> float:
 
 def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=None, log=None) -> Outcome:
     """Majority consensus for an initial opinionated set A: stage-1 phases
-    i_A .. T+1 with A as the already-active senders, then stage 2."""
+    i_A .. T+1 with A as the already-active senders, then stage 2.
+
+    One clock group whose local clock reads r_entry, the first round of
+    phase i_A, at t = 0; rounds (and ``activation_round``) count from there.
+    """
     gen = _as_generator(rng, config, "consensus")
     schedule = derive_schedule(config.n, config.channel, config.constants)
     initial_opinions = np.asarray(initial_opinions, dtype=np.int8)
@@ -402,44 +477,11 @@ def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=
     entry = majority_entry_phase(a_size, config.n, config.channel, config.constants)
     bias = majority_bias(initial_opinions, config.correct_opinion)
     world = make_consensus_world(config, initial_opinions, entry)
-    stage1, msg1 = _run_stage1(world, config, schedule, gen, first_phase=entry, log=log)
-    stage2, msg2 = _run_stage2(world, config, schedule, gen, log=log)
-    return Outcome(
-        final_opinions=world.opinion.copy(),
-        correct_fraction=world.correct_fraction(),
-        rounds_used=stage1.rounds_used + schedule.stage2_rounds,
-        messages_sent=msg1 + msg2,
-        stage1=stage1,
-        stage2=stage2,
-        initial_majority_bias=bias,
-    )
-
-
-# ---------------------------------------------------------------------------
-# desynchronized variant
-
-
-def _local_windows(schedule: ScheduleParams, d: int):
-    """Local-clock window layout: stage-1 phase i shifted to start at
-    r_i + i*d, one further d-gap isolating stage 2, stage-2 phases
-    contiguous.  Window codes: 0..T+1 stage 1, T+1+j for stage-2 phase j.
-    Returns (code-per-local-round array, [(close_local, code)], local_total).
-    """
-    t = schedule.t_phases
-    st2 = schedule.stage1_rounds + (t + 2) * d
-    local_total = st2 + schedule.stage2_rounds
-    wcode = np.full(local_total, -1, np.int32)
-    closes = []
-    for i, (start, length) in enumerate(schedule.phase_bounds_stage1):
-        s = start + i * d
-        wcode[s:s + length] = i
-        closes.append((s + length, i))
-    off = st2
-    for j, m in enumerate(schedule.stage2_phase_lengths, start=1):
-        wcode[off:off + m] = t + 1 + j
-        closes.append((off + m, t + 1 + j))
-        off += m
-    return wcode, closes, local_total
+    r_entry = schedule.phase_bounds_stage1[entry][0]
+    out, _ = _run_windows(world, config, schedule, gen, log, np.full(config.n, -r_entry, np.int64))
+    stage1 = Stage1Result(out.stage1.per_phase[entry:], out.stage1.all_activated,
+                          schedule.stage1_rounds - r_entry)
+    return replace(out, stage1=stage1, initial_majority_bias=bias)
 
 
 def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = None, rng=None, log=None) -> Outcome:
@@ -456,179 +498,18 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n
-    channel = config.channel
-    correct = config.correct_opinion
-    schedule = derive_schedule(n, channel, config.constants)
-    t_ph = schedule.t_phases
-    log2n = _ceil_log2(n)
-
-    preamble = clocks is None
-    if preamble:
-        d = 2 * log2n
-        shift = np.full(n, _UNSET, np.int64)       # global round at which local clock reads 0
-        first_heard = np.full(n, -1, np.int64)
-        send_start = np.full(n, _UNSET, np.int64)  # preamble broadcast window start
-        shift[0] = 4 * log2n                       # source: informed at start, resets at 4*log2n
-        first_heard[0] = 0
-        send_start[0] = 0
+    schedule = derive_schedule(n, config.channel, config.constants)
+    world = make_broadcast_world(config)
+    if clocks is None:
+        out, info = _run_windows(world, config, schedule, gen, log, None, d=2 * _ceil_log2(n))
     else:
         off = np.asarray(clocks.offsets, dtype=np.int64)
         if off.shape != (n,):
             raise ConfigurationError("clock offsets must have one entry per agent")
         ClockConfiguration(off, clocks.d_bound)    # revalidate against the n-sized array
-        d = clocks.d_bound
-        shift = -off                               # clock value o at t=0 => local time t + o
-
-    wcode, closes, local_total = _local_windows(schedule, d)
-
-    world = make_broadcast_world(config)
-    cnt = np.zeros(n, np.int32)
-    corr = np.zeros(n, np.int32)
-    choice = np.full(n, -1, np.int8)
-    first_seen = np.full(n, -1, np.int64)
-
-    # window-close events: global round -> [(code, shift value)]
-    events: dict = {}
-    registered = set()
-
-    def register(shift_value: int):
-        if shift_value in registered:
-            return
-        registered.add(shift_value)
-        for close_local, code in closes:
-            et = shift_value + close_local - 1
-            if et >= 0:     # a window fully before t=0 saw no traffic; skipping == empty finalize
-                events.setdefault(et, []).append((code, shift_value))
-
-    if preamble:
-        register(int(shift[0]))
-    else:
-        for v in np.unique(shift):
-            register(int(v))
-
-    y_acc = np.zeros(t_ph + 2, np.int64)
-    z_acc = np.zeros(t_ph + 2, np.int64)
-    n_st2 = len(schedule.stage2_phase_lengths)
-    succ_acc = np.zeros(n_st2, np.int64)
-    end_frac = [None] * n_st2
-    start_frac = [None] * n_st2
-
-    messages = 0
-    pre_rounds = 2 * log2n
-    stalled = False
-    t = 0
-    while True:
-        lvals = t - shift
-        inside = (lvals >= 0) & (lvals < local_total)
-        code = np.where(inside, wcode[np.clip(lvals, 0, local_total - 1)], -1)
-        s1_send = (code >= 0) & (code <= t_ph + 1) & (world.send_from <= code)
-        s2_send = (code > t_ph + 1) & (world.opinion >= 0)
-        main_send = s1_send | s2_send
-        if preamble:
-            uninformed = first_heard < 0
-            pre_mask = (send_start <= t) & (t < send_start + pre_rounds)
-            senders = np.flatnonzero(main_send | pre_mask)
-            # preamble broadcasts carry a junk bit; content is never read
-            payloads = np.where(main_send[senders], world.opinion[senders], 0).astype(np.int8)
-        else:
-            senders = np.flatnonzero(main_send)
-            payloads = world.opinion[senders]
-        if senders.size:
-            recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
-            messages += senders.size
-            if preamble:
-                freshly_informed = recv[uninformed[recv]]
-                if freshly_informed.size:
-                    first_heard[freshly_informed] = t
-                    send_start[freshly_informed] = t + 1
-                    shift[freshly_informed] = t + 4 * log2n
-                    register(int(t + 4 * log2n))
-            rcode = code[recv]
-            s1_listen = (rcode >= 0) & (rcode <= t_ph + 1) & (world.send_from[recv] == _NEVER)
-            dr = recv[s1_listen]
-            dp = acc[s1_listen]
-            c = cnt[dr] + 1
-            cnt[dr] = c
-            fresh = c == 1
-            first_seen[dr[fresh]] = t
-            u = gen.random(dr.size)
-            take = u * c < 1.0
-            choice[dr[take]] = dp[take]
-            s2_listen = rcode > t_ph + 1
-            sr = recv[s2_listen]
-            cnt[sr] += 1
-            corr[sr] += acc[s2_listen] == correct
-
-        for code_v, shift_v in sorted(events.pop(t, ())):
-            members = np.flatnonzero(shift == shift_v)
-            if code_v <= t_ph + 1:
-                new = members[(world.send_from[members] == _NEVER) & (cnt[members] > 0)]
-                world.level[new] = code_v
-                world.send_from[new] = code_v + 1
-                world.opinion[new] = choice[new]
-                world.activation_round[new] = first_seen[new]
-                y_acc[code_v] += new.size
-                z_acc[code_v] += int((choice[new] == correct).sum())
-                cnt[new] = 0
-                choice[new] = -1
-            else:
-                j = code_v - (t_ph + 2)
-                subset = schedule.stage2_phase_lengths[j] // 2
-                if start_frac[j] is None:
-                    start_frac[j] = world.correct_fraction()
-                successful = members[cnt[members] >= subset]
-                _stage2_apply(world, successful, cnt, corr, subset, gen)
-                succ_acc[j] += successful.size
-                end_frac[j] = world.correct_fraction()   # last group's close wins
-                cnt[members] = 0
-                corr[members] = 0
-
-        t += 1
-        world.clock = t
-        known = shift[shift != _UNSET]
-        horizon = int(known.max()) + local_total
-        if t >= horizon:
-            # Every send window (preamble or scheduled) of every clocked agent
-            # has passed, so no further message can ever be delivered.
-            stalled = preamble and bool((first_heard < 0).any())
-            break
-
-    rounds_used = t
-    per_phase = []
-    x = 0
-    for p in range(t_ph + 2):
-        y = int(y_acc[p])
-        z = int(z_acc[p])
-        x += y
-        per_phase.append(PhaseMetrics(p, x, y, z, z / y - 0.5 if y else None))
-    stage1 = Stage1Result(tuple(per_phase), bool((world.send_from != _NEVER).all()), schedule.stage1_rounds)
-    records = []
-    for j in range(n_st2):
-        records.append(
-            Stage2PhaseRecord(
-                j + 1,
-                int(succ_acc[j]),
-                end_frac[j] if end_frac[j] is not None else world.correct_fraction(),
-                start_frac[j] if start_frac[j] is not None else world.correct_fraction(),
-            )
-        )
-    known = shift[shift != _UNSET]
-    info = DesyncInfo(
-        d_bound=d,
-        offset_spread=int(known.max() - known.min()),
-        preamble_rounds=4 * log2n if preamble else 0,
-        local_total=local_total,
-        stalled=stalled,
-    )
-    return Outcome(
-        final_opinions=world.opinion.copy(),
-        correct_fraction=world.correct_fraction(),
-        rounds_used=rounds_used,
-        messages_sent=messages,
-        stage1=stage1,
-        stage2=tuple(records),
-        desync=info,
-    )
+        # clock value o at t=0 means local time t + o
+        out, info = _run_windows(world, config, schedule, gen, log, -off, d=clocks.d_bound)
+    return replace(out, desync=info)
 
 
 # ---------------------------------------------------------------------------

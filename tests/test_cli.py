@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flipsim import cli
 
 
@@ -67,3 +69,25 @@ def test_sweep_bad_spec_exit_code(tmp_path, capsys):
     spec_path.write_text("{")
     assert cli.main(["sweep", "--spec", str(spec_path), "--out",
                      str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("field,value", [("runsPerCell", "10"), ("runsPerCell", 2.5),
+                                         ("masterSeed", "x")])
+def test_sweep_bad_field_type_exit_code(tmp_path, capsys, field, value):
+    spec = {"schemaVersion": 1, "protocol": "broadcast", "nGrid": [128],
+            "epsilonGrid": [0.5], "runsPerCell": 2, "masterSeed": 3}
+    spec[field] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_run_bad_thread_count_exit_code(monkeypatch, capsys, threads):
+    monkeypatch.setenv("FLIPSIM_THREADS", threads)
+    assert cli.main(["run", "--protocol", "broadcast", "--n", "128", "--eps", "0.5",
+                     "--runs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "FLIPSIM_THREADS" in err and err.count("\n") == 1

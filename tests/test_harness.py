@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipsim import NoiseChannel, ProtocolConstants, SimConfig, derive_rng, run_baseline_forward
 from flipsim.harness import (
+    PROTOCOLS,
     ExperimentReport,
     ExperimentSpec,
     ReportError,
@@ -84,6 +87,45 @@ def test_spec_validation_consensus_minimum_set():
         spec.validate()
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CONSTANT_NAMES = ["cS", "cBeta", "cF", "cFinalStage2", "cDirect", "cEntry", "eta", "rScale"]
+# specs close to valid ones, with any field swapped for arbitrary JSON
+_SPECS = st.fixed_dictionaries(
+    {"schemaVersion": st.just(1) | _JSON},
+    optional={
+        "protocol": st.sampled_from(PROTOCOLS) | _JSON,
+        "nGrid": st.lists(st.integers(-2, 2 ** 14) | _JSON, max_size=3) | _JSON,
+        "epsilonGrid": st.lists(st.floats() | _JSON, max_size=3) | _JSON,
+        "runsPerCell": st.integers() | _JSON,
+        "masterSeed": st.integers() | _JSON,
+        "constants": st.dictionaries(st.sampled_from(_CONSTANT_NAMES), st.floats() | _JSON,
+                                     max_size=3) | _JSON,
+        "initialBias": st.floats() | _JSON,
+        "initialSetSize": st.integers() | _JSON,
+        "threshold": st.integers() | _JSON,
+        "maxRounds": st.integers() | _JSON,
+        "outputPath": _JSON,
+        "bogusField": _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS | _JSON)
+@example({"schemaVersion": 1, "protocol": "consensus", "nGrid": [2 ** 14],
+          "epsilonGrid": [5e-324], "runsPerCell": 1, "masterSeed": 0,
+          "initialSetSize": 8, "initialBias": 0.1})    # eps * eps underflows to 0
+def test_spec_fuzz_only_spec_errors_escape(raw):
+    try:
+        ExperimentSpec.from_dict(raw).validate()
+    except (SpecParseError, SchemaVersionError, SpecValidationError):
+        pass
+
+
 def test_spec_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.json"
@@ -131,12 +173,13 @@ def test_spec_parse_errors(tmp_path):
     with pytest.raises(SpecParseError, match="bogusField"):
         load_spec(unknown)
 
-    stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps({"schemaVersion": 2, "protocol": "broadcast",
-                                 "nGrid": [4], "epsilonGrid": [0.5],
-                                 "runsPerCell": 1, "masterSeed": 0}))
-    with pytest.raises(SchemaVersionError):
-        load_spec(stale)
+    for version in (2, True):
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({"schemaVersion": version, "protocol": "broadcast",
+                                     "nGrid": [4], "epsilonGrid": [0.5],
+                                     "runsPerCell": 1, "masterSeed": 0}))
+        with pytest.raises(SchemaVersionError):
+            load_spec(stale)
 
 
 def test_run_experiment_deterministic():

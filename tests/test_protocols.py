@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,27 +16,32 @@ from flipsim import (
     derive_schedule,
     logs_equal_modulo_complement,
     majority_bias,
-    majority_update,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
     run_desynchronized,
     run_majority_consensus,
-    select_initial_opinion,
 )
 from flipsim.params import _ceil_log2
 from flipsim.protocols import (
-    ProtocolInvariantError,
-    _run_stage1,
-    _run_stage2,
+    _run_windows,
+    _stage2_apply,
     make_broadcast_world,
-    make_consensus_world,
 )
+from reference import ProtocolInvariantError, majority_update, select_initial_opinion
 
 
 def cfg(n, eps, seed=0, correct=1):
     return SimConfig(n=n, channel=NoiseChannel.from_epsilon(eps), master_seed=seed,
                      correct_opinion=correct)
+
+
+def run_stage2(world, config, schedule, gen):
+    """Run only the stage-2 windows on ``world``: a clock shifted past the
+    end of stage 1 skips every stage-1 window."""
+    shift = np.full(config.n, -schedule.stage1_rounds, np.int64)
+    out, _ = _run_windows(world, config, schedule, gen, None, shift)
+    return out.stage2
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +96,12 @@ def test_majority_update_contract_violations():
 @pytest.mark.filterwarnings("ignore:epsilon")  # n=2 sits outside the regime by design
 def test_stage1_two_agents_noiseless():
     config = cfg(2, 0.5)
-    schedule = derive_schedule(2, config.channel)
-    world = make_broadcast_world(config)
-    result, _ = _run_stage1(world, config, schedule, derive_rng(6, "s1"))
+    out = run_broadcast(config, rng=derive_rng(6, "s1"))
+    result = out.stage1
     assert result.all_activated
     phase0 = result.per_phase[0]
     assert phase0.y == 1 and phase0.z == 1 and phase0.epsilon == 0.5
-    assert world.opinion.tolist() == [1, 1]
+    assert out.final_opinions.tolist() == [1, 1]
 
 
 def test_stage1_invariants_and_sandwich():
@@ -104,8 +110,7 @@ def test_stage1_invariants_and_sandwich():
     schedule = derive_schedule(config.n, config.channel)
     assert schedule.t_phases == 1
     for seed in range(3):
-        world = make_broadcast_world(config)
-        res, _ = _run_stage1(world, config, schedule, derive_rng(seed, "s1inv"))
+        res = run_broadcast(config, rng=derive_rng(seed, "s1inv")).stage1
         xs = [m.x for m in res.per_phase]
         ys = [m.y for m in res.per_phase]
         zs = [m.z for m in res.per_phase]
@@ -125,7 +130,7 @@ def test_agent_state_views():
     dormant = world.agent_state(5)
     assert not dormant.activated
     assert dormant.level is None and dormant.current_opinion is None
-    _run_stage1(world, config, schedule, derive_rng(8, "view"))
+    _run_windows(world, config, schedule, derive_rng(8, "view"), None, np.zeros(config.n, np.int64))
     st = world.agent_state(5)
     assert st.activated
     assert st.level is not None and st.current_opinion in (0, 1)
@@ -144,7 +149,7 @@ def test_stage2_preserves_unanimity():
     world = make_broadcast_world(config)
     world.opinion[:] = config.correct_opinion
     world.send_from[:] = 0
-    records, _ = _run_stage2(world, config, schedule, derive_rng(10, "s2"))
+    records = run_stage2(world, config, schedule, derive_rng(10, "s2"))
     for rec in records:
         assert rec.correct_fraction == 1.0
     assert world.correct_fraction() == 1.0
@@ -163,9 +168,23 @@ def test_stage2_boost_regression():
         gen.shuffle(opinions)
         world.opinion[:] = opinions
         world.send_from[:] = 0
-        records, _ = _run_stage2(world, config, schedule, gen)
+        run_stage2(world, config, schedule, gen)
         wins += world.correct_fraction() == 1.0
     assert wins >= 9
+
+
+def test_stage2_subset_majority_exact_law():
+    # every agent holds 5 samples, 3 of them correct, and takes the majority
+    # of a subset of 3: over all C(5,3) subsets, 7/10 have a correct majority
+    exact = Fraction(sum(2 * sum(sub) > 3 for sub in combinations([1, 1, 1, 0, 0], 3)), math.comb(5, 3))
+    assert exact == Fraction(7, 10)
+    agents = 200_000
+    world = make_broadcast_world(cfg(agents, 0.25))
+    cnt = np.full(agents, 5, np.int32)
+    corr = np.full(agents, 3, np.int32)
+    _stage2_apply(world, np.arange(agents), cnt, corr, 3, derive_rng(15, "hyper"))
+    sigma = math.sqrt(0.7 * 0.3 / agents)
+    assert abs(world.correct_fraction() - 0.7) < 4 * sigma
 
 
 def test_stage2_relabeling_symmetry():
@@ -181,7 +200,7 @@ def test_stage2_relabeling_symmetry():
         world = make_broadcast_world(config)
         world.opinion[:] = base if correct == 1 else base ^ 1
         world.send_from[:] = 0
-        records, _ = _run_stage2(world, config, schedule, derive_rng(11, "sym"))
+        records = run_stage2(world, config, schedule, derive_rng(11, "sym"))
         trajs.append([r.correct_fraction for r in records])
     assert trajs[0] == trajs[1]
 
