@@ -60,11 +60,11 @@ _CONSTANTS_KEYS = {
     "cBeta": "c_beta",
     "cF": "c_f",
     "cFinalStage2": "c_final_stage2",
-    "cDirect": "c_direct",
     "cEntry": "c_entry",
     "eta": "eta",
     "rScale": "r_scale",
 }
+_RETIRED_CONSTANTS = ("cDirect",)   # read from v1 specs and checked, but nothing uses them
 
 
 def _is_int(v) -> bool:
@@ -193,14 +193,19 @@ class ExperimentSpec:
         const_in = d.get("constants", {})
         if not isinstance(const_in, dict):
             raise SpecParseError(f"{source}: constants must be a JSON object")
-        bad = set(const_in) - set(_CONSTANTS_KEYS)
+        bad = set(const_in) - set(_CONSTANTS_KEYS) - set(_RETIRED_CONSTANTS)
         if bad:
             raise SpecParseError(f"{source}: unknown constants fields {sorted(bad)}")
         not_numbers = [f"constants.{k}: must be a number" for k, v in const_in.items() if not _is_real(v)]
         if not_numbers:
             raise SpecValidationError(not_numbers)
+        retired = [f"constants.{k}: must be positive and finite" for k in _RETIRED_CONSTANTS
+                   if k in const_in and not 0 < const_in[k] < math.inf]
+        if retired:
+            raise SpecValidationError(retired)
         try:
-            constants = ProtocolConstants(**{_CONSTANTS_KEYS[k]: v for k, v in const_in.items()})
+            constants = ProtocolConstants(**{_CONSTANTS_KEYS[k]: v for k, v in const_in.items()
+                                             if k in _CONSTANTS_KEYS})
         except ConfigurationError as e:
             raise SpecValidationError([f"constants: {e}"]) from None
         for key in ("nGrid", "epsilonGrid"):

@@ -112,7 +112,7 @@ def deliver_round_arrays(
     rng: np.random.Generator,
     return_targets: bool = False,
 ):
-    """Vectorized core of one push-gossip delivery round.
+    """Sender-identity path of one push-gossip delivery round.
 
     Each sender's message goes to one agent drawn uniformly among the other
     ``n - 1`` agents (self excluded).  Each receiver with at least one
@@ -121,7 +121,9 @@ def deliver_round_arrays(
 
     Returns ``(receivers, accepted, senders_of[, targets])`` with receivers
     in ascending order.  ``senders_of`` and ``targets`` are diagnostics-only;
-    protocol logic must consume payloads alone.
+    protocol logic must consume payloads alone.  Consumers that read only
+    how many arrivals carry each bit use :func:`deliver_round_counts`, which
+    draws no arrival order.
 
     The uniform accept choice is realized by drawing one random arrival
     order per round (a permutation) and letting the earliest arrival win;
@@ -150,3 +152,53 @@ def deliver_round_arrays(
     out = (receivers, accepted, sender_ids[chosen])
     return out + (targets,) if return_targets else out
 
+
+def delivery_buffers(n: int):
+    """Work arrays for :func:`deliver_round_counts` at ``n`` agents.  A run
+    allocates them once and passes them to every round, so rounds allocate
+    no per-agent arrays (fresh ones cost a page fault per touched page)."""
+    return (np.empty(n, bool), np.empty(n, bool), np.empty(n, np.float64),
+            np.empty(n, np.int64), np.empty(n, np.int64))
+
+
+def deliver_round_counts(carriers, others, n, channel, rng, out):
+    """Count-based core of one push-gossip delivery round.
+
+    ``carriers`` send the reference bit and ``others`` its complement.  Each
+    message goes to one agent drawn uniformly among the other ``n - 1``
+    agents (self excluded), as in :func:`deliver_round_arrays`.  An agent
+    with ``a`` arrivals, ``c`` of them carrying the reference bit, accepts
+    one of them uniformly and passes it through the channel, so the bit it
+    keeps equals the reference bit with probability
+    ``(c (1 - p) + (a - c) p) / a``.  One float64 uniform per agent decides
+    this: ``(u - p) a / (1 - 2p) < c``.  Given the targets, accepts at
+    distinct agents are independent, so this is the law of the permutation
+    kernel with the arrival order left undrawn.
+
+    ``out`` is ``delivery_buffers(n)``.  Returns per-agent boolean arrays
+    ``(heard, match)``, views of ``out`` that the next call overwrites:
+    ``heard`` marks agents that accepted a message and ``match`` those whose
+    accepted bit equals the reference bit.  Both depend on the messages only
+    through who carries the reference bit, so they are invariant under
+    relabeling the bits.
+    """
+    heard, match, u, a, c = out
+    k = carriers.size
+    if k + others.size and n < 2:
+        raise ConfigurationError("delivery requires at least two agents")
+    t = rng.integers(0, n - 1, size=k + others.size)
+    t[:k] += t[:k] >= carriers
+    t[k:] += t[k:] >= others
+    c.fill(0)     # counted in place: np.bincount allocates a fresh array per call
+    np.add.at(c, t[:k], 1)
+    a.fill(0)
+    np.add.at(a, t[k:], 1)
+    a += c
+    p = channel.flip_probability
+    rng.random(out=u)
+    u -= p
+    u *= a
+    u /= 1.0 - 2.0 * p
+    np.less(u, c, out=match)
+    np.greater(a, 0, out=heard)
+    return heard, match

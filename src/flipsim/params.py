@@ -35,7 +35,6 @@ class ProtocolConstants:
     c_s, c_beta, c_f scale the per-phase round counts s, beta, f (all of the
     form ceil(c / eps**2)); r_scale replaces the literal 2**22 in the stage-2
     sample radius; c_final_stage2 scales the final stage-2 phase length;
-    c_direct is the target exponent used for direct-sampling yardsticks;
     c_entry gates admissible consensus initial sets; eta bounds the
     (epsilon, n) regime.
     """
@@ -44,13 +43,12 @@ class ProtocolConstants:
     c_beta: float = 3.0
     c_f: float = 9.0
     c_final_stage2: float = 2.0
-    c_direct: float = 2.0
     c_entry: float = 1.0
     eta: float = 0.1
     r_scale: float = 8.0
 
     def __post_init__(self):
-        for name in ("c_s", "c_beta", "c_f", "c_final_stage2", "c_direct", "c_entry", "r_scale"):
+        for name in ("c_s", "c_beta", "c_f", "c_final_stage2", "c_entry", "r_scale"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
         if not (0.0 < self.eta < 0.5):

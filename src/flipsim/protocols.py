@@ -12,17 +12,27 @@ with a gap of D rounds between windows.
 
 Engines are array-based for speed.  Per-agent state lives in a
 struct-of-arrays :class:`World`; the spec-level ``AgentState`` record is an
-inspection view over it.  Two vectorized equivalences keep the hot path
-fast without changing any distribution:
+inspection view over it.  An agent only ever uses how many of the messages
+it accepted carry each opinion, so the engine keeps two counters per agent,
+accepted messages and correct ones among them, and three equivalences keep
+the hot path fast without changing any distribution:
 
+* the uniform accept among a round's arrivals is drawn from the arrival
+  counts (:func:`~flipsim.model.deliver_round_counts`): an agent with ``a``
+  arrivals, ``c`` of them correct, keeps a correct bit with probability
+  ``(c (1 - p) + (a - c) p) / a``, and no arrival order is drawn;
 * an agent's uniform choice among the messages of its activation phase is
-  realized by reservoir sampling (one uniform per accepted message);
+  drawn at the phase close from its counters: correct with probability
+  ``correct / accepted``;
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law.
 
-Both draws consume randomness in a payload-independent pattern, so a run's
-entire message pattern is invariant under relabeling the opinions 0 <-> 1.
+The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
+only where sender identity is read: under an attached :class:`EventLog` and
+in the two baselines.  Every draw consumes randomness in a pattern that
+depends on opinions only through "equals the correct opinion", so a run is
+invariant under relabeling the opinions 0 <-> 1.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ from .model import (
     ConfigurationError,
     complement,
     deliver_round_arrays,
+    deliver_round_counts,
+    delivery_buffers,
     derive_rng,
 )
 from .params import ScheduleParams, SimConfig, _ceil_log2, derive_schedule, majority_entry_phase
@@ -227,6 +239,13 @@ def _deliver(senders, payloads, n, channel, gen, log, rnd):
     return recv, acc, src
 
 
+def _stage1_pick(cnt, corr, gen):
+    """Whether each activating agent's uniform pick among the ``cnt``
+    messages it accepted in its window, ``corr`` of them correct, is a
+    correct one: true with probability ``corr / cnt``."""
+    return gen.random(cnt.size) * cnt < corr
+
+
 def _stage2_apply(world, successful, cnt, corr, subset, gen):
     """Subset-majority update for all successful agents of one phase.
 
@@ -273,10 +292,12 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     2*ceil(log2 n) rounds and its clock reads 0 exactly 4*ceil(log2 n)
     rounds after its first received message.
 
-    Senders, payloads and listener masks change only at rounds where some
-    group's window opens or closes or a preamble send window starts or
-    ends; they are rebuilt there, and every other round costs O(receivers).
-    The run ends when the last window of the latest group has closed.
+    Senders and listener masks change only at rounds where some group's
+    window opens or closes or a preamble send window starts or ends; they
+    are rebuilt there.  Every round draws per-agent accept outcomes from the
+    arrival counts and adds them to each listener's counters in place, with
+    work buffers allocated once per run.  The run ends when the last window
+    of the latest group has closed.
     """
     n = world.n
     channel = config.channel
@@ -288,9 +309,9 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     edges = np.flatnonzero(np.diff(wcode, prepend=-2, append=-2))   # local rounds where the code changes
     closes = [(e, int(wcode[e - 1])) for e in edges.tolist() if e and wcode[e - 1] >= 0]
     wpad = np.concatenate(([-1], wcode, [-1]))     # codes of local rounds -1 .. local_total
-    cnt = np.zeros(n, np.int32)
-    corr = np.zeros(n, np.int32)
-    choice = np.full(n, -1, np.int8)
+    cnt = np.zeros(n, np.int32)     # messages accepted in the current window
+    corr = np.zeros(n, np.int32)    # ... of them carrying the correct opinion after the channel
+    buffers = delivery_buffers(n)
 
     groups = set()  # shift values of the clock groups
     events = {}     # global round -> [(window code, shift value)] closing at its end
@@ -330,53 +351,66 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     start_frac = [None] * n_st2
 
     def round_setup(t):
-        """Senders, payloads and the stage-1 and stage-2 listener masks of round t."""
+        """Senders, whether each carries the correct opinion, and the
+        listener masks of round t: stage-1 listeners and all listeners."""
         code = wpad[np.clip(t - shift, -1, local_total) + 1]
         in1 = (code >= 0) & (code <= t1)
         in2 = code > t1
         main = (in1 & (world.send_from <= code)) | (in2 & (world.opinion >= 0))
+        carries = main & (world.opinion == correct)
         if preamble:
-            senders = np.flatnonzero(main | ((send_start <= t) & (t < send_start + pre_rounds)))
-            # preamble broadcasts carry a junk bit; content is never read
-            payloads = np.where(main[senders], world.opinion[senders], 0).astype(np.int8)
-        else:
-            senders = np.flatnonzero(main)
-            payloads = world.opinion[senders]
+            # preamble broadcasts carry a junk bit: the complement of the
+            # correct opinion, so that relabeling the opinions maps a run to
+            # a run.  A window listener can accept one only when the clock
+            # spread reaches D.
+            main |= (send_start <= t) & (t < send_start + pre_rounds)
+        senders = np.flatnonzero(main)
         listen1 = in1 & (world.send_from == _NEVER)    # activated agents discard stage-1 traffic
-        return senders, payloads, listen1, in2
+        return senders, carries[senders], listen1, listen1 | in2
 
-    def listen(recv, acc, t):
-        """Stage-1 listeners fold their arrivals into a reservoir; stage-2
-        listeners count samples.  Reads the masks of the latest rebuild."""
+    def deliver(t):
+        """Per-agent ``(heard, match)`` of round t: accepted a message, and
+        accepted one carrying the correct opinion.  Only an attached log
+        needs the sender-identity kernel."""
+        if log is None:
+            return deliver_round_counts(carriers, others, n, channel, gen, buffers)
+        payloads = np.where(carries, correct, complement(correct)).astype(np.int8)
+        recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
+        heard, match = buffers[:2]
+        heard.fill(False)
+        heard[recv] = True
+        match.fill(False)
+        match[recv[acc == correct]] = True
+        return heard, match
+
+    def listen(heard, match, t):
+        """Listeners count their accepted messages and the correct ones
+        among them.  Reads the masks of the latest rebuild."""
+        np.logical_and(heard, listening, out=heard)
+        np.logical_and(match, listening, out=match)
+        np.add(cnt, heard, out=cnt)
+        np.add(corr, match, out=corr)
         if any1:
-            heard = listen1[recv]
-            dr = recv[heard]
-            dp = acc[heard]
-            c = cnt[dr] + 1
-            cnt[dr] = c
-            world.activation_round[dr[c == 1]] = t    # a listener that hears activates at the close
-            take = gen.random(dr.size) * c < 1.0    # reservoir: keep the j-th arrival w.p. 1/j
-            choice[dr[take]] = dp[take]
-        if all2:
-            cnt[recv] += 1
-            corr[recv] += acc == correct
-        elif any2:
-            heard = in2[recv]
-            sr = recv[heard]
-            cnt[sr] += 1
-            corr[sr] += acc[heard] == correct
+            # a stage-1 listener activates at the close of the window in
+            # which it first hears; record that round
+            np.logical_and(heard, fresh1, out=heard)
+            if heard.any():
+                world.activation_round[heard] = t
+                np.greater(fresh1, heard, out=fresh1)
 
     def close(code_v, v):
         """Close window ``code_v`` for the clock group with shift ``v``."""
         members = np.flatnonzero(shift == v)
         if code_v <= t1:
             new = members[(world.send_from[members] == _NEVER) & (cnt[members] > 0)]
+            right = _stage1_pick(cnt[new], corr[new], gen)
             world.level[new] = code_v
             world.send_from[new] = code_v + 1
-            world.opinion[new] = choice[new]
+            world.opinion[new] = np.where(right, correct, complement(correct))
             y_acc[code_v] += int(new.size)
-            z_acc[code_v] += int((choice[new] == correct).sum())
+            z_acc[code_v] += int(right.sum())
             cnt[new] = 0     # stage 2 counts its samples from zero
+            corr[new] = 0
         else:
             j = code_v - t1 - 1
             subset = schedule.stage2_phase_lengths[j] // 2
@@ -393,15 +427,15 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     t = 0
     while t < horizon:
         if t in rebuild:
-            senders, payloads, listen1, in2 = round_setup(t)
+            senders, carries, listen1, listening = round_setup(t)
+            carriers, others = senders[carries], senders[~carries]
             any1 = bool(listen1.any())
-            all2 = bool(in2.all())
-            any2 = bool(in2.any())
+            fresh1 = listen1 & (world.activation_round < 0)
         if senders.size:
-            recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
+            heard, match = deliver(t)
             messages += senders.size
             if uninformed:
-                fresh = recv[shift[recv] == _UNSET]
+                fresh = np.flatnonzero(heard & (shift == _UNSET))
                 if fresh.size:
                     uninformed -= fresh.size
                     send_start[fresh] = t + 1
@@ -409,7 +443,7 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
                     rebuild.update((t + 1, t + 1 + pre_rounds))
                     register(t + 4 * log2n)
                     horizon = max(groups) + local_total
-            listen(recv, acc, t)
+            listen(heard, match, t)
         for code_v, v in sorted(events.pop(t, ())):
             close(code_v, v)
         t += 1

@@ -1,7 +1,7 @@
 """Reference implementations of the protocol's contract-level operations.
 
-The engines realize these operations with vectorized equivalents (reservoir
-sampling, hypergeometric subset counts, array delivery); the tests pin those
+The engines realize these operations with vectorized equivalents (count-based
+picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.
 """
 

@@ -38,6 +38,7 @@ SEED = 61803
 BATCH = 200
 N_MAIN = 4096
 EPS_MAIN = 0.25
+EPS_GROWTH = 0.4    # T=1 at N_MAIN: a growth phase, so A7's X sandwich is not empty
 
 
 def _report(name, ok, detail):
@@ -70,6 +71,11 @@ def _record(out) -> RunRecord:
 def _broadcast_run(seed: int) -> RunRecord:
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
     return _record(run_broadcast(config, rng=derive_rng(SEED, "a-broadcast", seed)))
+
+
+def _growth_run(seed: int) -> RunRecord:
+    config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_GROWTH), master_seed=SEED)
+    return _record(run_broadcast(config, rng=derive_rng(SEED, "a-growth", seed)))
 
 
 def _desync_run(seed: int) -> RunRecord:
@@ -119,6 +125,11 @@ def _pool_map(fn, items):
 @pytest.fixture(scope="module")
 def broadcast_batch():
     return _pool_map(_broadcast_run, list(range(BATCH)))
+
+
+@pytest.fixture(scope="module")
+def growth_batch():
+    return _pool_map(_growth_run, list(range(BATCH)))
 
 
 @pytest.fixture(scope="module")
@@ -207,19 +218,20 @@ def test_a6_round_and_message_scaling():
                       f"(spread {spread:.3f} <= 2) and messages <= {c_messages} n log2(n)/eps^2")
 
 
-def test_a7_stage1_structure(broadcast_batch):
-    schedule = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_MAIN))
+def _stage1_structure(batch, eps):
+    """A7's checks on one batch: ``(ok, detail)``."""
+    schedule = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(eps))
     t = schedule.t_phases
     beta = schedule.beta
     log2n = math.log2(N_MAIN)
     upper_ok = sandwich_ok = growth_ok = bias_ok = 0
-    for rec in broadcast_batch:
+    for rec in batch:
         phases = {p: (x, y, z, eps) for p, x, y, z, eps in rec.stage1}
         x0 = phases[0][0]
         upper = all(phases[i][0] <= (beta + 1) ** i * x0 for i in range(1, t + 1))
         lower = all(phases[i][0] >= (beta + 1) ** i * x0 / 16 for i in range(1, t + 1))
         growth = all(phases[i][1] >= beta ** (i - 1) * log2n for i in range(1, t + 2))
-        bias = all(phases[i][3] is not None and phases[i][3] >= EPS_MAIN ** (i + 1) / 2
+        bias = all(phases[i][3] is not None and phases[i][3] >= eps ** (i + 1) / 2
                    for i in range(0, t + 2))
         upper_ok += upper
         sandwich_ok += lower
@@ -228,9 +240,15 @@ def test_a7_stage1_structure(broadcast_batch):
     note = " (X-sandwich range 1..T empty at T=0)" if t == 0 else ""
     ok = (upper_ok == BATCH and sandwich_ok >= 0.95 * BATCH
           and growth_ok >= 0.95 * BATCH and bias_ok >= 0.95 * BATCH)
-    _report("A7", ok, f"T={t}{note}: X upper {upper_ok}/{BATCH} (every run), "
-                      f"X lower {sandwich_ok}, Y growth {growth_ok}, "
-                      f"bias {bias_ok} (each >= {int(0.95 * BATCH)})")
+    return ok, (f"eps={eps} T={t}{note}: X upper {upper_ok}/{BATCH} (every run), "
+                f"X lower {sandwich_ok}, Y growth {growth_ok}, "
+                f"bias {bias_ok} (each >= {int(0.95 * BATCH)})")
+
+
+def test_a7_stage1_structure(broadcast_batch, growth_batch):
+    assert derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_GROWTH)).t_phases >= 1
+    results = [_stage1_structure(broadcast_batch, EPS_MAIN), _stage1_structure(growth_batch, EPS_GROWTH)]
+    _report("A7", all(ok for ok, _ in results), "; ".join(detail for _, detail in results))
 
 
 def test_a8_stage2_boost(broadcast_batch):

@@ -60,10 +60,10 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "ad1bf3b6ce761463",
-    "consensus": "258fd16deefa2e74",
-    "desync-clocks": "2c9aec6d1775a628",
-    "desync-preamble": "001772c10714bbb2",
+    "broadcast": "26b834ef22c2159b",
+    "consensus": "f6a630f121b1b74c",
+    "desync-clocks": "ac1c73e98067343e",
+    "desync-preamble": "7a2060de5cbc31b6",
     "baseline-forward": "d0dc5c27eca2d018",
     "baseline-silent": "71ed5148a0b3dc8c",
 }

@@ -159,6 +159,19 @@ def test_spec_fixture_every_field(tmp_path):
     assert spec.output_path == "out.json"
 
 
+def test_spec_unread_constant_checked_then_dropped():
+    # v1 specs carry cDirect; nothing reads it, so it is validated and dropped
+    raw = {"schemaVersion": 1, "protocol": "broadcast", "nGrid": [64], "epsilonGrid": [0.5],
+           "runsPerCell": 1, "masterSeed": 0, "constants": {"cDirect": 3.0}}
+    spec = ExperimentSpec.from_dict(raw)
+    assert spec.constants == ProtocolConstants()
+    assert "cDirect" not in spec.to_dict()["constants"]
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        raw["constants"] = {"cDirect": bad}
+        with pytest.raises(SpecValidationError, match="cDirect"):
+            ExperimentSpec.from_dict(raw)
+
+
 def test_spec_parse_errors(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

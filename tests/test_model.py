@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from flipsim import (
     derive_rng,
     flip,
 )
-from flipsim.model import deliver_round_arrays
+from flipsim.model import deliver_round_arrays, deliver_round_counts, delivery_buffers
 from reference import deliver_round
 
 
@@ -155,6 +157,49 @@ def test_deliver_accept_choice_is_uniform():
     f2 = from_sender[2] / rounds
     assert abs(f1 - 0.375) < 0.015
     assert abs(f2 - 0.375) < 0.015
+
+
+def test_count_kernel_exact_law():
+    # n=6: agents 0..2 send the reference bit, 3 and 4 its complement, 5 is
+    # silent.  Replaying the target draw gives every agent's arrivals a and
+    # reference-bit arrivals c; in every (a, c) cell the share of agents whose
+    # accepted bit matches must be (c(1-p) + (a-c)p)/a, and every agent hears
+    # with the occupancy probability 1-(1-1/(n-1))^m of the m messages that
+    # can reach it.
+    n, p, rounds = 6, 0.2, 30_000
+    ch = NoiseChannel(p)
+    carriers = np.array([0, 1, 2])
+    others = np.array([3, 4])
+    senders = np.concatenate([carriers, others])
+    gen = derive_rng(15, "count-law")
+    buffers = delivery_buffers(n)
+    tally = {}          # (a, c) -> [agents, matches]
+    heard_count = np.zeros(n)
+    for _ in range(rounds):
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = gen.bit_generator.state
+        t = replay.integers(0, n - 1, size=senders.size)
+        targets = t + (t >= senders)
+        a = np.bincount(targets, minlength=n)
+        c = np.bincount(targets[:carriers.size], minlength=n)
+        heard, match = deliver_round_counts(carriers, others, n, ch, gen, buffers)
+        assert np.array_equal(heard, a > 0)
+        assert not (match & ~heard).any()
+        heard_count += heard
+        for i in np.flatnonzero(heard):
+            cell = tally.setdefault((int(a[i]), int(c[i])), [0, 0])
+            cell[0] += 1
+            cell[1] += bool(match[i])
+    for (a, c), (agents, matches) in tally.items():
+        q = (c * (1 - p) + (a - c) * p) / a
+        sigma = math.sqrt(q * (1 - q) / agents)
+        assert abs(matches / agents - q) <= 4 * sigma + 1e-12, (a, c, agents, matches)
+    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)} <= set(tally)
+    for i in range(n):
+        m = senders.size - (i in senders)
+        q = 1 - (1 - 1 / (n - 1)) ** m
+        sigma = math.sqrt(q * (1 - q) / rounds)
+        assert abs(heard_count[i] / rounds - q) < 4 * sigma, i
 
 
 def test_deliver_sender_validation():

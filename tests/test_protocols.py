@@ -11,6 +11,7 @@ from flipsim import (
     EventLog,
     InitialSetTooSmallError,
     NoiseChannel,
+    ProtocolConstants,
     SimConfig,
     derive_rng,
     derive_schedule,
@@ -25,6 +26,7 @@ from flipsim import (
 from flipsim.params import _ceil_log2
 from flipsim.protocols import (
     _run_windows,
+    _stage1_pick,
     _stage2_apply,
     make_broadcast_world,
 )
@@ -121,6 +123,47 @@ def test_stage1_invariants_and_sandwich():
         for i in range(1, schedule.t_phases + 1):
             assert xs[i] + 1 <= (schedule.beta + 1) ** i * (x0 + 1)
         assert res.all_activated
+
+
+def test_stage1_pick_exact_law():
+    # an activating agent that accepted k messages, j of them correct,
+    # adopts the correct opinion with probability exactly j/k
+    agents = 40_000
+    gen = derive_rng(12, "pick")
+    for k in range(1, 5):
+        for j in range(k + 1):
+            right = _stage1_pick(np.full(agents, k, np.int32), np.full(agents, j, np.int32), gen)
+            share = right.mean()
+            if j in (0, k):
+                assert share == j / k
+            else:
+                q = j / k
+                assert abs(share - q) < 4 * math.sqrt(q * (1 - q) / agents), (k, j)
+
+
+def test_count_path_matches_permutation_path():
+    # The count kernel and stage-1 pick must give the law of the permutation
+    # kernel, which an attached EventLog selects.  Scaled-down constants give
+    # a 44-round schedule with a growth phase (T=1) at n=64, so a few
+    # thousand runs are cheap; mean per-phase y and z and the first stage-2
+    # start fraction must agree within 4 sigma.
+    runs = 1500
+    constants = ProtocolConstants(c_s=1 / 16, c_beta=1 / 8, c_f=3 / 16, c_final_stage2=1 / 16,
+                                  r_scale=1 / 16)
+    config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=constants)
+    assert derive_schedule(64, config.channel, constants).t_phases == 1
+    samples = []
+    for logged in (False, True):
+        rows = []
+        for seed in range(runs):
+            out = run_broadcast(config, rng=derive_rng(seed, "paths", logged),
+                                log=EventLog() if logged else None)
+            row = [v for m in out.stage1.per_phase for v in (m.y, m.z)]
+            rows.append(row + [out.stage2[0].start_correct_fraction])
+        samples.append(np.array(rows, float))
+    count, perm = samples
+    sigma = np.sqrt(count.var(0, ddof=1) / runs + perm.var(0, ddof=1) / runs)
+    assert (np.abs(count.mean(0) - perm.mean(0)) < 4 * sigma).all(), (count.mean(0), perm.mean(0))
 
 
 def test_agent_state_views():
@@ -376,6 +419,35 @@ def test_silent_wait_validation():
 
 # ---------------------------------------------------------------------------
 # obliviousness
+
+
+def _consensus_from(config, correct):
+    initial = np.full(config.n, -1, np.int8)
+    initial[: config.n // 2] = correct
+    initial[config.n // 2: 3 * config.n // 4] = correct ^ 1
+    return run_majority_consensus(config, initial, rng=derive_rng(5, "relabel"))
+
+
+def _desync_clocks_from(config, correct):
+    d = 2 * _ceil_log2(config.n)
+    clocks = ClockConfiguration(derive_rng(5, "relabel-clocks").integers(0, d, config.n), d)
+    return run_desynchronized(config, clocks=clocks, rng=derive_rng(5, "relabel"))
+
+
+@pytest.mark.parametrize("engine", [
+    lambda config, correct: run_broadcast(config, rng=derive_rng(5, "relabel")),
+    _consensus_from,
+    _desync_clocks_from,
+    lambda config, correct: run_desynchronized(config, rng=derive_rng(5, "relabel")),
+], ids=["broadcast", "consensus", "desync-clocks", "desync-preamble"])
+def test_relabeling_symmetry_without_log(engine):
+    # the count path reads payloads only through "carries the correct
+    # opinion", so relabeling complements the outcome and changes no count
+    a, b = (engine(cfg(256, 0.25, seed=3, correct=correct), correct) for correct in (1, 0))
+    assert np.array_equal(a.final_opinions ^ 1, b.final_opinions)
+    assert [(m.y, m.z) for m in a.stage1.per_phase] == [(m.y, m.z) for m in b.stage1.per_phase]
+    assert a.stage2 == b.stage2
+    assert a.messages_sent == b.messages_sent
 
 
 def test_relabeling_leaves_message_pattern_identical():
