@@ -9,7 +9,6 @@ from .model import (
     RngStream,
     complement,
     derive_rng,
-    flip,
 )
 from .params import (
     PAPER_R_SCALE,
@@ -24,13 +23,11 @@ from .params import (
 from .protocols import (
     AgentState,
     ClockConfiguration,
-    EventLog,
     Outcome,
     PhaseMetrics,
     Stage1Result,
     Stage2PhaseRecord,
     World,
-    logs_equal_modulo_complement,
     majority_bias,
     run_baseline_forward,
     run_baseline_silent_wait,

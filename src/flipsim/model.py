@@ -91,19 +91,6 @@ def derive_rng(master_seed: int, *stream_id) -> np.random.Generator:
     return RngStream(master_seed, tuple(stream_id)).generator()
 
 
-def flip(bit, channel: NoiseChannel, rng: np.random.Generator):
-    """Pass an opinion (or an array of opinions) through the channel.
-
-    Returns the complement with probability ``channel.flip_probability``,
-    consuming exactly one uniform draw per element.
-    """
-    if isinstance(bit, np.ndarray):
-        u = rng.random(bit.shape)
-        return (bit ^ (u < channel.flip_probability)).astype(bit.dtype)
-    u = rng.random()
-    return int(bit) ^ int(u < channel.flip_probability)
-
-
 def deliver_round_arrays(
     sender_ids: np.ndarray,
     payloads: np.ndarray,

@@ -147,7 +147,15 @@ def lemma_second_bound_check(epsilon: float, delta: float, r_scale: float = PAPE
     """
     if not (0.0 < delta <= 0.5):
         raise ConfigurationError(f"delta must lie in (0, 1/2], got {delta}")
-    r = math.ceil(r_scale / (epsilon * epsilon))
+    if not (0.0 < epsilon <= 0.5):
+        raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    if not (0.0 < r_scale < math.inf):
+        raise ConfigurationError(f"r_scale must be positive and finite, got {r_scale}")
+    eps2 = epsilon * epsilon
+    if eps2 == 0.0 or 2.0 * (r_scale / eps2) + 1.0 == math.inf:
+        raise ConfigurationError(
+            f"gamma = 2*ceil(r_scale/eps^2)+1 overflows at eps={epsilon}, r_scale={r_scale}")
+    r = math.ceil(r_scale / eps2)
     gamma = 2 * r + 1
     q = sample_correct_prob(delta, epsilon)
     probability = majority_correct_prob(gamma, min(q, 1.0))
@@ -225,6 +233,8 @@ def stirling_claim_check(r: int) -> bool:
 def stirling_claim_grid(r_max: int) -> np.ndarray:
     """Vectorized :func:`stirling_claim_check` over r = 1..r_max; returns a
     boolean array (index 0 <-> r=1)."""
+    if r_max < 1:
+        raise ConfigurationError(f"r_max must be >= 1, got {r_max}")
     rs = np.arange(1, r_max + 1, dtype=np.int64)
     w = np.sqrt(rs).astype(np.int64)
     w = np.where((w + 1) ** 2 <= rs, w + 1, w)

@@ -29,10 +29,10 @@ the hot path fast without changing any distribution:
   hypergeometric law.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
-only where sender identity is read: under an attached :class:`EventLog` and
-in the two baselines.  Every draw consumes randomness in a pattern that
-depends on opinions only through "equals the correct opinion", so a run is
-invariant under relabeling the opinions 0 <-> 1.
+only in the two baselines.  Every draw of the windowed engine consumes
+randomness in a pattern that depends on opinions only through "equals the
+correct opinion", so a run is invariant under relabeling the opinions
+0 <-> 1.
 """
 
 from __future__ import annotations
@@ -198,45 +198,7 @@ def make_consensus_world(config: SimConfig, initial_opinions: np.ndarray, entry_
 
 
 # ---------------------------------------------------------------------------
-# event log (round-level sends and accepts, for symmetry diagnostics)
-
-
-class EventLog:
-    def __init__(self):
-        self.sends = []    # (round, sender_ids, targets)
-        self.accepts = []  # (round, receivers, senders_of, payloads)
-
-    def record(self, rnd, senders, targets, receivers, senders_of, payloads):
-        self.sends.append((rnd, senders.copy(), targets.copy()))
-        self.accepts.append((rnd, receivers.copy(), senders_of.copy(), payloads.copy()))
-
-
-def logs_equal_modulo_complement(a: EventLog, b: EventLog) -> bool:
-    """True when the two logs describe the same message pattern with every
-    payload complemented (the symmetry of an oblivious run)."""
-    if len(a.sends) != len(b.sends) or len(a.accepts) != len(b.accepts):
-        return False
-    for (r0, s0, t0), (r1, s1, t1) in zip(a.sends, b.sends):
-        if r0 != r1 or not np.array_equal(s0, s1) or not np.array_equal(t0, t1):
-            return False
-    for (r0, v0, f0, p0), (r1, v1, f1, p1) in zip(a.accepts, b.accepts):
-        if r0 != r1 or not np.array_equal(v0, v1) or not np.array_equal(f0, f1):
-            return False
-        if not np.array_equal(p0 ^ 1, p1):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the windowed engine
-
-
-def _deliver(senders, payloads, n, channel, gen, log, rnd):
-    if log is None:
-        return deliver_round_arrays(senders, payloads, n, channel, gen)
-    recv, acc, src, targets = deliver_round_arrays(senders, payloads, n, channel, gen, return_targets=True)
-    log.record(rnd, senders, targets, recv, src, acc)
-    return recv, acc, src
 
 
 def _stage1_pick(cnt, corr, gen):
@@ -280,7 +242,7 @@ def _local_windows(schedule: ScheduleParams, d: int):
     return wcode
 
 
-def _run_windows(world, config, schedule, gen, log, shift, d=0):
+def _run_windows(world, config, schedule, gen, shift, d=0):
     """Run the stage-1 and stage-2 windows of ``schedule`` on each agent's
     local clock; returns ``(Outcome, DesyncInfo)``.
 
@@ -351,7 +313,7 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     start_frac = [None] * n_st2
 
     def round_setup(t):
-        """Senders, whether each carries the correct opinion, and the
+        """Senders carrying the correct opinion, the other senders, and the
         listener masks of round t: stage-1 listeners and all listeners."""
         code = wpad[np.clip(t - shift, -1, local_total) + 1]
         in1 = (code >= 0) & (code <= t1)
@@ -364,24 +326,8 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
             # a run.  A window listener can accept one only when the clock
             # spread reaches D.
             main |= (send_start <= t) & (t < send_start + pre_rounds)
-        senders = np.flatnonzero(main)
         listen1 = in1 & (world.send_from == _NEVER)    # activated agents discard stage-1 traffic
-        return senders, carries[senders], listen1, listen1 | in2
-
-    def deliver(t):
-        """Per-agent ``(heard, match)`` of round t: accepted a message, and
-        accepted one carrying the correct opinion.  Only an attached log
-        needs the sender-identity kernel."""
-        if log is None:
-            return deliver_round_counts(carriers, others, n, channel, gen, buffers)
-        payloads = np.where(carries, correct, complement(correct)).astype(np.int8)
-        recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
-        heard, match = buffers[:2]
-        heard.fill(False)
-        heard[recv] = True
-        match.fill(False)
-        match[recv[acc == correct]] = True
-        return heard, match
+        return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listen1, listen1 | in2
 
     def listen(heard, match, t):
         """Listeners count their accepted messages and the correct ones
@@ -427,13 +373,13 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
     t = 0
     while t < horizon:
         if t in rebuild:
-            senders, carries, listen1, listening = round_setup(t)
-            carriers, others = senders[carries], senders[~carries]
+            carriers, others, listen1, listening = round_setup(t)
+            sent = carriers.size + others.size
             any1 = bool(listen1.any())
             fresh1 = listen1 & (world.activation_round < 0)
-        if senders.size:
-            heard, match = deliver(t)
-            messages += senders.size
+        if sent:
+            heard, match = deliver_round_counts(carriers, others, n, channel, gen, buffers)
+            messages += sent
             if uninformed:
                 fresh = np.flatnonzero(heard & (shift == _UNSET))
                 if fresh.size:
@@ -467,21 +413,17 @@ def _run_windows(world, config, schedule, gen, log, shift, d=0):
 
 
 def _as_generator(rng, config: SimConfig, purpose: str) -> np.random.Generator:
-    if rng is None:
-        return derive_rng(config.master_seed, purpose)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()
+    return derive_rng(config.master_seed, purpose) if rng is None else rng
 
 
-def run_broadcast(config: SimConfig, rng=None, log=None) -> Outcome:
+def run_broadcast(config: SimConfig, rng=None) -> Outcome:
     """Full two-stage noisy broadcast: one clock group with shift 0 and no
     gap between windows.  The protocol is oblivious: the round count equals
     the schedule total no matter what happens."""
     gen = _as_generator(rng, config, "broadcast")
     schedule = derive_schedule(config.n, config.channel, config.constants)
     world = make_broadcast_world(config)
-    out, _ = _run_windows(world, config, schedule, gen, log, np.zeros(config.n, np.int64))
+    out, _ = _run_windows(world, config, schedule, gen, np.zeros(config.n, np.int64))
     return out
 
 
@@ -495,7 +437,7 @@ def majority_bias(initial_opinions: np.ndarray, correct: int) -> float:
     return 0.5 * (good - (a - good)) / a
 
 
-def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=None, log=None) -> Outcome:
+def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=None) -> Outcome:
     """Majority consensus for an initial opinionated set A: stage-1 phases
     i_A .. T+1 with A as the already-active senders, then stage 2.
 
@@ -512,13 +454,13 @@ def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=
     bias = majority_bias(initial_opinions, config.correct_opinion)
     world = make_consensus_world(config, initial_opinions, entry)
     r_entry = schedule.phase_bounds_stage1[entry][0]
-    out, _ = _run_windows(world, config, schedule, gen, log, np.full(config.n, -r_entry, np.int64))
+    out, _ = _run_windows(world, config, schedule, gen, np.full(config.n, -r_entry, np.int64))
     stage1 = Stage1Result(out.stage1.per_phase[entry:], out.stage1.all_activated,
                           schedule.stage1_rounds - r_entry)
     return replace(out, stage1=stage1, initial_majority_bias=bias)
 
 
-def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = None, rng=None, log=None) -> Outcome:
+def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = None, rng=None) -> Outcome:
     """Broadcast without a shared clock.
 
     With supplied ``clocks``, each agent's clock starts at its offset and the
@@ -535,14 +477,14 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     schedule = derive_schedule(n, config.channel, config.constants)
     world = make_broadcast_world(config)
     if clocks is None:
-        out, info = _run_windows(world, config, schedule, gen, log, None, d=2 * _ceil_log2(n))
+        out, info = _run_windows(world, config, schedule, gen, None, d=2 * _ceil_log2(n))
     else:
         off = np.asarray(clocks.offsets, dtype=np.int64)
         if off.shape != (n,):
             raise ConfigurationError("clock offsets must have one entry per agent")
         ClockConfiguration(off, clocks.d_bound)    # revalidate against the n-sized array
         # clock value o at t=0 means local time t + o
-        out, info = _run_windows(world, config, schedule, gen, log, -off, d=clocks.d_bound)
+        out, info = _run_windows(world, config, schedule, gen, -off, d=clocks.d_bound)
     return replace(out, desync=info)
 
 
@@ -550,7 +492,7 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
 # failing baselines
 
 
-def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None, log=None) -> Outcome:
+def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcome:
     """Immediate-forward strategy: every agent adopts the first accepted
     opinion and resends it every round afterwards.
 
@@ -570,7 +512,7 @@ def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None, log=None)
     for t in range(max_rounds):
         senders = np.flatnonzero(world.opinion >= 0)
         payloads = world.opinion[senders]
-        recv, acc, src = _deliver(senders, payloads, n, channel, gen, log, t)
+        recv, acc, src = deliver_round_arrays(senders, payloads, n, channel, gen)
         messages += senders.size
         fresh = world.opinion[recv] < 0
         fr = recv[fresh]
@@ -601,7 +543,7 @@ def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None, log=None)
     )
 
 
-def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int, rng=None, log=None) -> Outcome:
+def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int, rng=None) -> Outcome:
     """Silent-wait strategy: a non-source agent says nothing until it has
     accepted ``threshold`` messages, then adopts their majority (ties broken
     by a fair coin) and resends every round.
@@ -624,7 +566,7 @@ def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int,
     for t in range(max_rounds):
         senders = np.flatnonzero(world.opinion >= 0)
         payloads = world.opinion[senders]
-        recv, acc, _ = _deliver(senders, payloads, n, channel, gen, log, t)
+        recv, acc, _ = deliver_round_arrays(senders, payloads, n, channel, gen)
         messages += senders.size
         waiting = world.opinion[recv] < 0
         wr = recv[waiting]

@@ -2,17 +2,33 @@
 
 The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
-equivalents against the plain forms here.
+equivalents against the plain forms here.  The two kernel stand-ins at the
+end are installed by tests in place of ``flipsim.protocols.deliver_round_counts``.
 """
+
+import hashlib
 
 import numpy as np
 
 from flipsim import ConfigurationError, NoiseChannel
-from flipsim.model import deliver_round_arrays
+from flipsim.model import deliver_round_arrays, deliver_round_counts
 
 
 class ProtocolInvariantError(RuntimeError):
     """Internal bookkeeping violated a protocol invariant."""
+
+
+def flip(bit, channel: NoiseChannel, rng: np.random.Generator):
+    """Pass an opinion (or an array of opinions) through the channel.
+
+    Returns the complement with probability ``channel.flip_probability``,
+    consuming exactly one uniform draw per element.
+    """
+    if isinstance(bit, np.ndarray):
+        u = rng.random(bit.shape)
+        return (bit ^ (u < channel.flip_probability)).astype(bit.dtype)
+    u = rng.random()
+    return int(bit) ^ int(u < channel.flip_probability)
 
 
 def deliver_round(senders, n: int, channel: NoiseChannel, rng: np.random.Generator) -> dict:
@@ -59,3 +75,48 @@ def majority_update(samples, subset_size: int, rng: np.random.Generator) -> int:
     idx = rng.choice(len(samples), size=subset_size, replace=False)
     ones = int(samples[idx].sum())
     return 1 if 2 * ones > subset_size else 0
+
+
+def permutation_counts(carriers, others, n, channel, rng, out):
+    """:func:`~flipsim.model.deliver_round_counts` realized by the
+    permutation kernel: the reference bit travels as payload 1, and
+    ``heard``/``match`` are filled from the receivers and their accepted
+    payloads."""
+    heard, match = out[:2]
+    senders = np.concatenate((carriers, others))
+    payloads = (np.arange(senders.size) < carriers.size).astype(np.int8)
+    receivers, accepted, _ = deliver_round_arrays(senders, payloads, n, channel, rng)
+    heard.fill(False)
+    heard[receivers] = True
+    match.fill(False)
+    match[receivers[accepted == 1]] = True
+    return heard, match
+
+
+class KernelRecorder:
+    """Count kernel that feeds every round's carriers, other senders,
+    ``heard`` and ``match`` into one sha256, and counts the messages sent."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.messages = 0
+
+    def __call__(self, carriers, others, n, channel, rng, out):
+        heard, match = deliver_round_counts(carriers, others, n, channel, rng, out)
+        self.sha.update(np.array([carriers.size, others.size], np.int64).tobytes())
+        for arr in (carriers, others, heard, match):
+            self.sha.update(arr.tobytes())
+        self.messages += carriers.size + others.size
+        return heard, match
+
+    def digest(self) -> str:
+        return self.sha.hexdigest()
+
+
+def run_recorded(monkeypatch, engine, *args, **kwargs):
+    """Run ``engine(*args, **kwargs)`` with a fresh :class:`KernelRecorder`
+    as the engine's count kernel; returns ``(outcome, recorder)``."""
+    recorder = KernelRecorder()
+    with monkeypatch.context() as m:
+        m.setattr("flipsim.protocols.deliver_round_counts", recorder)
+        return engine(*args, **kwargs), recorder

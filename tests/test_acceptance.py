@@ -20,7 +20,6 @@ from flipsim import (
     SimConfig,
     derive_rng,
     derive_schedule,
-    logs_equal_modulo_complement,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
@@ -32,7 +31,7 @@ from flipsim.oracle import (
     majority_correct_prob,
     stirling_claim_grid,
 )
-from flipsim.protocols import EventLog
+from reference import run_recorded
 
 SEED = 61803
 BATCH = 200
@@ -312,19 +311,18 @@ def test_a10_baselines():
                        f"[{0.5 * sqrt_n:.0f}, {5 * sqrt_n:.0f}]")
 
 
-def test_a11_symmetry_obliviousness():
+def test_a11_symmetry_obliviousness(monkeypatch):
     all_ok = True
     for seed in range(20):
-        logs = []
-        finals = []
+        runs = []
         for correct in (0, 1):
             config = SimConfig(n=256, channel=NoiseChannel.from_epsilon(EPS_MAIN),
                                master_seed=SEED, correct_opinion=correct)
-            log = EventLog()
-            out = run_broadcast(config, rng=derive_rng(SEED, "a11", seed), log=log)
-            logs.append(log)
-            finals.append(out.final_opinions)
-        all_ok &= logs_equal_modulo_complement(logs[0], logs[1])
-        all_ok &= bool(np.array_equal(finals[0] ^ 1, finals[1]))
-    _report("A11", all_ok, "20 seeds at n=256: flipping the correct opinion leaves "
-                           "send/accept logs identical with payloads complemented")
+            runs.append(run_recorded(monkeypatch, run_broadcast, config,
+                                     rng=derive_rng(SEED, "a11", seed)))
+        (out0, rec0), (out1, rec1) = runs
+        all_ok &= rec0.digest() == rec1.digest()
+        all_ok &= bool(np.array_equal(out0.final_opinions ^ 1, out1.final_opinions))
+    _report("A11", all_ok, "20 seeds at n=256: flipping the correct opinion leaves every "
+                           "delivery round's senders, accepts and matches identical and "
+                           "complements the final opinions")

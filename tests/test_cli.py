@@ -23,6 +23,17 @@ def test_oracle_stirling(capsys):
     assert cli.main(["oracle", "stirling", "--r-max", "500"]) == 0
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--r-max", "0"), ("--r-max", "-3"),
+    ("--eps", "0"), ("--eps", "nan"), ("--eps", "1e-200"),
+    ("--r-scale", "inf"), ("--r-scale", "nan"), ("--r-scale", "0"), ("--r-scale", "-1"),
+])
+def test_oracle_bad_value_exit_code(capsys, flag, value):
+    check = ["stirling"] if flag == "--r-max" else ["lemma2", "--eps", "0.25", "--delta", "0.1"]
+    assert cli.main(["oracle", *check, flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_oracle_direct(capsys):
     assert cli.main(["oracle", "direct", "--eps", "0.25", "--n", "1024",
                      "--exponent", "2"]) == 0

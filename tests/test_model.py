@@ -9,10 +9,9 @@ from flipsim import (
     RngStream,
     complement,
     derive_rng,
-    flip,
 )
 from flipsim.model import deliver_round_arrays, deliver_round_counts, delivery_buffers
-from reference import deliver_round
+from reference import deliver_round, flip
 
 
 def test_complement_is_involution():
