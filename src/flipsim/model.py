@@ -97,7 +97,6 @@ def deliver_round_arrays(
     n: int,
     channel: NoiseChannel,
     rng: np.random.Generator,
-    return_targets: bool = False,
 ):
     """Sender-identity path of one push-gossip delivery round.
 
@@ -106,11 +105,11 @@ def deliver_round_arrays(
     arrival accepts exactly one, chosen uniformly at random; the accepted
     payload passes through the noise channel, every other arrival is dropped.
 
-    Returns ``(receivers, accepted, senders_of[, targets])`` with receivers
-    in ascending order.  ``senders_of`` and ``targets`` are diagnostics-only;
-    protocol logic must consume payloads alone.  Consumers that read only
-    how many arrivals carry each bit use :func:`deliver_round_counts`, which
-    draws no arrival order.
+    Returns ``(receivers, accepted, senders_of)`` with receivers in
+    ascending order.  ``senders_of`` is diagnostics-only; protocol logic
+    must consume payloads alone.  Consumers that read only how many
+    arrivals carry each bit use :func:`deliver_round_counts`, which draws
+    no arrival order.
 
     The uniform accept choice is realized by drawing one random arrival
     order per round (a permutation) and letting the earliest arrival win;
@@ -121,8 +120,7 @@ def deliver_round_arrays(
     m = int(sender_ids.size)
     empty = np.empty(0, np.int64)
     if m == 0:
-        out = (empty, np.empty(0, np.int8), empty)
-        return out + (empty,) if return_targets else out
+        return empty, np.empty(0, np.int8), empty
     if n < 2:
         raise ConfigurationError("delivery requires at least two agents")
     t = rng.integers(0, n - 1, size=m)
@@ -136,8 +134,7 @@ def deliver_round_arrays(
     chosen = slot[receivers]
     flips = rng.random(receivers.size) < channel.flip_probability
     accepted = (payloads[chosen] ^ flips).astype(np.int8)
-    out = (receivers, accepted, sender_ids[chosen])
-    return out + (targets,) if return_targets else out
+    return receivers, accepted, sender_ids[chosen]
 
 
 def delivery_buffers(n: int):

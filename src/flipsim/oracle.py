@@ -13,6 +13,7 @@ through ratios or log-gamma.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,10 +298,14 @@ def direct_sample_requirement(epsilon: float, n: int, target_exponent: float) ->
         raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
-    if target_exponent <= 0:
-        raise ConfigurationError("target_exponent must be positive")
+    if not (0.0 < target_exponent < math.inf):
+        raise ConfigurationError(f"target_exponent must be positive and finite, got {target_exponent}")
     q = 0.5 + epsilon
     allowed = n ** (-float(target_exponent))
+    if allowed < sys.float_info.min:
+        raise ConfigurationError(
+            f"n**-target_exponent = {allowed:g} is below the smallest normal float "
+            f"at n={n}, target_exponent={target_exponent}")
 
     def ok(m: int) -> bool:
         return majority_wrong_prob(m, q) <= allowed

@@ -14,7 +14,7 @@ Engines are array-based for speed.  Per-agent state lives in a
 struct-of-arrays :class:`World`; the spec-level ``AgentState`` record is an
 inspection view over it.  An agent only ever uses how many of the messages
 it accepted carry each opinion, so the engine keeps two counters per agent,
-accepted messages and correct ones among them, and three equivalences keep
+accepted messages and correct ones among them, and four equivalences keep
 the hot path fast without changing any distribution:
 
 * the uniform accept among a round's arrivals is drawn from the arrival
@@ -26,20 +26,33 @@ the hot path fast without changing any distribution:
   ``correct / accepted``;
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
-  hypergeometric law.
+  hypergeometric law;
+* when every agent shares one clock (broadcast, consensus, desync with
+  identical clocks), a stage-2 phase that opens with every agent correct
+  is drawn from its exact law instead of simulated
+  (:func:`unanimous_phase`): every accepted sample is then correct with
+  probability 1-p, so each successful agent turns wrong independently with
+  probability ``majority_wrong_prob(m/2, 1-p)``, and the agents with fewer
+  than m/2 samples come from the Karp-Luby-Madras union sampler, which
+  simulates the phase's occupancy only with probability pi, the union bound
+  of the failure events.  When pi >= 1 the rounds are simulated.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
 randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
-0 <-> 1.
+0 <-> 1.  Tests that watch or replace the engine's draws patch its
+bindings ``flipsim.protocols.deliver_round_counts`` and
+``flipsim.protocols.unanimous_phase``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 from .model import (
     ConfigurationError,
@@ -49,6 +62,7 @@ from .model import (
     delivery_buffers,
     derive_rng,
 )
+from .oracle import binomial_tail_geq, majority_wrong_prob
 from .params import ScheduleParams, SimConfig, _ceil_log2, derive_schedule, majority_entry_phase
 
 _NEVER = np.int32(2 ** 31 - 1)   # send_from sentinel: dormant, never sends
@@ -224,6 +238,95 @@ def _stage2_apply(world, successful, cnt, corr, subset, gen):
     world.opinion[successful] = np.where(2 * h > subset, correct, complement(correct)).astype(np.int8)
 
 
+def _truncated_binomial(m, q, s, gen):
+    """One draw of Binomial(m, q) conditioned on being below ``s``."""
+    k = np.arange(s)
+    logp = k * math.log(q) + (m - k) * math.log1p(-q) - gammaln(k + 1) - gammaln(m - k + 1)
+    w = np.exp(logp - logp.max())
+    return int(gen.choice(s, p=w / w.sum()))
+
+
+def _failure_set(n, m, gen, buffers):
+    """Agents that hear in fewer than s = m/2 rounds of an m-round phase in
+    which all n agents send, drawn with its exact law; None when the union
+    bound below is 1 or more.
+
+    Each agent hears in a round with probability h = 1-(1-1/(n-1))^(n-1),
+    so its count is Binomial(m, h) and the failure events E_i share one
+    probability; pi = n P(Bin(m, h) < s) is their union bound.  The
+    Karp-Luby-Madras sampler: with probability pi pick a uniform agent I,
+    simulate the phase's occupancy conditioned on E_I, and keep its failure
+    set F with probability 1/|F|; in every other case F is empty.  A given
+    nonempty F is reached through each of its |F| agents with probability
+    P(F)/|F|, so F is drawn with probability P(F).
+    """
+    s = m // 2
+    miss = ((n - 2) / (n - 1)) ** (n - 1)       # P(an agent hears nothing in a round)
+    pi = n * binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
+    if pi >= 1.0:
+        return None
+    if gen.random() >= pi:
+        return np.empty(0, np.int64)
+    i = int(gen.integers(n))
+    hears = gen.permutation(m) < _truncated_binomial(m, 1.0 - miss, s, gen)   # I's rounds
+    failed = np.flatnonzero(_occupancy_given(i, hears, n, gen, buffers) < s)
+    return failed if gen.random() * failed.size < 1.0 else np.empty(0, np.int64)
+
+
+def _occupancy_given(i, hears, n, gen, buffers):
+    """How many rounds each agent hears in, over rounds in which all n
+    agents send, conditioned on agent i hearing in exactly the rounds where
+    ``hears`` is true.  The counts are a view of ``buffers``."""
+    heard, _, _, cnt, _ = buffers
+    others = np.delete(np.arange(n), i)
+    lo = np.minimum(others, i)
+    hi = np.maximum(others, i)
+    cnt.fill(0)
+    for hit in hears:
+        # every other sender aims uniformly at the n-2 agents that are
+        # neither itself nor I ...
+        t = gen.integers(0, n - 2, size=n - 1)
+        t += t >= lo
+        t += t >= hi
+        if hit:
+            # ... except, in a round where I hears, K >= 1 of them, where K
+            # is Binomial(n-1, 1/(n-1)) conditioned on K >= 1
+            k = 0
+            while not k:
+                k = gen.binomial(n - 1, 1.0 / (n - 1))
+            t[gen.choice(n - 1, k, replace=False)] = i
+        heard.fill(False)
+        heard[t] = True
+        own = gen.integers(n - 1)
+        heard[own + (own >= i)] = True      # I's own message
+        cnt += heard
+    return cnt
+
+
+def unanimous_phase(n, m, channel, gen, buffers):
+    """Outcome of an m-round stage-2 phase that starts with all n agents
+    correct and every counter at zero, drawn without simulating its rounds.
+
+    Returns ``(failed, wrong)``: the agents with fewer than m/2 samples, and
+    the successful agents whose subset majority comes out wrong.  Under
+    unanimity every accepted sample is correct with probability 1-p,
+    whatever the targets, so a successful agent turns wrong with probability
+    w = ``majority_wrong_prob(m/2, 1-p)``, independently of the rest:
+    K ~ Binomial(n - |failed|, w) of them, at uniform positions.  Returns
+    None when :func:`_failure_set` cannot draw the failures; the caller then
+    simulates the rounds.
+    """
+    failed = _failure_set(n, m, gen, buffers)
+    if failed is None:
+        return None
+    k = gen.binomial(n - failed.size, majority_wrong_prob(m // 2, 1.0 - channel.flip_probability))
+    wrong = np.empty(0, np.int64)
+    if k:
+        successful = np.setdiff1d(np.arange(n), failed, assume_unique=True)
+        wrong = gen.choice(successful, k, replace=False)
+    return failed, wrong
+
+
 def _local_windows(schedule: ScheduleParams, d: int):
     """Local-clock window layout: stage-1 phase i shifted to start at
     r_i + i*d, one further d-gap isolating stage 2, stage-2 phases
@@ -258,8 +361,10 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     window opens or closes or a preamble send window starts or ends; they
     are rebuilt there.  Every round draws per-agent accept outcomes from the
     arrival counts and adds them to each listener's counters in place, with
-    work buffers allocated once per run.  The run ends when the last window
-    of the latest group has closed.
+    work buffers allocated once per run.  With one clock group and no
+    preamble, a stage-2 window that opens with every agent correct is drawn
+    whole by :func:`unanimous_phase`, and its rounds are skipped.  The run
+    ends when the last window of the latest group has closed.
     """
     n = world.n
     channel = config.channel
@@ -304,10 +409,18 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         for v in np.unique(shift):
             register(int(v))
     horizon = max(groups) + local_total
+    # global round -> index of the stage-2 phase whose window opens there,
+    # when every agent shares one clock (see unanimous_phase)
+    stage2_opens = {}
+    if len(groups) == 1 and not preamble:
+        (v,) = groups
+        stage2_opens = {v + e: int(wcode[e]) - t1 - 1
+                        for e in edges.tolist() if e < local_total and wcode[e] > t1}
 
     y_acc = [0] * (t1 + 1)
     z_acc = [0] * (t1 + 1)
-    n_st2 = len(schedule.stage2_phase_lengths)
+    lengths = schedule.stage2_phase_lengths
+    n_st2 = len(lengths)
     succ_acc = [0] * n_st2
     end_frac = [None] * n_st2
     start_frac = [None] * n_st2
@@ -359,7 +472,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             corr[new] = 0
         else:
             j = code_v - t1 - 1
-            subset = schedule.stage2_phase_lengths[j] // 2
+            subset = lengths[j] // 2
             if start_frac[j] is None:
                 start_frac[j] = world.correct_fraction()
             successful = members[cnt[members] >= subset]
@@ -372,6 +485,21 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     messages = 0
     t = 0
     while t < horizon:
+        j = stage2_opens.get(t)
+        if j is not None and (world.opinion == correct).all():
+            assert not (cnt.any() or corr.any())
+            m = lengths[j]
+            drawn = unanimous_phase(n, m, channel, gen, buffers)
+            if drawn is not None:
+                failed, wrong = drawn
+                start_frac[j] = world.correct_fraction()
+                world.opinion[wrong] = complement(correct)
+                succ_acc[j] = n - failed.size
+                end_frac[j] = world.correct_fraction()
+                messages += n * m
+                del events[t + m - 1]       # the window's close, drawn above
+                t += m
+                continue
         if t in rebuild:
             carriers, others, listen1, listening = round_setup(t)
             sent = carriers.size + others.size

@@ -3,7 +3,8 @@
 The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
-end are installed by tests in place of ``flipsim.protocols.deliver_round_counts``.
+end are installed by tests in place of ``flipsim.protocols.deliver_round_counts``
+(and the recorder also in place of ``flipsim.protocols.unanimous_phase``).
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import numpy as np
 
 from flipsim import ConfigurationError, NoiseChannel
 from flipsim.model import deliver_round_arrays, deliver_round_counts
+from flipsim.protocols import unanimous_phase
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -77,6 +79,15 @@ def majority_update(samples, subset_size: int, rng: np.random.Generator) -> int:
     return 1 if 2 * ones > subset_size else 0
 
 
+def replay_targets(senders, n, rng):
+    """The targets the next delivery call on ``rng`` will draw for
+    ``senders`` (in the kernel's order), read from a clone of ``rng``."""
+    clone = np.random.Generator(np.random.PCG64())
+    clone.bit_generator.state = rng.bit_generator.state
+    t = clone.integers(0, n - 1, size=senders.size)
+    return t + (t >= senders)
+
+
 def permutation_counts(carriers, others, n, channel, rng, out):
     """:func:`~flipsim.model.deliver_round_counts` realized by the
     permutation kernel: the reference bit travels as payload 1, and
@@ -95,11 +106,15 @@ def permutation_counts(carriers, others, n, channel, rng, out):
 
 class KernelRecorder:
     """Count kernel that feeds every round's carriers, other senders,
-    ``heard`` and ``match`` into one sha256, and counts the messages sent."""
+    ``heard`` and ``match`` into one sha256, and counts the messages sent.
+    Its :meth:`phase` does the same for the unanimous-phase shortcut: the
+    phase length, the failed and the turned-wrong agents of every phase it
+    draws, and that phase's messages."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
         self.messages = 0
+        self.shortcuts = 0      # phases drawn by the shortcut
 
     def __call__(self, carriers, others, n, channel, rng, out):
         heard, match = deliver_round_counts(carriers, others, n, channel, rng, out)
@@ -109,14 +124,27 @@ class KernelRecorder:
         self.messages += carriers.size + others.size
         return heard, match
 
+    def phase(self, n, m, channel, rng, out):
+        drawn = unanimous_phase(n, m, channel, rng, out)
+        if drawn is not None:
+            failed, wrong = drawn
+            self.sha.update(np.array([m, failed.size, wrong.size], np.int64).tobytes())
+            self.sha.update(failed.tobytes())
+            self.sha.update(wrong.tobytes())
+            self.messages += n * m
+            self.shortcuts += 1
+        return drawn
+
     def digest(self) -> str:
         return self.sha.hexdigest()
 
 
 def run_recorded(monkeypatch, engine, *args, **kwargs):
     """Run ``engine(*args, **kwargs)`` with a fresh :class:`KernelRecorder`
-    as the engine's count kernel; returns ``(outcome, recorder)``."""
+    as the engine's count kernel and unanimous-phase shortcut; returns
+    ``(outcome, recorder)``."""
     recorder = KernelRecorder()
     with monkeypatch.context() as m:
         m.setattr("flipsim.protocols.deliver_round_counts", recorder)
+        m.setattr("flipsim.protocols.unanimous_phase", recorder.phase)
         return engine(*args, **kwargs), recorder

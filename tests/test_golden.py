@@ -60,8 +60,8 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "26b834ef22c2159b",
-    "consensus": "f6a630f121b1b74c",
+    "broadcast": "08b60daba160d5ff",
+    "consensus": "4b3e6ef66f941b33",
     "desync-clocks": "ac1c73e98067343e",
     "desync-preamble": "7a2060de5cbc31b6",
     "baseline-forward": "d0dc5c27eca2d018",

@@ -11,7 +11,7 @@ from flipsim import (
     derive_rng,
 )
 from flipsim.model import deliver_round_arrays, deliver_round_counts, delivery_buffers
-from reference import deliver_round, flip
+from reference import deliver_round, flip, replay_targets
 
 
 def test_complement_is_involution():
@@ -113,7 +113,8 @@ def test_deliver_conservation_and_anonymity():
     gen = derive_rng(8, "cons")
     ids = np.arange(0, n, 2)
     pay = (ids % 3 == 0).astype(np.int8)
-    recv, acc, src, targets = deliver_round_arrays(ids, pay, n, ch, gen, return_targets=True)
+    targets = replay_targets(ids, n, gen)
+    recv, acc, src = deliver_round_arrays(ids, pay, n, ch, gen)
     assert targets.size == ids.size                  # every sender's message arrives somewhere
     assert recv.size <= ids.size                     # accept-one can only drop
     assert recv.size == np.unique(targets).size      # one accept per targeted receiver
@@ -128,7 +129,9 @@ def test_deliver_never_targets_self():
     ids = np.arange(5)
     pay = np.ones(5, np.int8)
     for _ in range(200):
-        _, _, _, targets = deliver_round_arrays(ids, pay, 5, ch, gen, return_targets=True)
+        targets = replay_targets(ids, 5, gen)
+        recv, _, _ = deliver_round_arrays(ids, pay, 5, ch, gen)
+        assert np.array_equal(recv, np.unique(targets))     # the replay is the kernel's draw
         assert not np.any(targets == ids)
     # n=2: the only possible target is the other agent
     for _ in range(50):
@@ -175,10 +178,7 @@ def test_count_kernel_exact_law():
     tally = {}          # (a, c) -> [agents, matches]
     heard_count = np.zeros(n)
     for _ in range(rounds):
-        replay = np.random.Generator(np.random.PCG64())
-        replay.bit_generator.state = gen.bit_generator.state
-        t = replay.integers(0, n - 1, size=senders.size)
-        targets = t + (t >= senders)
+        targets = replay_targets(senders, n, gen)
         a = np.bincount(targets, minlength=n)
         c = np.bincount(targets[:carriers.size], minlength=n)
         heard, match = deliver_round_counts(carriers, others, n, ch, gen, buffers)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,12 +22,18 @@ from flipsim import (
     run_desynchronized,
     run_majority_consensus,
 )
+from flipsim.model import deliver_round_counts, delivery_buffers
+from flipsim.oracle import binomial_tail_geq, majority_wrong_prob
 from flipsim.params import _ceil_log2
 from flipsim.protocols import (
+    _failure_set,
+    _occupancy_given,
     _run_windows,
     _stage1_pick,
     _stage2_apply,
+    _truncated_binomial,
     make_broadcast_world,
+    unanimous_phase,
 )
 from reference import (
     ProtocolInvariantError,
@@ -254,6 +261,169 @@ def test_stage2_relabeling_symmetry():
 
 
 # ---------------------------------------------------------------------------
+# stage 2: phases that start unanimous
+
+
+def _union_bound(n, m):
+    """pi = n P(Binomial(m, h) < m/2), h = 1-(1-1/(n-1))^(n-1)."""
+    miss = (1 - 1 / (n - 1)) ** (n - 1)
+    return n * binomial_tail_geq(m, m - m // 2 + 1, miss)
+
+
+def _unanimous_world(config):
+    world = make_broadcast_world(config)
+    world.opinion[:] = config.correct_opinion
+    world.send_from[:] = 0
+    return world
+
+
+def _unanimous_phase_run(config, schedule, gen):
+    """One stage-2 phase from an all-correct world: (successful count,
+    agents turned wrong)."""
+    world = _unanimous_world(config)
+    (record,) = run_stage2(world, config, schedule, gen)
+    assert record.start_correct_fraction == 1.0
+    return record.successful_count, int((world.opinion != config.correct_opinion).sum())
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")  # n=16 at eps=0.1 sits outside the regime by design
+def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
+    # One 38-round phase at n=16 and eps=0.1: pi = 0.37 and w = 0.19, so
+    # failures and wrong turns both happen often.  The joint law of
+    # (successful count, agents turned wrong) drawn by the shortcut must
+    # match the simulated rounds (shortcut patched out) cell by cell, 4 sigma.
+    n, m, runs = 16, 38, 4000
+    config = cfg(n, 0.1)
+    p = config.channel.flip_probability
+    assert 0.05 < _union_bound(n, m) < 0.5
+    assert 0.05 < majority_wrong_prob(m // 2, 1 - p) < 0.5
+    schedule = replace(derive_schedule(n, config.channel), k=0, stage2_phase_lengths=(m,))
+    tables = []
+    for simulated in (False, True):
+        if simulated:
+            monkeypatch.setattr("flipsim.protocols.unanimous_phase", lambda *args: None)
+        gen = derive_rng(16, "unanimous", simulated)
+        cells = {}
+        for _ in range(runs):
+            key = _unanimous_phase_run(config, schedule, gen)
+            cells[key] = cells.get(key, 0) + 1
+        tables.append(cells)
+    drawn, simulated = tables
+    assert sum(v for (succ, _), v in drawn.items() if succ < n) > 0.1 * runs
+    for key in set(drawn) | set(simulated):
+        a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
+        pooled = (a + b) / 2
+        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, a, b)
+    # and on both paths a successful agent turns wrong with probability w
+    w = majority_wrong_prob(m // 2, 1 - p)
+    for cells in tables:
+        successful = sum(succ * v for (succ, _), v in cells.items())
+        share = sum(wrong * v for (_, wrong), v in cells.items()) / successful
+        assert abs(share - w) < 4 * math.sqrt(w * (1 - w) / successful), (share, w)
+
+
+def test_truncated_binomial_exact_law():
+    # Binomial(38, 0.645) conditioned below 19: every value within 4 sigma
+    # of the exact conditional pmf
+    m, q, s, draws = 38, 0.645, 19, 20_000
+    gen = derive_rng(19, "truncated")
+    counts = np.bincount([_truncated_binomial(m, q, s, gen) for _ in range(draws)], minlength=s)
+    assert counts.size == s
+    pmf = np.array([math.comb(m, k) * q ** k * (1 - q) ** (m - k) for k in range(s)])
+    pmf /= pmf.sum()
+    sigma = np.sqrt(pmf * (1 - pmf) / draws)
+    assert (np.abs(counts / draws - pmf) <= 4 * sigma + 1e-12).all(), (counts / draws, pmf)
+
+
+@pytest.mark.parametrize("n,m", [(16, 30), (8, 26)])
+def test_failure_set_matches_direct_occupancy(n, m):
+    # The Karp-Luby-Madras draw of the failure set against the plain
+    # occupancy of m rounds in which all n agents send: the law of |F|
+    # within 4 sigma size by size, and E|F| = pi.
+    runs = 10_000
+    s = m // 2
+    pi = _union_bound(n, m)
+    assert 0.2 < pi < 0.6
+    gen = derive_rng(17, "klm", n, m)
+    buffers = delivery_buffers(n)
+    klm = np.array([_failure_set(n, m, gen, buffers).size for _ in range(runs)])
+    t = gen.integers(0, n - 1, size=(runs, m, n))
+    t += t >= np.arange(n)
+    heard = np.zeros((runs * m, n), bool)
+    heard[np.arange(runs * m)[:, None], t.reshape(runs * m, n)] = True
+    direct = (heard.reshape(runs, m, n).sum(1) < s).sum(1)
+    for size in range(max(klm.max(), direct.max()) + 1):
+        a, b = (klm == size).mean(), (direct == size).mean()
+        pooled = (a + b) / 2
+        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (size, a, b)
+    for sizes in (klm, direct):
+        assert abs(sizes.mean() - pi) < 4 * sizes.std() / math.sqrt(runs), (sizes.mean(), pi)
+
+
+@pytest.mark.parametrize("hit", [True, False], ids=["hit", "missed"])
+def test_conditioned_round_exact_law(hit):
+    # one round in which all n=6 agents send, conditioned on agent 2 hearing
+    # (or not): the law of the whole heard pattern must match unconditioned
+    # rounds of the kernel's target rule, kept when agent 2's fate matches,
+    # pattern by pattern within 4 sigma
+    n, i, draws = 6, 2, 30_000
+    gen = derive_rng(20, "round", hit)
+    buffers = delivery_buffers(n)
+    weights = 1 << np.arange(n)
+    drawn = np.bincount([int(_occupancy_given(i, np.array([hit]), n, gen, buffers) @ weights)
+                         for _ in range(draws)], minlength=1 << n) / draws
+    t = gen.integers(0, n - 1, size=(10 * draws, n))
+    t += t >= np.arange(n)
+    heard = np.zeros(t.shape, bool)
+    heard[np.arange(t.shape[0])[:, None], t] = True
+    kept = heard[heard[:, i] == hit]
+    reference = np.bincount(kept @ weights, minlength=1 << n) / kept.shape[0]
+    assert drawn[[(p >> i) & 1 != hit for p in range(1 << n)]].sum() == 0
+    pooled = (drawn * draws + reference * kept.shape[0]) / (draws + kept.shape[0])
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / kept.shape[0]))
+    assert (np.abs(drawn - reference) <= 4 * sigma).all()
+
+
+def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
+    # n=4096, eps=0.4: pi = 0.20 for the 202-round phases but 1.46 for the
+    # final 150-round one, which must run its rounds.  From a unanimous
+    # start the kernel runs exactly those 150 rounds.
+    config = cfg(4096, 0.4)
+    schedule = derive_schedule(config.n, config.channel)
+    *boosts, final = schedule.stage2_phase_lengths
+    assert final == 150 and all(_union_bound(config.n, m) < 1 for m in boosts)
+    assert _union_bound(config.n, final) > 1.4
+    gen = derive_rng(18, "fallback")
+    assert unanimous_phase(config.n, final, config.channel, gen, delivery_buffers(config.n)) is None
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return deliver_round_counts(*args)
+
+    monkeypatch.setattr("flipsim.protocols.deliver_round_counts", counting)
+    records = run_stage2(_unanimous_world(config), config, schedule, gen)
+    assert len(calls) == final
+    assert [r.start_correct_fraction for r in records] == [1.0] * len(records)
+
+
+@pytest.mark.parametrize("preamble", [False, True], ids=["clocks", "preamble"])
+def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
+    # desync with staggered clocks (supplied or set by the preamble) never
+    # calls the shortcut, so its runs are those of the full simulation
+    def refuse(*args):
+        raise AssertionError("the unanimous-phase shortcut was called")
+
+    monkeypatch.setattr("flipsim.protocols.unanimous_phase", refuse)
+    config = cfg(512, 0.25, seed=6)
+    d = 2 * _ceil_log2(512)
+    clocks = None if preamble else ClockConfiguration(derive_rng(0, "off").integers(0, d, 512), d)
+    out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "bypass"))
+    assert out.rounds_used > derive_schedule(512, config.channel).total_rounds
+    assert out.messages_sent > 0
+
+
+# ---------------------------------------------------------------------------
 # full protocols
 
 
@@ -433,16 +603,19 @@ def _desync_clocks_from(config, correct):
     return run_desynchronized(config, clocks=clocks, rng=derive_rng(5, "relabel"))
 
 
-@pytest.mark.parametrize("engine", [
-    lambda config, correct: run_broadcast(config, rng=derive_rng(5, "relabel")),
-    _consensus_from,
-    _desync_clocks_from,
-    lambda config, correct: run_desynchronized(config, rng=derive_rng(5, "relabel")),
-], ids=["broadcast", "consensus", "desync-clocks", "desync-preamble"])
-def test_relabeling_symmetry_without_log(monkeypatch, engine):
-    # the count path reads payloads only through "carries the correct
-    # opinion", so relabeling complements the outcome and leaves every
-    # kernel call, and so the recorded digest, unchanged
+@pytest.mark.parametrize("engine,shortcut", [
+    pytest.param(lambda config, correct: run_broadcast(config, rng=derive_rng(5, "relabel")),
+                 True, id="broadcast"),
+    pytest.param(_consensus_from, True, id="consensus"),
+    pytest.param(_desync_clocks_from, False, id="desync-clocks"),
+    pytest.param(lambda config, correct: run_desynchronized(config, rng=derive_rng(5, "relabel")),
+                 False, id="desync-preamble"),
+])
+def test_relabeling_symmetry_without_log(monkeypatch, engine, shortcut):
+    # the count path and the unanimous-phase shortcut read payloads only
+    # through "carries the correct opinion", so relabeling complements the
+    # outcome and leaves every kernel call and every shortcut draw, and so
+    # the recorded digest, unchanged
     runs = [run_recorded(monkeypatch, engine, cfg(256, 0.25, seed=3, correct=correct), correct)
             for correct in (1, 0)]
     (a, rec_a), (b, rec_b) = runs
@@ -452,3 +625,4 @@ def test_relabeling_symmetry_without_log(monkeypatch, engine):
     assert rec_a.digest() == rec_b.digest()
     for out, rec in runs:
         assert rec.messages > 0 and out.messages_sent == rec.messages
+        assert (rec.shortcuts > 0) == shortcut
