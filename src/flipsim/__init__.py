@@ -21,7 +21,6 @@ from .params import (
     majority_entry_phase,
 )
 from .protocols import (
-    AgentState,
     ClockConfiguration,
     Outcome,
     PhaseMetrics,

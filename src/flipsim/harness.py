@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing as mp
 import os
 from dataclasses import dataclass, field
 
@@ -87,7 +88,6 @@ class ExperimentSpec:
     initial_set_size: int | None = None
     threshold: int = 2
     max_rounds: int | None = None
-    output_path: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
@@ -166,8 +166,6 @@ class ExperimentSpec:
             d["threshold"] = self.threshold
         if self.max_rounds is not None:
             d["maxRounds"] = self.max_rounds
-        if self.output_path is not None:
-            d["outputPath"] = self.output_path
         return d
 
     @classmethod
@@ -208,6 +206,9 @@ class ExperimentSpec:
                                              if k in _CONSTANTS_KEYS})
         except ConfigurationError as e:
             raise SpecValidationError([f"constants: {e}"]) from None
+        # v1 specs may carry outputPath: checked, then dropped (`sweep --out` names the report)
+        if "outputPath" in d and not isinstance(d["outputPath"], str):
+            raise SpecValidationError(["outputPath: must be a string"])
         for key in ("nGrid", "epsilonGrid"):
             if key in d and not isinstance(d[key], list):
                 raise SpecParseError(f"{source}: {key} must be a list")
@@ -223,7 +224,6 @@ class ExperimentSpec:
                 initial_set_size=d.get("initialSetSize"),
                 threshold=d.get("threshold", 2),
                 max_rounds=d.get("maxRounds"),
-                output_path=d.get("outputPath"),
             )
         except KeyError as e:
             raise SpecParseError(f"{source}: missing required field {e.args[0]!r}") from None
@@ -402,17 +402,23 @@ def _fit_scaling(spec, per_cell) -> ScalingFit | None:
     return ScalingFit(float(coef[0]), float(coef[1]), None, resid)
 
 
-def _worker_count(n_tasks: int) -> int:
+def pool_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` in ``items`` order, over a process pool of
+    ``FLIPSIM_THREADS`` workers (default: one per CPU).  Each task carries
+    its own RNG stream, so results do not depend on the worker count."""
     env = os.environ.get("FLIPSIM_THREADS")
-    if not env:
-        return max(1, min(os.cpu_count() or 1, n_tasks))
     try:
-        workers = int(env)
+        workers = int(env) if env else os.cpu_count() or 1
     except ValueError:
         workers = 0
     if workers < 1:
         raise ConfigurationError(f"FLIPSIM_THREADS must be a positive integer, got {env!r}")
-    return min(workers, n_tasks)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    with mp.get_context(method).Pool(workers) as pool:
+        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -428,15 +434,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         for ci, (n, e) in enumerate(cells)
         for ri in range(spec.runs_per_cell)
     ]
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        import multiprocessing as mp
-
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        with mp.get_context(method).Pool(workers) as pool:
-            flat = pool.map(_execute_run, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    else:
-        flat = [_execute_run(t) for t in tasks]
+    flat = pool_map(_execute_run, tasks)
     per_cell = []
     for ci, (n, e) in enumerate(cells):
         stats = flat[ci * spec.runs_per_cell:(ci + 1) * spec.runs_per_cell]

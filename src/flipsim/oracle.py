@@ -40,11 +40,11 @@ def sample_correct_prob(delta: float, epsilon: float) -> float:
     return 0.5 + 2.0 * epsilon * delta
 
 
-def _binom_sums(n: int, q: float, k: int):
-    """Unnormalized pmf sums (below k, at-or-above k) for Binomial(n, q).
+def _binom_weights(n: int, q: float) -> np.ndarray:
+    """Unnormalized pmf of Binomial(n, q), 0 < q < 1, scaled to 1 at the mode.
 
-    The pmf is built by a product recurrence normalized at the mode, which
-    sidesteps log-gamma cancellation entirely; accuracy is ~1e-13 relative.
+    The pmf is built by a product recurrence from the mode, which sidesteps
+    log-gamma cancellation entirely; accuracy is ~1e-13 relative.
     """
     mode = min(max(int((n + 1) * q), 0), n)
     j = np.arange(n, dtype=np.float64)
@@ -55,6 +55,12 @@ def _binom_sums(n: int, q: float, k: int):
         u[mode + 1:] = np.cumprod(ratio[mode:])
     if mode > 0:
         u[mode - 1::-1] = np.cumprod(1.0 / ratio[mode - 1::-1])
+    return u
+
+
+def _binom_sums(n: int, q: float, k: int):
+    """Normalized pmf sums (below k, at-or-above k) for Binomial(n, q)."""
+    u = _binom_weights(n, q)
     below = float(u[:k].sum())
     above = float(u[k:].sum())
     total = below + above
@@ -183,15 +189,7 @@ def two_step_correct_count_pmf(gamma: int, b: float) -> np.ndarray:
         pmf = np.zeros(gamma + 1)
         pmf[gamma] = 1.0
         return pmf
-    mode = min(max(int((gamma + 1) * q), 0), gamma)
-    j = np.arange(gamma, dtype=np.float64)
-    ratio = (gamma - j) / (j + 1.0) * (q / (1.0 - q))
-    u = np.empty(gamma + 1)
-    u[mode] = 1.0
-    if mode < gamma:
-        u[mode + 1:] = np.cumprod(ratio[mode:])
-    if mode > 0:
-        u[mode - 1::-1] = np.cumprod(1.0 / ratio[mode - 1::-1])
+    u = _binom_weights(gamma, q)
     return u / u.sum()
 
 

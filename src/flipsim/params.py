@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .model import ConfigurationError, NoiseChannel
 
-LOG_BASE = 2
 PAPER_R_SCALE = 2 ** 22
 
 

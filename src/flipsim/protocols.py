@@ -11,11 +11,10 @@ are skipped; the clock-free variant is many groups, one per clock offset,
 with a gap of D rounds between windows.
 
 Engines are array-based for speed.  Per-agent state lives in a
-struct-of-arrays :class:`World`; the spec-level ``AgentState`` record is an
-inspection view over it.  An agent only ever uses how many of the messages
-it accepted carry each opinion, so the engine keeps two counters per agent,
-accepted messages and correct ones among them, and four equivalences keep
-the hot path fast without changing any distribution:
+struct-of-arrays :class:`World`.  An agent only ever uses how many of the
+messages it accepted carry each opinion, so the engine keeps two counters
+per agent, accepted messages and correct ones among them, and four
+equivalences keep the hot path fast without changing any distribution:
 
 * the uniform accept among a round's arrivals is drawn from the arrival
   counts (:func:`~flipsim.model.deliver_round_counts`): an agent with ``a``
@@ -132,18 +131,6 @@ class Outcome:
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Inspection view of one agent."""
-
-    id: int
-    activated: bool
-    level: int | None
-    activation_round: int | None
-    local_clock: int
-    current_opinion: int | None
-
-
-@dataclass(frozen=True)
 class ClockConfiguration:
     """Initial clock values for the desynchronized variant, one per agent,
     each in [0, d_bound)."""
@@ -162,27 +149,13 @@ class ClockConfiguration:
 class World:
     """Struct-of-arrays per-agent state for one run."""
 
-    __slots__ = ("n", "correct", "opinion", "level", "send_from", "activation_round", "clock")
+    __slots__ = ("n", "correct", "opinion", "send_from")
 
     def __init__(self, n: int, correct_opinion: int):
         self.n = n
         self.correct = int(correct_opinion)
         self.opinion = np.full(n, -1, np.int8)
-        self.level = np.full(n, -1, np.int32)
         self.send_from = np.full(n, _NEVER, np.int32)
-        self.activation_round = np.full(n, -1, np.int64)
-        self.clock = 0
-
-    def agent_state(self, i: int) -> AgentState:
-        activated = self.send_from[i] != _NEVER
-        return AgentState(
-            id=i,
-            activated=bool(activated),
-            level=int(self.level[i]) if self.level[i] >= 0 else None,
-            activation_round=int(self.activation_round[i]) if self.activation_round[i] >= 0 else None,
-            local_clock=self.clock,
-            current_opinion=int(self.opinion[i]) if self.opinion[i] >= 0 else None,
-        )
 
     def correct_fraction(self) -> float:
         return float((self.opinion == self.correct).mean())
@@ -191,9 +164,7 @@ class World:
 def make_broadcast_world(config: SimConfig, source: int = 0) -> World:
     world = World(config.n, config.correct_opinion)
     world.opinion[source] = config.correct_opinion
-    world.level[source] = 0
     world.send_from[source] = 0
-    world.activation_round[source] = 0
     return world
 
 
@@ -206,7 +177,6 @@ def make_consensus_world(config: SimConfig, initial_opinions: np.ndarray, entry_
     if members.size == 0:
         raise ConfigurationError("initial set is empty")
     world.opinion[members] = initial_opinions[members]
-    world.level[members] = max(entry_phase - 1, 0)
     world.send_from[members] = entry_phase
     return world
 
@@ -427,7 +397,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
 
     def round_setup(t):
         """Senders carrying the correct opinion, the other senders, and the
-        listener masks of round t: stage-1 listeners and all listeners."""
+        listener mask of round t."""
         code = wpad[np.clip(t - shift, -1, local_total) + 1]
         in1 = (code >= 0) & (code <= t1)
         in2 = code > t1
@@ -440,22 +410,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             # spread reaches D.
             main |= (send_start <= t) & (t < send_start + pre_rounds)
         listen1 = in1 & (world.send_from == _NEVER)    # activated agents discard stage-1 traffic
-        return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listen1, listen1 | in2
-
-    def listen(heard, match, t):
-        """Listeners count their accepted messages and the correct ones
-        among them.  Reads the masks of the latest rebuild."""
-        np.logical_and(heard, listening, out=heard)
-        np.logical_and(match, listening, out=match)
-        np.add(cnt, heard, out=cnt)
-        np.add(corr, match, out=corr)
-        if any1:
-            # a stage-1 listener activates at the close of the window in
-            # which it first hears; record that round
-            np.logical_and(heard, fresh1, out=heard)
-            if heard.any():
-                world.activation_round[heard] = t
-                np.greater(fresh1, heard, out=fresh1)
+        return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listen1 | in2
 
     def close(code_v, v):
         """Close window ``code_v`` for the clock group with shift ``v``."""
@@ -463,7 +418,6 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         if code_v <= t1:
             new = members[(world.send_from[members] == _NEVER) & (cnt[members] > 0)]
             right = _stage1_pick(cnt[new], corr[new], gen)
-            world.level[new] = code_v
             world.send_from[new] = code_v + 1
             world.opinion[new] = np.where(right, correct, complement(correct))
             y_acc[code_v] += int(new.size)
@@ -501,10 +455,8 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
                 t += m
                 continue
         if t in rebuild:
-            carriers, others, listen1, listening = round_setup(t)
+            carriers, others, listening = round_setup(t)
             sent = carriers.size + others.size
-            any1 = bool(listen1.any())
-            fresh1 = listen1 & (world.activation_round < 0)
         if sent:
             heard, match = deliver_round_counts(carriers, others, n, channel, gen, buffers)
             messages += sent
@@ -517,12 +469,15 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
                     rebuild.update((t + 1, t + 1 + pre_rounds))
                     register(t + 4 * log2n)
                     horizon = max(groups) + local_total
-            listen(heard, match, t)
+            # listeners count their accepted messages and the correct ones
+            np.logical_and(heard, listening, out=heard)
+            np.logical_and(match, listening, out=match)
+            np.add(cnt, heard, out=cnt)
+            np.add(corr, match, out=corr)
         for code_v, v in sorted(events.pop(t, ())):
             close(code_v, v)
         t += 1
 
-    world.clock = t
     per_phase = []
     x = 0
     for p, (y, z) in enumerate(zip(y_acc, z_acc)):
@@ -570,7 +525,7 @@ def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=
     i_A .. T+1 with A as the already-active senders, then stage 2.
 
     One clock group whose local clock reads r_entry, the first round of
-    phase i_A, at t = 0; rounds (and ``activation_round``) count from there.
+    phase i_A, at t = 0; rounds count from there.
     """
     gen = _as_generator(rng, config, "consensus")
     schedule = derive_schedule(config.n, config.channel, config.constants)
@@ -620,55 +575,68 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
 # failing baselines
 
 
-def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcome:
-    """Immediate-forward strategy: every agent adopts the first accepted
-    opinion and resends it every round afterwards.
+def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
+    """Both failing baselines: every agent outside the source waits silently
+    until it has accepted ``threshold`` messages, then adopts their majority
+    (ties broken by a fair coin, drawn only at even thresholds, where ties
+    can occur) and resends it every round.
 
-    Each agent's hop depth (1 + depth of the agent whose message activated
-    it) is tracked through diagnostics-only sender metadata; the protocol
-    itself never reads sender identities.  Returns an Outcome whose
-    ``depth_table`` tabulates correctness against depth.
+    Returns ``(world, rounds, messages, depth, first_reach)``.  ``depth[i]``
+    is 1 + the depth of the agent whose message i accepted in the round it
+    reached the threshold, through diagnostics-only sender metadata that the
+    protocol itself never reads; ``first_reach`` is the first round in which
+    some agent reached the threshold (None if none did).
     """
-    gen = _as_generator(rng, config, "baseline-forward")
     n = config.n
-    channel = config.channel
     world = make_broadcast_world(config)
+    correct = world.correct
+    cnt = np.zeros(n, np.int64)
+    corr = np.zeros(n, np.int64)
     depth = np.full(n, -1, np.int64)
     depth[0] = 0
-    messages = 0
-    rounds = 0
+    first_reach = None
+    messages = rounds = 0
     for t in range(max_rounds):
         senders = np.flatnonzero(world.opinion >= 0)
-        payloads = world.opinion[senders]
-        recv, acc, src = deliver_round_arrays(senders, payloads, n, channel, gen)
+        recv, acc, src = deliver_round_arrays(senders, world.opinion[senders], n, config.channel, gen)
         messages += senders.size
-        fresh = world.opinion[recv] < 0
-        fr = recv[fresh]
-        world.opinion[fr] = acc[fresh]
-        world.send_from[fr] = 0
-        world.activation_round[fr] = t
-        depth[fr] = depth[src[fresh]] + 1
+        waiting = world.opinion[recv] < 0
+        wr = recv[waiting]
+        cnt[wr] += 1
+        corr[wr] += acc[waiting] == correct
+        hit = cnt[wr] >= threshold
+        reached = wr[hit]
+        if reached.size:
+            if first_reach is None:
+                first_reach = t + 1
+            good = 2 * corr[reached] > threshold
+            if threshold % 2 == 0:
+                good |= (2 * corr[reached] == threshold) & (gen.random(reached.size) < 0.5)
+            world.opinion[reached] = np.where(good, correct, complement(correct))
+            depth[reached] = depth[src[waiting][hit]] + 1
         rounds = t + 1
-        world.clock = rounds
         if (world.opinion >= 0).all():
             break
+    return world, rounds, messages, depth, first_reach
+
+
+def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcome:
+    """Immediate-forward strategy: every agent adopts the first accepted
+    opinion and resends it every round afterwards; silent wait at threshold 1.
+
+    Returns an Outcome whose ``depth_table`` tabulates correctness against
+    hop depth (1 + depth of the agent whose message activated it).
+    """
+    gen = _as_generator(rng, config, "baseline-forward")
+    world, rounds, messages, depth, _ = _threshold_loop(config, 1, max_rounds, gen)
     table = []
-    if (depth > 0).any():
-        for dv in range(1, int(depth.max()) + 1):
-            at = depth == dv
-            agents = int(at.sum())
-            if agents == 0:
-                continue
+    for dv in range(1, int(depth.max()) + 1):
+        at = depth == dv
+        agents = int(at.sum())
+        if agents:
             table.append(DepthStat(dv, agents, int((world.opinion[at] == world.correct).sum())))
-    return Outcome(
-        final_opinions=world.opinion.copy(),
-        correct_fraction=world.correct_fraction(),
-        rounds_used=rounds,
-        messages_sent=messages,
-        stage1=None,
-        stage2=(),
-        depth_table=tuple(table),
-    )
+    return Outcome(world.opinion.copy(), world.correct_fraction(), rounds, messages,
+                   stage1=None, stage2=(), depth_table=tuple(table))
 
 
 def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int, rng=None) -> Outcome:
@@ -683,44 +651,6 @@ def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int,
     if threshold < 1:
         raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
     gen = _as_generator(rng, config, "baseline-silent")
-    n = config.n
-    channel = config.channel
-    world = make_broadcast_world(config)
-    cnt = np.zeros(n, np.int64)
-    corr = np.zeros(n, np.int64)
-    first_reach = None
-    messages = 0
-    rounds = 0
-    for t in range(max_rounds):
-        senders = np.flatnonzero(world.opinion >= 0)
-        payloads = world.opinion[senders]
-        recv, acc, _ = deliver_round_arrays(senders, payloads, n, channel, gen)
-        messages += senders.size
-        waiting = world.opinion[recv] < 0
-        wr = recv[waiting]
-        cnt[wr] += 1
-        corr[wr] += acc[waiting] == world.correct
-        reached = wr[cnt[wr] >= threshold]
-        if reached.size:
-            if first_reach is None:
-                first_reach = t + 1
-            good = 2 * corr[reached] > threshold
-            tie = 2 * corr[reached] == threshold
-            coin = gen.random(reached.size) < 0.5
-            pick = np.where(good | (tie & coin), world.correct, complement(world.correct))
-            world.opinion[reached] = pick.astype(np.int8)
-            world.send_from[reached] = 0
-            world.activation_round[reached] = t
-        rounds = t + 1
-        world.clock = rounds
-        if (world.opinion >= 0).all():
-            break
-    return Outcome(
-        final_opinions=world.opinion.copy(),
-        correct_fraction=world.correct_fraction(),
-        rounds_used=rounds,
-        messages_sent=messages,
-        stage1=None,
-        stage2=(),
-        first_threshold_round=first_reach,
-    )
+    world, rounds, messages, _, first_reach = _threshold_loop(config, threshold, max_rounds, gen)
+    return Outcome(world.opinion.copy(), world.correct_fraction(), rounds, messages,
+                   stage1=None, stage2=(), first_threshold_round=first_reach)

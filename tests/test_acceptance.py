@@ -1,15 +1,12 @@
 """Acceptance suite: one test per criterion, printing one PASS/FAIL line each.
 
 The heavy Monte Carlo batches (200 seeds at n=4096) are computed once in
-module-scoped fixtures and shared across criteria; runs execute in a small
-process pool with per-run derived streams, so results are independent of
-scheduling.
+module-scoped fixtures and shared across criteria; runs execute in the
+harness's process pool (``FLIPSIM_THREADS`` workers) with per-run derived
+streams, so results are independent of scheduling.
 """
 
 import math
-import multiprocessing as mp
-import os
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from flipsim import (
     run_broadcast,
     run_desynchronized,
 )
-from flipsim.harness import wilson_interval
+from flipsim.harness import pool_map, wilson_interval
 from flipsim.oracle import (
     lemma_second_bound_check,
     majority_correct_prob,
@@ -45,45 +42,22 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    success: bool
-    rounds: int
-    messages: int
-    stage1: tuple    # (phase, x, y, z, epsilon)
-    stage2: tuple    # (index, successful, end_frac, start_frac)
-    all_activated: bool
-
-
-def _record(out) -> RunRecord:
-    return RunRecord(
-        success=out.correct_fraction == 1.0,
-        rounds=out.rounds_used,
-        messages=out.messages_sent,
-        stage1=tuple((m.phase, m.x, m.y, m.z, m.epsilon) for m in out.stage1.per_phase),
-        stage2=tuple((r.phase_index, r.successful_count, r.correct_fraction,
-                      r.start_correct_fraction) for r in out.stage2),
-        all_activated=out.stage1.all_activated,
-    )
-
-
-def _broadcast_run(seed: int) -> RunRecord:
+def _broadcast_run(seed: int):
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
-    return _record(run_broadcast(config, rng=derive_rng(SEED, "a-broadcast", seed)))
+    return run_broadcast(config, rng=derive_rng(SEED, "a-broadcast", seed))
 
 
-def _growth_run(seed: int) -> RunRecord:
+def _growth_run(seed: int):
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_GROWTH), master_seed=SEED)
-    return _record(run_broadcast(config, rng=derive_rng(SEED, "a-growth", seed)))
+    return run_broadcast(config, rng=derive_rng(SEED, "a-growth", seed))
 
 
-def _desync_run(seed: int) -> RunRecord:
+def _desync_run(seed: int):
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
     d = 2 * math.ceil(math.log2(N_MAIN))
     offsets = derive_rng(SEED, "a-clocks", seed).integers(0, d, size=N_MAIN)
-    out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
-                             rng=derive_rng(SEED, "a-desync", seed))
-    return _record(out)
+    return run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
+                              rng=derive_rng(SEED, "a-desync", seed))
 
 
 def _noiseless_run(args) -> bool:
@@ -113,27 +87,19 @@ def _silent_run(seed: int):
     return out.first_threshold_round
 
 
-def _pool_map(fn, items):
-    workers = min(os.cpu_count() or 1, 8, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with mp.get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
-
-
 @pytest.fixture(scope="module")
 def broadcast_batch():
-    return _pool_map(_broadcast_run, list(range(BATCH)))
+    return pool_map(_broadcast_run, list(range(BATCH)))
 
 
 @pytest.fixture(scope="module")
 def growth_batch():
-    return _pool_map(_growth_run, list(range(BATCH)))
+    return pool_map(_growth_run, list(range(BATCH)))
 
 
 @pytest.fixture(scope="module")
 def desync_batch():
-    return _pool_map(_desync_run, list(range(BATCH)))
+    return pool_map(_desync_run, list(range(BATCH)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +145,7 @@ def test_a3_small_case_enumeration():
 
 def test_a4_noiseless_end_to_end():
     tasks = [(n, s) for n in (2 ** 8, 2 ** 10) for s in range(100)]
-    results = _pool_map(_noiseless_run, tasks)
+    results = pool_map(_noiseless_run, tasks)
     successes = sum(results)
     ok = successes == len(tasks)
     _report("A4", ok, f"eps=1/2 broadcast all-correct in {successes}/{len(tasks)} runs "
@@ -187,8 +153,8 @@ def test_a4_noiseless_end_to_end():
 
 
 def test_a5_desk_scale_success(broadcast_batch):
-    successes = sum(r.success for r in broadcast_batch)
-    activated = sum(r.all_activated for r in broadcast_batch)
+    successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)
+    activated = sum(out.stage1.all_activated for out in broadcast_batch)
     rate = successes / BATCH
     lo, hi = wilson_interval(successes, BATCH)
     ok = rate >= 0.99 and lo >= 0.96 and activated >= 0.99 * BATCH
@@ -200,7 +166,7 @@ def test_a5_desk_scale_success(broadcast_batch):
 def test_a6_round_and_message_scaling():
     c_messages = 24.0   # fixed constant; reference build measures ~16 on every cell
     tasks = [(n, s) for n in (2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14) for s in range(5)]
-    results = _pool_map(_scaling_run, tasks)
+    results = pool_map(_scaling_run, tasks)
     by_n = {}
     for n, rounds, messages in results:
         by_n.setdefault(n, []).append((rounds, messages))
@@ -224,8 +190,8 @@ def _stage1_structure(batch, eps):
     beta = schedule.beta
     log2n = math.log2(N_MAIN)
     upper_ok = sandwich_ok = growth_ok = bias_ok = 0
-    for rec in batch:
-        phases = {p: (x, y, z, eps) for p, x, y, z, eps in rec.stage1}
+    for out in batch:
+        phases = {m.phase: (m.x, m.y, m.z, m.epsilon) for m in out.stage1.per_phase}
         x0 = phases[0][0]
         upper = all(phases[i][0] <= (beta + 1) ** i * x0 for i in range(1, t + 1))
         lower = all(phases[i][0] >= (beta + 1) ** i * x0 / 16 for i in range(1, t + 1))
@@ -254,15 +220,15 @@ def test_a8_stage2_boost(broadcast_batch):
     gate = 4.0 * math.sqrt(math.log2(N_MAIN) / N_MAIN)
     boosted = observed = 0
     succ_half = phases_total = 0
-    for rec in broadcast_batch:
-        for _, successful, end_frac, start_frac in rec.stage2:
+    for out in broadcast_batch:
+        for rec in out.stage2:
             phases_total += 1
-            succ_half += successful >= N_MAIN / 2
-            delta = start_frac - 0.5
+            succ_half += rec.successful_count >= N_MAIN / 2
+            delta = rec.start_correct_fraction - 0.5
             if delta >= gate:
                 observed += 1
                 bound = min(0.5 + 1.7 * delta, 0.5 + 1.0 / 800.0)
-                boosted += end_frac >= bound
+                boosted += rec.correct_fraction >= bound
     ok = observed > 0 and boosted >= 0.95 * observed and succ_half >= 0.99 * phases_total
     _report("A8", ok, f"boost bound met in {boosted}/{observed} gated phase observations "
                       f"(gate delta>={gate:.4f}); successful>=n/2 in "
@@ -270,13 +236,13 @@ def test_a8_stage2_boost(broadcast_batch):
 
 
 def test_a9_desynchronization(broadcast_batch, desync_batch):
-    sync_successes = sum(r.success for r in broadcast_batch)
+    sync_successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)
     lo, hi = wilson_interval(sync_successes, BATCH)
-    desync_rate = sum(r.success for r in desync_batch) / BATCH
+    desync_rate = sum(out.correct_fraction == 1.0 for out in desync_batch) / BATCH
     schedule = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_MAIN))
     d = 2 * math.ceil(math.log2(N_MAIN))
     bound = (schedule.t_phases + 2) * d + 6 * math.ceil(math.log2(N_MAIN))
-    slack_ok = all(r.rounds - schedule.total_rounds <= bound for r in desync_batch)
+    slack_ok = all(out.rounds_used - schedule.total_rounds <= bound for out in desync_batch)
     in_ci = lo <= desync_rate <= hi
     ok = in_ci and slack_ok
     _report("A9", ok, f"desync success {desync_rate:.4f} within sync CI [{lo:.4f}, {hi:.4f}]; "
@@ -286,7 +252,7 @@ def test_a9_desynchronization(broadcast_batch, desync_batch):
 def test_a10_baselines():
     # immediate-forward degradation by hop depth
     pooled = {}
-    for table in _pool_map(_forward_run, list(range(20))):
+    for table in pool_map(_forward_run, list(range(20))):
         for depth, agents, correct in table:
             a, c = pooled.get(depth, (0, 0))
             pooled[depth] = (a + agents, c + correct)
@@ -301,7 +267,7 @@ def test_a10_baselines():
         depth_ok &= rate <= bound_p + 3 * sigma
         details.append(f"c={c_depth}: {rate:.4f}<={bound_p + 3 * sigma:.4f}")
     # silent-wait birthday stall
-    rounds = [r for r in _pool_map(_silent_run, list(range(100))) if r is not None]
+    rounds = [r for r in pool_map(_silent_run, list(range(100))) if r is not None]
     med = float(np.median(rounds))
     sqrt_n = math.sqrt(10 ** 4)
     silent_ok = len(rounds) == 100 and 0.5 * sqrt_n <= med <= 5 * sqrt_n

@@ -156,7 +156,11 @@ def test_spec_fixture_every_field(tmp_path):
     assert spec.n_grid == (1024, 2048)
     assert spec.constants == ProtocolConstants()
     assert spec.initial_bias == 0.1
-    assert spec.output_path == "out.json"
+    assert not hasattr(spec, "output_path") and "outputPath" not in spec.to_dict()
+    raw["outputPath"] = 3
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SpecValidationError, match="outputPath"):
+        load_spec(path)
 
 
 def test_spec_unread_constant_checked_then_dropped():

@@ -178,22 +178,6 @@ def test_count_path_matches_permutation_path(monkeypatch):
     assert (np.abs(count.mean(0) - perm.mean(0)) < 4 * sigma).all(), (count.mean(0), perm.mean(0))
 
 
-def test_agent_state_views():
-    config = cfg(64, 0.5, seed=2)
-    schedule = derive_schedule(config.n, config.channel)
-    world = make_broadcast_world(config)
-    dormant = world.agent_state(5)
-    assert not dormant.activated
-    assert dormant.level is None and dormant.current_opinion is None
-    _run_windows(world, config, schedule, derive_rng(8, "view"), np.zeros(config.n, np.int64))
-    st = world.agent_state(5)
-    assert st.activated
-    assert st.level is not None and st.current_opinion in (0, 1)
-    assert st.activation_round is not None and st.activation_round <= world.clock
-    source = world.agent_state(0)
-    assert source.level == 0 and source.current_opinion == 1
-
-
 # ---------------------------------------------------------------------------
 # stage 2
 
@@ -569,6 +553,15 @@ def test_forward_depth1_single_channel_use():
 def test_silent_wait_threshold_one_degenerates():
     out = run_baseline_silent_wait(cfg(256, 0.25, seed=4), threshold=1, max_rounds=100)
     assert out.first_threshold_round == 1
+    # forwarding is silent wait at threshold 1: same draws, same run
+    for seed in range(3):
+        config = cfg(256, 0.25, seed=seed)
+        fwd = run_baseline_forward(config, max_rounds=100, rng=derive_rng(seed, "threshold-one"))
+        silent = run_baseline_silent_wait(config, threshold=1, max_rounds=100,
+                                          rng=derive_rng(seed, "threshold-one"))
+        assert np.array_equal(fwd.final_opinions, silent.final_opinions)
+        assert fwd.rounds_used == silent.rounds_used
+        assert fwd.messages_sent == silent.messages_sent
 
 
 def test_silent_wait_birthday_scaling_small_n():
