@@ -17,9 +17,12 @@ per agent, accepted messages and correct ones among them, and four
 equivalences keep the hot path fast without changing any distribution:
 
 * the uniform accept among a round's arrivals is drawn from the arrival
-  counts (:func:`~flipsim.model.deliver_round_counts`): an agent with ``a``
+  counts (:func:`~flipsim.model.deliver_span_counts`): an agent with ``a``
   arrivals, ``c`` of them correct, keeps a correct bit with probability
-  ``(c (1 - p) + (a - c) p) / a``, and no arrival order is drawn;
+  ``(c (1 - p) + (a - c) p) / a``, and no arrival order is drawn.  Between
+  two rebuild rounds the senders, payloads and listeners are fixed, so the
+  rounds of such a span are independent and one kernel call delivers them
+  all;
 * an agent's uniform choice among the messages of its activation phase is
   drawn at the phase close from its counters: correct with probability
   ``correct / accepted``;
@@ -41,13 +44,14 @@ only in the two baselines.  Every draw of the windowed engine consumes
 randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
 0 <-> 1.  Tests that watch or replace the engine's draws patch its
-bindings ``flipsim.protocols.deliver_round_counts`` and
-``flipsim.protocols.unanimous_phase``.
+bindings ``flipsim.protocols.deliver_span_counts``, through which every
+simulated round passes, and ``flipsim.protocols.unanimous_phase``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +61,7 @@ from .model import (
     ConfigurationError,
     complement,
     deliver_round_arrays,
-    deliver_round_counts,
+    deliver_span_counts,
     delivery_buffers,
     derive_rng,
 )
@@ -216,7 +220,7 @@ def _truncated_binomial(m, q, s, gen):
     return int(gen.choice(s, p=w / w.sum()))
 
 
-def _failure_set(n, m, gen, buffers):
+def _failure_set(n, m, gen):
     """Agents that hear in fewer than s = m/2 rounds of an m-round phase in
     which all n agents send, drawn with its exact law; None when the union
     bound below is 1 or more.
@@ -239,19 +243,19 @@ def _failure_set(n, m, gen, buffers):
         return np.empty(0, np.int64)
     i = int(gen.integers(n))
     hears = gen.permutation(m) < _truncated_binomial(m, 1.0 - miss, s, gen)   # I's rounds
-    failed = np.flatnonzero(_occupancy_given(i, hears, n, gen, buffers) < s)
+    failed = np.flatnonzero(_occupancy_given(i, hears, n, gen) < s)
     return failed if gen.random() * failed.size < 1.0 else np.empty(0, np.int64)
 
 
-def _occupancy_given(i, hears, n, gen, buffers):
+def _occupancy_given(i, hears, n, gen):
     """How many rounds each agent hears in, over rounds in which all n
     agents send, conditioned on agent i hearing in exactly the rounds where
-    ``hears`` is true.  The counts are a view of ``buffers``."""
-    heard, _, _, cnt, _ = buffers
+    ``hears`` is true."""
     others = np.delete(np.arange(n), i)
     lo = np.minimum(others, i)
     hi = np.maximum(others, i)
-    cnt.fill(0)
+    heard = np.empty(n, bool)
+    cnt = np.zeros(n, np.int64)
     for hit in hears:
         # every other sender aims uniformly at the n-2 agents that are
         # neither itself nor I ...
@@ -273,7 +277,7 @@ def _occupancy_given(i, hears, n, gen, buffers):
     return cnt
 
 
-def unanimous_phase(n, m, channel, gen, buffers):
+def unanimous_phase(n, m, channel, gen):
     """Outcome of an m-round stage-2 phase that starts with all n agents
     correct and every counter at zero, drawn without simulating its rounds.
 
@@ -286,7 +290,7 @@ def unanimous_phase(n, m, channel, gen, buffers):
     None when :func:`_failure_set` cannot draw the failures; the caller then
     simulates the rounds.
     """
-    failed = _failure_set(n, m, gen, buffers)
+    failed = _failure_set(n, m, gen)
     if failed is None:
         return None
     k = gen.binomial(n - failed.size, majority_wrong_prob(m // 2, 1.0 - channel.flip_probability))
@@ -329,9 +333,13 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
 
     Senders and listener masks change only at rounds where some group's
     window opens or closes or a preamble send window starts or ends; they
-    are rebuilt there.  Every round draws per-agent accept outcomes from the
-    arrival counts and adds them to each listener's counters in place, with
-    work buffers allocated once per run.  With one clock group and no
+    are rebuilt there.  A span runs from one rebuild round to the next, and
+    every close falls on a span's last round.  One kernel call per span
+    counts each agent's accepts and correct accepts over the span's rounds,
+    and listeners add them to their counters in place, with work buffers
+    allocated once per run.  While the preamble is still informing agents a
+    span is one round, because an agent that hears starts sending in the
+    next round.  With one clock group and no
     preamble, a stage-2 window that opens with every agent correct is drawn
     whole by :func:`unanimous_phase`, and its rounds are skipped.  The run
     ends when the last window of the latest group has closed.
@@ -437,13 +445,14 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             corr[members] = 0
 
     messages = 0
+    bounds = None   # sorted rebuild rounds; the set is final once no agent is uninformed
     t = 0
     while t < horizon:
         j = stage2_opens.get(t)
         if j is not None and (world.opinion == correct).all():
             assert not (cnt.any() or corr.any())
             m = lengths[j]
-            drawn = unanimous_phase(n, m, channel, gen, buffers)
+            drawn = unanimous_phase(n, m, channel, gen)
             if drawn is not None:
                 failed, wrong = drawn
                 start_frac[j] = world.correct_fraction()
@@ -457,11 +466,19 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         if t in rebuild:
             carriers, others, listening = round_setup(t)
             sent = carriers.size + others.size
+        if uninformed:
+            end = t + 1     # an agent that hears now sends from the next round on
+        else:
+            if bounds is None:
+                bounds = sorted(rebuild)
+            end = bounds[bisect_right(bounds, t)]
+        # every close is followed by a rebuild round, so closes end spans
+        assert not any(r in events for r in range(t, end - 1))
         if sent:
-            heard, match = deliver_round_counts(carriers, others, n, channel, gen, buffers)
-            messages += sent
+            heard, match = deliver_span_counts(carriers, others, end - t, n, channel, gen, buffers)
+            messages += sent * (end - t)
             if uninformed:
-                fresh = np.flatnonzero(heard & (shift == _UNSET))
+                fresh = np.flatnonzero((heard > 0) & (shift == _UNSET))
                 if fresh.size:
                     uninformed -= fresh.size
                     send_start[fresh] = t + 1
@@ -470,13 +487,13 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
                     register(t + 4 * log2n)
                     horizon = max(groups) + local_total
             # listeners count their accepted messages and the correct ones
-            np.logical_and(heard, listening, out=heard)
-            np.logical_and(match, listening, out=match)
+            np.multiply(heard, listening, out=heard)
+            np.multiply(match, listening, out=match)
             np.add(cnt, heard, out=cnt)
             np.add(corr, match, out=corr)
-        for code_v, v in sorted(events.pop(t, ())):
+        for code_v, v in sorted(events.pop(end - 1, ())):
             close(code_v, v)
-        t += 1
+        t = end
 
     per_phase = []
     x = 0

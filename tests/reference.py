@@ -3,7 +3,7 @@
 The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
-end are installed by tests in place of ``flipsim.protocols.deliver_round_counts``
+end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
 (and the recorder also in place of ``flipsim.protocols.unanimous_phase``).
 """
 
@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 
 from flipsim import ConfigurationError, NoiseChannel
-from flipsim.model import deliver_round_arrays, deliver_round_counts
+from flipsim.model import deliver_round_arrays, deliver_span_counts
 from flipsim.protocols import unanimous_phase
 
 
@@ -79,34 +79,42 @@ def majority_update(samples, subset_size: int, rng: np.random.Generator) -> int:
     return 1 if 2 * ones > subset_size else 0
 
 
-def replay_targets(senders, n, rng):
+def replay_targets(senders, n, rng, rounds=None):
     """The targets the next delivery call on ``rng`` will draw for
-    ``senders`` (in the kernel's order), read from a clone of ``rng``."""
+    ``senders`` (in the kernel's order), read from a clone of ``rng``: one
+    per sender, or with ``rounds`` the (rounds, senders) targets of the
+    first block of :func:`~flipsim.model.deliver_span_counts`, which draws
+    them sender by sender."""
     clone = np.random.Generator(np.random.PCG64())
     clone.bit_generator.state = rng.bit_generator.state
-    t = clone.integers(0, n - 1, size=senders.size)
-    return t + (t >= senders)
+    if rounds is None:
+        t = clone.integers(0, n - 1, size=senders.size)
+        return t + (t >= senders)
+    t = clone.integers(0, n - 1, size=(senders.size, rounds))
+    return (t + (t >= senders[:, None])).T
 
 
-def permutation_counts(carriers, others, n, channel, rng, out):
-    """:func:`~flipsim.model.deliver_round_counts` realized by the
-    permutation kernel: the reference bit travels as payload 1, and
-    ``heard``/``match`` are filled from the receivers and their accepted
-    payloads."""
+def permutation_counts(carriers, others, rounds, n, channel, rng, out):
+    """:func:`~flipsim.model.deliver_span_counts` realized by ``rounds``
+    rounds of the permutation kernel: the reference bit travels as payload
+    1, and ``heard``/``match`` sum the receivers and the receivers of an
+    accepted payload 1 over the rounds."""
     heard, match = out[:2]
     senders = np.concatenate((carriers, others))
     payloads = (np.arange(senders.size) < carriers.size).astype(np.int8)
-    receivers, accepted, _ = deliver_round_arrays(senders, payloads, n, channel, rng)
-    heard.fill(False)
-    heard[receivers] = True
-    match.fill(False)
-    match[receivers[accepted == 1]] = True
+    heard.fill(0)
+    match.fill(0)
+    for _ in range(rounds):
+        receivers, accepted, _ = deliver_round_arrays(senders, payloads, n, channel, rng)
+        heard[receivers] += 1
+        match[receivers[accepted == 1]] += 1
     return heard, match
 
 
 class KernelRecorder:
-    """Count kernel that feeds every round's carriers, other senders,
-    ``heard`` and ``match`` into one sha256, and counts the messages sent.
+    """Count kernel that feeds every call's carriers, other senders, round
+    count, ``heard`` and ``match`` into one sha256, and counts the messages
+    sent.
     Its :meth:`phase` does the same for the unanimous-phase shortcut: the
     phase length, the failed and the turned-wrong agents of every phase it
     draws, and that phase's messages."""
@@ -116,16 +124,16 @@ class KernelRecorder:
         self.messages = 0
         self.shortcuts = 0      # phases drawn by the shortcut
 
-    def __call__(self, carriers, others, n, channel, rng, out):
-        heard, match = deliver_round_counts(carriers, others, n, channel, rng, out)
-        self.sha.update(np.array([carriers.size, others.size], np.int64).tobytes())
+    def __call__(self, carriers, others, rounds, n, channel, rng, out):
+        heard, match = deliver_span_counts(carriers, others, rounds, n, channel, rng, out)
+        self.sha.update(np.array([carriers.size, others.size, rounds], np.int64).tobytes())
         for arr in (carriers, others, heard, match):
             self.sha.update(arr.tobytes())
-        self.messages += carriers.size + others.size
+        self.messages += rounds * (carriers.size + others.size)
         return heard, match
 
-    def phase(self, n, m, channel, rng, out):
-        drawn = unanimous_phase(n, m, channel, rng, out)
+    def phase(self, n, m, channel, rng):
+        drawn = unanimous_phase(n, m, channel, rng)
         if drawn is not None:
             failed, wrong = drawn
             self.sha.update(np.array([m, failed.size, wrong.size], np.int64).tobytes())
@@ -145,6 +153,6 @@ def run_recorded(monkeypatch, engine, *args, **kwargs):
     ``(outcome, recorder)``."""
     recorder = KernelRecorder()
     with monkeypatch.context() as m:
-        m.setattr("flipsim.protocols.deliver_round_counts", recorder)
+        m.setattr("flipsim.protocols.deliver_span_counts", recorder)
         m.setattr("flipsim.protocols.unanimous_phase", recorder.phase)
         return engine(*args, **kwargs), recorder

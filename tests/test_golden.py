@@ -60,10 +60,10 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "08b60daba160d5ff",
-    "consensus": "4b3e6ef66f941b33",
-    "desync-clocks": "ac1c73e98067343e",
-    "desync-preamble": "7a2060de5cbc31b6",
+    "broadcast": "96edb67b38cd5891",
+    "consensus": "177e98a51a8c0066",
+    "desync-clocks": "c3741f92c9143811",
+    "desync-preamble": "6d404b8d322cf766",
     "baseline-forward": "d0dc5c27eca2d018",
     "baseline-silent": "71ed5148a0b3dc8c",
 }

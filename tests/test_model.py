@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from flipsim import (
     complement,
     derive_rng,
 )
-from flipsim.model import deliver_round_arrays, deliver_round_counts, delivery_buffers
+from flipsim import model
+from flipsim.model import deliver_round_arrays, deliver_span_counts, delivery_buffers
 from reference import deliver_round, flip, replay_targets
 
 
@@ -161,44 +163,93 @@ def test_deliver_accept_choice_is_uniform():
     assert abs(f2 - 0.375) < 0.015
 
 
-def test_count_kernel_exact_law():
-    # n=6: agents 0..2 send the reference bit, 3 and 4 its complement, 5 is
-    # silent.  Replaying the target draw gives every agent's arrivals a and
-    # reference-bit arrivals c; in every (a, c) cell the share of agents whose
-    # accepted bit matches must be (c(1-p) + (a-c)p)/a, and every agent hears
-    # with the occupancy probability 1-(1-1/(n-1))^m of the m messages that
-    # can reach it.
-    n, p, rounds = 6, 0.2, 30_000
+def _cell_law(n, carriers, others):
+    """Per-round law of one agent's (arrivals a, reference-bit arrivals c)
+    when ``carriers`` and ``others`` each send one message to a uniform other
+    agent: ``{agent: {(a, c): probability}}``, by enumerating all targets."""
+    senders = list(carriers) + list(others)
+    choices = [[j for j in range(n) if j != s] for s in senders]
+    law = {i: {} for i in range(n)}
+    weight = 1.0 / math.prod(len(ch) for ch in choices)
+    for targets in itertools.product(*choices):
+        for i in range(n):
+            a = sum(t == i for t in targets)
+            c = sum(t == i for t in targets[:len(carriers)])
+            law[i][(a, c)] = law[i].get((a, c), 0.0) + weight
+    return law
+
+
+def _count_law(step, n, p, carriers, others):
+    """The exact-law checks of :func:`test_count_kernel_exact_law` for the
+    kernel's current step on the given senders."""
     ch = NoiseChannel(p)
+    senders = np.concatenate([carriers, others])
+    gen = derive_rng(15, "count-law", step)
+    buffers = delivery_buffers(n)
+
+    def q(a, c):
+        return (c * (1 - p) + (a - c) * p) / a
+
+    # Calls of 4 rounds, one block each, with replayed targets: every
+    # (round, agent) cell's arrivals a and reference-bit arrivals c are
+    # known.  An agent's heard count is its number of cells with a > 0.
+    # Given the targets its matches are independent with probability
+    # q(a, c) per heard cell, so agents whose heard cells share one (a, c)
+    # pool into that cell's tally, and all matches together have mean and
+    # variance summed over the heard cells.
+    calls, rounds = 6000, 4
+    tally = {}          # (a, c) -> [heard cells, matches]
+    matches = mean = var = 0.0
+    for _ in range(calls):
+        targets = replay_targets(senders, n, gen, rounds)
+        a = np.stack([np.bincount(row, minlength=n) for row in targets])
+        c = np.stack([np.bincount(row[:carriers.size], minlength=n) for row in targets])
+        heard, match = deliver_span_counts(carriers, others, rounds, n, ch, gen, buffers)
+        assert np.array_equal(heard, (a > 0).sum(0)), step
+        assert ((0 <= match) & (match <= heard) & (heard <= rounds)).all(), step
+        for i in range(n):
+            cells = {(int(x), int(y)) for x, y in zip(a[:, i], c[:, i]) if x}
+            if len(cells) == 1:
+                cell = tally.setdefault(cells.pop(), [0, 0])
+                cell[0] += int(heard[i])
+                cell[1] += int(match[i])
+            qs = np.array([q(x, y) for x, y in zip(a[:, i], c[:, i]) if x])
+            matches += match[i]
+            mean += qs.sum()
+            var += (qs * (1 - qs)).sum()
+    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)} <= set(tally), step
+    for (a, c), (cells, hits) in tally.items():
+        share = q(a, c)
+        sigma = math.sqrt(share * (1 - share) / cells)
+        assert abs(hits / cells - share) <= 4 * sigma + 1e-12, (step, a, c, cells, hits)
+    assert abs(matches - mean) < 4 * math.sqrt(var), (step, matches, mean)
+
+    # One call over several blocks: each agent hears in a round with
+    # probability 1-(1-1/(n-1))^m for the m messages that can reach it, and
+    # matches with probability E q(a, c) under its exact per-round law.
+    long = 3 * (model.BLOCK_CELLS // n) + 5
+    heard, match = deliver_span_counts(carriers, others, long, n, ch, gen, buffers)
+    assert ((0 <= match) & (match <= heard) & (heard <= long)).all(), step
+    for i, law in _cell_law(n, carriers, others).items():
+        m = senders.size - (i in senders)
+        hear = 1 - (1 - 1 / (n - 1)) ** m
+        assert abs(sum(w for (a, _), w in law.items() if a) - hear) < 1e-12
+        hit = sum(w * q(a, c) for (a, c), w in law.items() if a)
+        for share, count in ((hear, heard[i]), (hit, match[i])):
+            assert abs(count / long - share) < 4 * math.sqrt(share * (1 - share) / long), (step, i, count)
+
+
+def test_count_kernel_exact_law(monkeypatch):
+    # n=6: agents 0..2 send the reference bit, 3 and 4 its complement, 5 is
+    # silent.  Five senders among six agents take the dense step; lowering
+    # SPARSE_FACTOR sends the same calls through the sparse step.
+    n, p = 6, 0.2
     carriers = np.array([0, 1, 2])
     others = np.array([3, 4])
-    senders = np.concatenate([carriers, others])
-    gen = derive_rng(15, "count-law")
-    buffers = delivery_buffers(n)
-    tally = {}          # (a, c) -> [agents, matches]
-    heard_count = np.zeros(n)
-    for _ in range(rounds):
-        targets = replay_targets(senders, n, gen)
-        a = np.bincount(targets, minlength=n)
-        c = np.bincount(targets[:carriers.size], minlength=n)
-        heard, match = deliver_round_counts(carriers, others, n, ch, gen, buffers)
-        assert np.array_equal(heard, a > 0)
-        assert not (match & ~heard).any()
-        heard_count += heard
-        for i in np.flatnonzero(heard):
-            cell = tally.setdefault((int(a[i]), int(c[i])), [0, 0])
-            cell[0] += 1
-            cell[1] += bool(match[i])
-    for (a, c), (agents, matches) in tally.items():
-        q = (c * (1 - p) + (a - c) * p) / a
-        sigma = math.sqrt(q * (1 - q) / agents)
-        assert abs(matches / agents - q) <= 4 * sigma + 1e-12, (a, c, agents, matches)
-    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)} <= set(tally)
-    for i in range(n):
-        m = senders.size - (i in senders)
-        q = 1 - (1 - 1 / (n - 1)) ** m
-        sigma = math.sqrt(q * (1 - q) / rounds)
-        assert abs(heard_count[i] / rounds - q) < 4 * sigma, i
+    assert model.SPARSE_FACTOR * 5 > n
+    _count_law("dense", n, p, carriers, others)
+    monkeypatch.setattr(model, "SPARSE_FACTOR", 1)
+    _count_law("sparse", n, p, carriers, others)
 
 
 def test_deliver_sender_validation():

@@ -22,7 +22,7 @@ from flipsim import (
     run_desynchronized,
     run_majority_consensus,
 )
-from flipsim.model import deliver_round_counts, delivery_buffers
+from flipsim.model import deliver_span_counts
 from flipsim.oracle import binomial_tail_geq, majority_wrong_prob
 from flipsim.params import _ceil_log2
 from flipsim.protocols import (
@@ -157,19 +157,36 @@ def test_count_path_matches_permutation_path(monkeypatch):
     # kernel, installed here in the engine through an adapter.  Scaled-down
     # constants give a 44-round schedule with a growth phase (T=1) at n=64,
     # so a few thousand runs are cheap; mean per-phase y and z and the first
-    # stage-2 start fraction must agree within 4 sigma.
+    # stage-2 start fraction must agree within 4 sigma.  Every round the
+    # engine simulates must reach the adapter: with the rounds of the phases
+    # drawn by the unanimous-phase shortcut, they make up the whole run.
     runs = 1500
     constants = ProtocolConstants(c_s=1 / 16, c_beta=1 / 8, c_f=3 / 16, c_final_stage2=1 / 16,
                                   r_scale=1 / 16)
     config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=constants)
     assert derive_schedule(64, config.channel, constants).t_phases == 1
+    seen = [0, 0]     # rounds through the adapter, rounds drawn by the shortcut
+
+    def adapter(carriers, others, rounds, *args):
+        seen[0] += rounds
+        return permutation_counts(carriers, others, rounds, *args)
+
+    def shortcut(n, m, *args):
+        drawn = unanimous_phase(n, m, *args)
+        seen[1] += m if drawn is not None else 0
+        return drawn
+
     samples = []
     for reference in (False, True):
         if reference:
-            monkeypatch.setattr("flipsim.protocols.deliver_round_counts", permutation_counts)
+            monkeypatch.setattr("flipsim.protocols.deliver_span_counts", adapter)
+            monkeypatch.setattr("flipsim.protocols.unanimous_phase", shortcut)
         rows = []
         for seed in range(runs):
+            seen[:] = [0, 0]
             out = run_broadcast(config, rng=derive_rng(seed, "paths", reference))
+            if reference:
+                assert seen[0] > 0 and sum(seen) == out.rounds_used, (seen, out.rounds_used)
             row = [v for m in out.stage1.per_phase for v in (m.y, m.z)]
             rows.append(row + [out.stage2[0].start_correct_fraction])
         samples.append(np.array(rows, float))
@@ -329,8 +346,7 @@ def test_failure_set_matches_direct_occupancy(n, m):
     pi = _union_bound(n, m)
     assert 0.2 < pi < 0.6
     gen = derive_rng(17, "klm", n, m)
-    buffers = delivery_buffers(n)
-    klm = np.array([_failure_set(n, m, gen, buffers).size for _ in range(runs)])
+    klm = np.array([_failure_set(n, m, gen).size for _ in range(runs)])
     t = gen.integers(0, n - 1, size=(runs, m, n))
     t += t >= np.arange(n)
     heard = np.zeros((runs * m, n), bool)
@@ -352,9 +368,8 @@ def test_conditioned_round_exact_law(hit):
     # pattern by pattern within 4 sigma
     n, i, draws = 6, 2, 30_000
     gen = derive_rng(20, "round", hit)
-    buffers = delivery_buffers(n)
     weights = 1 << np.arange(n)
-    drawn = np.bincount([int(_occupancy_given(i, np.array([hit]), n, gen, buffers) @ weights)
+    drawn = np.bincount([int(_occupancy_given(i, np.array([hit]), n, gen) @ weights)
                          for _ in range(draws)], minlength=1 << n) / draws
     t = gen.integers(0, n - 1, size=(10 * draws, n))
     t += t >= np.arange(n)
@@ -371,23 +386,23 @@ def test_conditioned_round_exact_law(hit):
 def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
     # n=4096, eps=0.4: pi = 0.20 for the 202-round phases but 1.46 for the
     # final 150-round one, which must run its rounds.  From a unanimous
-    # start the kernel runs exactly those 150 rounds.
+    # start the kernel delivers exactly those 150 rounds.
     config = cfg(4096, 0.4)
     schedule = derive_schedule(config.n, config.channel)
     *boosts, final = schedule.stage2_phase_lengths
     assert final == 150 and all(_union_bound(config.n, m) < 1 for m in boosts)
     assert _union_bound(config.n, final) > 1.4
     gen = derive_rng(18, "fallback")
-    assert unanimous_phase(config.n, final, config.channel, gen, delivery_buffers(config.n)) is None
-    calls = []
+    assert unanimous_phase(config.n, final, config.channel, gen) is None
+    rounds = []
 
-    def counting(*args):
-        calls.append(1)
-        return deliver_round_counts(*args)
+    def counting(carriers, others, span, *args):
+        rounds.append(span)
+        return deliver_span_counts(carriers, others, span, *args)
 
-    monkeypatch.setattr("flipsim.protocols.deliver_round_counts", counting)
+    monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
     records = run_stage2(_unanimous_world(config), config, schedule, gen)
-    assert len(calls) == final
+    assert sum(rounds) == final
     assert [r.start_correct_fraction for r in records] == [1.0] * len(records)
 
 
