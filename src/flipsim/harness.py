@@ -15,15 +15,16 @@ import json
 import math
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .model import ConfigurationError, NoiseChannel, derive_rng
-from .params import ProtocolConstants, SimConfig, _ceil_log2
+from .params import ProtocolConstants, SimConfig, _ceil_log2, min_initial_set_size
 from .protocols import (
     ClockConfiguration,
+    Outcome,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
@@ -122,10 +123,7 @@ class ExperimentSpec:
             else:
                 for n in ns:
                     for eps in epss:
-                        try:
-                            minimum = math.ceil(self.constants.c_entry * math.log2(n) / (eps * eps))
-                        except (ZeroDivisionError, OverflowError):    # eps * eps underflows
-                            minimum = math.inf
+                        minimum = min_initial_set_size(n, eps, self.constants.c_entry)
                         if size < minimum:
                             out.append(
                                 f"initialSetSize: {size} below the "
@@ -230,18 +228,6 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class RunStats:
-    success: bool
-    relaxed: bool
-    correct_fraction: float
-    rounds: int
-    messages: int
-    all_activated: bool | None
-    depth_table: tuple | None
-    first_threshold_round: int | None
-
-
-@dataclass(frozen=True)
 class CellReport:
     n: int
     epsilon: float
@@ -300,7 +286,7 @@ def _consensus_initial(n, size, bias, correct, gen) -> np.ndarray:
     return initial
 
 
-def _execute_run(task) -> RunStats:
+def _execute_run(task) -> Outcome:
     spec, cell_index, run_index, n, eps = task
     channel = NoiseChannel.from_epsilon(eps)
     config = SimConfig(n=n, channel=channel, master_seed=spec.master_seed, constants=spec.constants)
@@ -320,26 +306,15 @@ def _execute_run(task) -> RunStats:
     elif spec.protocol == "baseline-forward":
         max_rounds = spec.max_rounds if spec.max_rounds is not None else 8 * log2n + 64
         out = run_baseline_forward(config, max_rounds=max_rounds, rng=gen)
-    elif spec.protocol == "baseline-silent":
+    else:   # baseline-silent; run_experiment has validated the protocol
         max_rounds = spec.max_rounds if spec.max_rounds is not None else int(10 * math.sqrt(n)) + 10
         out = run_baseline_silent_wait(config, threshold=spec.threshold, max_rounds=max_rounds, rng=gen)
-    else:
-        raise SpecValidationError([f"protocol: {spec.protocol!r} unknown"])
-    return RunStats(
-        success=out.correct_fraction == 1.0,
-        relaxed=out.correct_fraction >= RELAXED_SUCCESS,
-        correct_fraction=out.correct_fraction,
-        rounds=out.rounds_used,
-        messages=out.messages_sent,
-        all_activated=None if out.stage1 is None else out.stage1.all_activated,
-        depth_table=out.depth_table,
-        first_threshold_round=out.first_threshold_round,
-    )
+    return replace(out, final_opinions=None)    # the pool moves no per-agent arrays
 
 
-def _aggregate_cell(spec, n, eps, stats) -> CellReport:
-    runs = len(stats)
-    successes = sum(s.success for s in stats)
+def _aggregate_cell(spec, n, eps, outs) -> CellReport:
+    runs = len(outs)
+    successes = sum(o.correct_fraction == 1.0 for o in outs)
     bias_zero_consensus = spec.protocol == "consensus" and spec.initial_bias == 0.0
     if bias_zero_consensus:
         success_rate = wilson_lo = wilson_hi = None
@@ -348,18 +323,18 @@ def _aggregate_cell(spec, n, eps, stats) -> CellReport:
         success_rate = successes / runs
         wilson_lo, wilson_hi = wilson_interval(successes, runs)
         symmetric = None
-    activated = [s.all_activated for s in stats if s.all_activated is not None]
+    activated = [o.stage1.all_activated for o in outs if o.stage1 is not None]
     depth_table = None
     if spec.protocol == "baseline-forward":
         pooled: dict = {}
-        for s in stats:
-            for d in s.depth_table or ():
+        for o in outs:
+            for d in o.depth_table or ():
                 agents, correct = pooled.get(d.depth, (0, 0))
                 pooled[d.depth] = (agents + d.agents, correct + d.correct)
         depth_table = tuple((d, a, c) for d, (a, c) in sorted(pooled.items()))
     median_first = None
     if spec.protocol == "baseline-silent":
-        rounds = [s.first_threshold_round for s in stats if s.first_threshold_round is not None]
+        rounds = [o.first_threshold_round for o in outs if o.first_threshold_round is not None]
         if rounds:
             median_first = float(np.median(rounds))
     return CellReport(
@@ -369,10 +344,10 @@ def _aggregate_cell(spec, n, eps, stats) -> CellReport:
         success_rate=success_rate,
         wilson_lo=wilson_lo,
         wilson_hi=wilson_hi,
-        relaxed_success_rate=sum(s.relaxed for s in stats) / runs,
-        mean_rounds=float(np.mean([s.rounds for s in stats])),
-        mean_messages=float(np.mean([s.messages for s in stats])),
-        mean_final_correct=float(np.mean([s.correct_fraction for s in stats])),
+        relaxed_success_rate=sum(o.correct_fraction >= RELAXED_SUCCESS for o in outs) / runs,
+        mean_rounds=float(np.mean([o.rounds_used for o in outs])),
+        mean_messages=float(np.mean([o.messages_sent for o in outs])),
+        mean_final_correct=float(np.mean([o.correct_fraction for o in outs])),
         all_activated_rate=(sum(activated) / len(activated)) if activated else None,
         symmetric_outcome_rate=symmetric,
         depth_table=depth_table,
@@ -437,8 +412,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     flat = pool_map(_execute_run, tasks)
     per_cell = []
     for ci, (n, e) in enumerate(cells):
-        stats = flat[ci * spec.runs_per_cell:(ci + 1) * spec.runs_per_cell]
-        per_cell.append(_aggregate_cell(spec, n, e, stats))
+        outs = flat[ci * spec.runs_per_cell:(ci + 1) * spec.runs_per_cell]
+        per_cell.append(_aggregate_cell(spec, n, e, outs))
     return ExperimentReport(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
@@ -532,13 +507,6 @@ def report_to_csv(report: ExperimentReport, path) -> None:
                 ])
     except OSError as e:
         raise ReportError(f"cannot write CSV to {path}: {e}") from e
-
-
-def save_spec(spec: ExperimentSpec, path) -> None:
-    spec.validate()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_spec(path) -> ExperimentSpec:

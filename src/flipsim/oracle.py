@@ -40,11 +40,12 @@ def sample_correct_prob(delta: float, epsilon: float) -> float:
     return 0.5 + 2.0 * epsilon * delta
 
 
-def _binom_weights(n: int, q: float) -> np.ndarray:
-    """Unnormalized pmf of Binomial(n, q), 0 < q < 1, scaled to 1 at the mode.
+def _binom_sums(n: int, q: float, k: int):
+    """Normalized pmf sums (below k, at-or-above k) for Binomial(n, q), 0 < q < 1.
 
-    The pmf is built by a product recurrence from the mode, which sidesteps
-    log-gamma cancellation entirely; accuracy is ~1e-13 relative.
+    The pmf, scaled to 1 at the mode, is built by a product recurrence from
+    the mode, which sidesteps log-gamma cancellation entirely; accuracy is
+    ~1e-13 relative.
     """
     mode = min(max(int((n + 1) * q), 0), n)
     j = np.arange(n, dtype=np.float64)
@@ -55,83 +56,56 @@ def _binom_weights(n: int, q: float) -> np.ndarray:
         u[mode + 1:] = np.cumprod(ratio[mode:])
     if mode > 0:
         u[mode - 1::-1] = np.cumprod(1.0 / ratio[mode - 1::-1])
-    return u
-
-
-def _binom_sums(n: int, q: float, k: int):
-    """Normalized pmf sums (below k, at-or-above k) for Binomial(n, q)."""
-    u = _binom_weights(n, q)
     below = float(u[:k].sum())
     above = float(u[k:].sum())
     total = below + above
     return below / total, above / total
 
 
+def _binomial_tails(n: int, k: int, p: float):
+    """(P(Binomial(n, p) < k), P(Binomial(n, p) >= k)), each computed as its
+    own tail so that tiny probabilities keep full relative precision: direct
+    summation up to ``DIRECT_SUM_LIMIT`` trials, incomplete beta beyond."""
+    if k <= 0:
+        return 0.0, 1.0
+    if k > n or p == 0.0:
+        return 1.0, 0.0
+    if p == 1.0:
+        return 0.0, 1.0
+    if n <= DIRECT_SUM_LIMIT:
+        return _binom_sums(n, p, k)
+    return float(betainc(n - k + 1, k, 1.0 - p)), float(betainc(k, n - k + 1, p))
+
+
 def binomial_tail_geq(n: int, k: int, p: float) -> float:
-    """P(Binomial(n, p) >= k), dual-route: direct summation up to
-    ``DIRECT_SUM_LIMIT`` trials, incomplete beta beyond."""
+    """P(Binomial(n, p) >= k)."""
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
     _check_unit("p", p, 0.0, 1.0)
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    if n <= DIRECT_SUM_LIMIT:
-        return _binom_sums(n, p, k)[1]
-    return float(betainc(k, n - k + 1, p))
+    return _binomial_tails(n, k, p)[1]
+
+
+def _majority_tails(gamma: int, q: float):
+    """(wrong, correct) probabilities of the majority of ``gamma`` independent
+    samples, each correct with probability q.  ``gamma`` must be odd."""
+    if gamma < 1 or gamma % 2 == 0:
+        raise ConfigurationError(f"gamma must be odd and positive, got {gamma}")
+    _check_unit("q", q, 0.0, 1.0)
+    if q == 0.5:
+        return 0.5, 0.5   # exact by symmetry of an odd-sample majority
+    return _binomial_tails(gamma, (gamma + 1) // 2, q)
 
 
 def majority_correct_prob(gamma: int, q: float) -> float:
     """Probability that the majority of ``gamma`` independent samples, each
     correct with probability q, is correct.  ``gamma`` must be odd."""
-    if gamma < 1 or gamma % 2 == 0:
-        raise ConfigurationError(f"gamma must be odd and positive, got {gamma}")
-    _check_unit("q", q, 0.0, 1.0)
-    if q == 0.5:
-        return 0.5   # exact by symmetry of an odd-sample majority
-    return binomial_tail_geq(gamma, (gamma + 1) // 2, q)
+    return _majority_tails(gamma, q)[1]
 
 
 def majority_wrong_prob(gamma: int, q: float) -> float:
     """Complement of :func:`majority_correct_prob`, computed as its own tail
     so that tiny failure probabilities keep full relative precision."""
-    if gamma < 1 or gamma % 2 == 0:
-        raise ConfigurationError(f"gamma must be odd and positive, got {gamma}")
-    _check_unit("q", q, 0.0, 1.0)
-    if q == 0.5:
-        return 0.5
-    if q == 1.0:
-        return 0.0
-    if q == 0.0:
-        return 1.0
-    j0 = (gamma + 1) // 2
-    if gamma <= DIRECT_SUM_LIMIT:
-        return _binom_sums(gamma, q, j0)[0]
-    return float(betainc(gamma - j0 + 1, j0, 1.0 - q))
-
-
-def majority_correct_prob_direct(gamma: int, q: float) -> float:
-    """Direct-summation route, unconditionally (cross-validation hook)."""
-    if gamma % 2 == 0:
-        raise ConfigurationError("gamma must be odd")
-    if q == 0.5:
-        return 0.5
-    if q in (0.0, 1.0):
-        return q
-    return _binom_sums(gamma, q, (gamma + 1) // 2)[1]
-
-
-def majority_correct_prob_beta(gamma: int, q: float) -> float:
-    """Incomplete-beta route, unconditionally (cross-validation hook)."""
-    if gamma % 2 == 0:
-        raise ConfigurationError("gamma must be odd")
-    j0 = (gamma + 1) // 2
-    return float(betainc(j0, gamma - j0 + 1, q))
+    return _majority_tails(gamma, q)[0]
 
 
 @dataclass(frozen=True)
@@ -170,43 +144,6 @@ def lemma_second_bound_check(epsilon: float, delta: float, r_scale: float = PAPE
     return LemmaCheck(probability, bound, probability >= bound, r, gamma, q)
 
 
-def two_step_correct_prob(b: float) -> float:
-    """Per-player correct probability after the fair-coin-then-corrective-flip
-    process: 1 - (1 - 2b)/2 = 1/2 + b."""
-    _check_unit("b", b, 0.0, 0.5)
-    return 0.5 + b
-
-
-def two_step_correct_count_pmf(gamma: int, b: float) -> np.ndarray:
-    """Exact law of the post-process correct-count: Binomial(gamma, 1/2+b).
-
-    Serves as the reference distribution when checking the simulated
-    two-step process for equivalence with direct biased sampling.
-    """
-    _check_unit("b", b, 0.0, 0.5)
-    q = 0.5 + b
-    if q >= 1.0:
-        pmf = np.zeros(gamma + 1)
-        pmf[gamma] = 1.0
-        return pmf
-    u = _binom_weights(gamma, q)
-    return u / u.sum()
-
-
-def simulate_two_step_counts(gamma: int, b: float, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample the two-step process ``trials`` times; returns correct-counts.
-
-    Step one gives each of the gamma players a fair-coin opinion; step two
-    flips each wrong player to correct independently with probability 2b.
-    The player coins are exchangeable, so the wrong-count after step one and
-    the flip-count after step two are the sufficient statistics sampled here.
-    """
-    _check_unit("b", b, 0.0, 0.5)
-    wrong = rng.binomial(gamma, 0.5, size=trials)
-    flips = rng.binomial(wrong, 2.0 * b)
-    return gamma - wrong + flips
-
-
 def _stirling_log_p(r_flat: np.ndarray, i_flat: np.ndarray) -> np.ndarray:
     """log of P(r+i) = 2^-(2r+1) C(2r+1, r+i), elementwise."""
     two_r1 = 2.0 * r_flat + 1.0
@@ -218,20 +155,10 @@ def _stirling_log_p(r_flat: np.ndarray, i_flat: np.ndarray) -> np.ndarray:
     )
 
 
-def stirling_claim_check(r: int) -> bool:
-    """True when P(r+i) > 1/(10*sqrt(r)) for every 1 <= i <= floor(sqrt(r)),
-    which implies the summed central-deviation bound."""
-    if r < 1:
-        raise ConfigurationError(f"r must be >= 1, got {r}")
-    w = math.isqrt(r)
-    i = np.arange(1, w + 1, dtype=np.float64)
-    logp = _stirling_log_p(np.full(w, float(r)), i)
-    return bool((logp > -math.log(10.0 * math.sqrt(r))).all())
-
-
 def stirling_claim_grid(r_max: int) -> np.ndarray:
-    """Vectorized :func:`stirling_claim_check` over r = 1..r_max; returns a
-    boolean array (index 0 <-> r=1)."""
+    """For each r = 1..r_max, whether P(r+i) > 1/(10*sqrt(r)) for every
+    1 <= i <= floor(sqrt(r)), which implies the summed central-deviation
+    bound; returns a boolean array (index 0 <-> r=1)."""
     if r_max < 1:
         raise ConfigurationError(f"r_max must be >= 1, got {r_max}")
     rs = np.arange(1, r_max + 1, dtype=np.int64)
@@ -246,34 +173,6 @@ def stirling_claim_grid(r_max: int) -> np.ndarray:
     ok_flat = logp > -np.log(10.0 * np.sqrt(r_flat))
     # segments are nonempty for every r >= 1 since floor(sqrt(r)) >= 1
     return np.logical_and.reduceat(ok_flat, starts)
-
-
-@dataclass(frozen=True)
-class FlipCountCheck:
-    case1_probability: float | None
-    case1_holds: bool | None
-    case2_probability: float | None
-    case2_holds: bool | None
-
-
-def flip_count_bound_check(r: int, b: float) -> FlipCountCheck:
-    """Corrective-flip bounds for the two-step process.
-
-    With rb <= 2: the exact probability that precisely one of r+1 wrong
-    players flips, (r+1) * 2b * (1-2b)^r, is compared against r*b/e^4.
-    With rb > 2: the probability of at least ceil(rb) flips among
-    r + ceil(rb) wrong players is compared against 1/3.
-    """
-    if r < 1:
-        raise ConfigurationError(f"r must be >= 1, got {r}")
-    _check_unit("b", b, 0.0, 0.5)
-    rb = r * b
-    if rb <= 2.0:
-        value = (r + 1) * 2.0 * b * (1.0 - 2.0 * b) ** r
-        return FlipCountCheck(value, value >= rb / math.e ** 4, None, None)
-    x = math.ceil(rb)
-    prob = binomial_tail_geq(r + x, x, 2.0 * b)
-    return FlipCountCheck(None, None, prob, prob >= 1.0 / 3.0)
 
 
 def boost_map(delta: float, epsilon: float, gamma: int, success_rate: float) -> float:

@@ -185,6 +185,15 @@ def derive_schedule(n: int, channel: NoiseChannel, constants: ProtocolConstants 
     )
 
 
+def min_initial_set_size(n: int, epsilon: float, c_entry: float) -> int | float:
+    """Smallest admissible consensus initial set, ceil(c_entry * log2(n) / eps^2);
+    ``math.inf`` when eps^2 underflows."""
+    try:
+        return math.ceil(c_entry * math.log2(n) / (epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
 def majority_entry_phase(
     a_size: int,
     n: int,
@@ -199,12 +208,11 @@ def majority_entry_phase(
     if constants is None:
         constants = ProtocolConstants()
     eps = channel.epsilon_bias
-    log2n = math.log2(n)
-    min_size = math.ceil(constants.c_entry * log2n / (eps * eps))
+    min_size = min_initial_set_size(n, eps, constants.c_entry)
     if a_size < min_size:
         raise InitialSetTooSmallError(
             f"initial set of {a_size} agents is below the admissible minimum {min_size}"
         )
     schedule = derive_schedule(n, channel, constants)
-    i_a = math.floor(math.log2(a_size / log2n) / (2.0 * math.log2(1.0 / eps)))
+    i_a = math.floor(math.log2(a_size / math.log2(n)) / (2.0 * math.log2(1.0 / eps)))
     return min(max(i_a, 0), schedule.t_phases + 1)

@@ -569,8 +569,9 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     after one more D-gap and runs contiguously.  Without ``clocks``, an
     activation preamble runs first: every informed agent broadcasts a junk
     bit for 2*ceil(log2 n) rounds and resets its clock to zero exactly
-    4*ceil(log2 n) rounds after its first received message, which bounds all
-    clock differences by D = 2*ceil(log2 n).
+    4*ceil(log2 n) rounds after its first received message.  That keeps all
+    clock differences within D = 2*ceil(log2 n) only with high probability;
+    ROADMAP item 3 gives the law of the realized ``DesyncInfo.offset_spread``.
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n

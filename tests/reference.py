@@ -5,14 +5,27 @@ picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
 end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
 (and the recorder also in place of ``flipsim.protocols.unanimous_phase``).
+
+The lemma references state the paper's side claims that the package does not
+ship: the two-step process (fair coin, then corrective flip) with its exact
+correct-count law and a sampler (:func:`two_step_correct_prob`,
+:func:`two_step_correct_count_pmf`, :func:`simulate_two_step_counts`), the
+corrective-flip bounds (:func:`flip_count_bound_check`), and the exact scalar
+Stirling claim (:func:`stirling_claim_check`) that
+``flipsim.oracle.stirling_claim_grid`` vectorizes.  :func:`save_spec` writes
+the spec files that ``flipsim.harness.load_spec`` reads.
 """
 
 import hashlib
+import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from flipsim import ConfigurationError, NoiseChannel
 from flipsim.model import deliver_round_arrays, deliver_span_counts
+from flipsim.oracle import binomial_tail_geq
 from flipsim.protocols import unanimous_phase
 
 
@@ -77,6 +90,72 @@ def majority_update(samples, subset_size: int, rng: np.random.Generator) -> int:
     idx = rng.choice(len(samples), size=subset_size, replace=False)
     ones = int(samples[idx].sum())
     return 1 if 2 * ones > subset_size else 0
+
+
+def two_step_correct_prob(b: float) -> float:
+    """Per-player correct probability after the fair-coin-then-corrective-flip
+    process: 1 - (1 - 2b)/2 = 1/2 + b."""
+    return 0.5 + b
+
+
+def two_step_correct_count_pmf(gamma: int, b: float) -> np.ndarray:
+    """Exact law of the post-process correct-count: Binomial(gamma, 1/2+b)."""
+    q = 0.5 + b
+    return np.array([math.comb(gamma, j) * q ** j * (1.0 - q) ** (gamma - j) for j in range(gamma + 1)])
+
+
+def simulate_two_step_counts(gamma: int, b: float, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample the two-step process ``trials`` times; returns correct-counts.
+
+    Step one gives each of the gamma players a fair-coin opinion; step two
+    flips each wrong player to correct independently with probability 2b.
+    The player coins are exchangeable, so the wrong-count after step one and
+    the flip-count after step two are the sufficient statistics sampled here.
+    """
+    wrong = rng.binomial(gamma, 0.5, size=trials)
+    flips = rng.binomial(wrong, 2.0 * b)
+    return gamma - wrong + flips
+
+
+@dataclass(frozen=True)
+class FlipCountCheck:
+    case1_probability: float | None
+    case1_holds: bool | None
+    case2_probability: float | None
+    case2_holds: bool | None
+
+
+def flip_count_bound_check(r: int, b: float) -> FlipCountCheck:
+    """Corrective-flip bounds for the two-step process.
+
+    With rb <= 2: the exact probability that precisely one of r+1 wrong
+    players flips, (r+1) * 2b * (1-2b)^r, is compared against r*b/e^4.
+    With rb > 2: the probability of at least ceil(rb) flips among
+    r + ceil(rb) wrong players is compared against 1/3.
+    """
+    rb = r * b
+    if rb <= 2.0:
+        value = (r + 1) * 2.0 * b * (1.0 - 2.0 * b) ** r
+        return FlipCountCheck(value, value >= rb / math.e ** 4, None, None)
+    x = math.ceil(rb)
+    prob = binomial_tail_geq(r + x, x, 2.0 * b)
+    return FlipCountCheck(None, None, prob, prob >= 1.0 / 3.0)
+
+
+def stirling_claim_check(r: int) -> bool:
+    """Whether P(r+i) = C(2r+1, r+i) / 2^(2r+1) > 1/(10*sqrt(r)) for every
+    1 <= i <= floor(sqrt(r)), decided exactly in integers as
+    100 r C(2r+1, r+i)^2 > 4^(2r+1)."""
+    return all(100 * r * math.comb(2 * r + 1, r + i) ** 2 > 4 ** (2 * r + 1)
+               for i in range(1, math.isqrt(r) + 1))
+
+
+def save_spec(spec, path) -> None:
+    """Write a validated :class:`~flipsim.harness.ExperimentSpec` as JSON."""
+    spec.validate()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def replay_targets(senders, n, rng, rounds=None):

@@ -21,9 +21,9 @@ from flipsim.harness import (
     report_to_dict,
     run_experiment,
     save_report,
-    save_spec,
     wilson_interval,
 )
+from reference import save_spec
 
 
 def small_spec(**overrides):

@@ -4,26 +4,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flipsim import ConfigurationError
+from flipsim import ConfigurationError, oracle
 from flipsim.oracle import (
     binomial_tail_geq,
     boost_map,
     direct_sample_requirement,
-    flip_count_bound_check,
     lemma_second_bound_check,
     majority_correct_prob,
-    majority_correct_prob_beta,
-    majority_correct_prob_direct,
     majority_wrong_prob,
     sample_correct_prob,
-    simulate_two_step_counts,
-    stirling_claim_check,
     stirling_claim_grid,
-    two_step_correct_count_pmf,
-    two_step_correct_prob,
 )
 from flipsim.oracle import _stirling_log_p
 from flipsim.model import derive_rng
+from reference import (
+    flip_count_bound_check,
+    simulate_two_step_counts,
+    stirling_claim_check,
+    two_step_correct_count_pmf,
+    two_step_correct_prob,
+)
 
 
 def brute_force_majority(gamma, q):
@@ -74,15 +74,28 @@ def test_majority_matches_brute_force(q):
         assert abs(majority_correct_prob(gamma, q) - expected) < 1e-12
 
 
-def test_cross_method_agreement():
+def test_cross_method_agreement(monkeypatch):
     # incomplete-beta vs direct summation to 1e-10 relative, gamma <= 1e6
+    def both_routes(tail, gamma, q):
+        monkeypatch.setattr(oracle, "DIRECT_SUM_LIMIT", 0)
+        beta = tail(gamma, q)
+        monkeypatch.setattr(oracle, "DIRECT_SUM_LIMIT", 10 ** 6)
+        return beta, tail(gamma, q)
+
     gen = derive_rng(2024, "oracle-grid")
     for _ in range(25):
         gamma = int(gen.integers(3, 10 ** 6)) | 1
         q = 0.5 + 0.4999 * float(gen.random())
-        a = majority_correct_prob_beta(gamma, q)
-        d = majority_correct_prob_direct(gamma, q)
+        a, d = both_routes(majority_correct_prob, gamma, q)
         assert abs(a - d) <= 1e-10 * d
+    # the wrong tail, at q within 2/sqrt(gamma) of 1/2 so that it does not
+    # underflow to 0 on both routes
+    gen = derive_rng(2024, "oracle-grid", "wrong-tail")
+    for _ in range(25):
+        gamma = int(gen.integers(3, 10 ** 6)) | 1
+        q = 0.5 + min(2.0 / math.sqrt(gamma), 0.4999) * float(gen.random())
+        a, d = both_routes(majority_wrong_prob, gamma, q)
+        assert d > 0.0 and abs(a - d) <= 1e-10 * d
 
 
 def test_majority_monotone_in_q_and_gamma():
