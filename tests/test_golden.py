@@ -2,7 +2,8 @@
 
 Each digest hashes the final opinions, rounds and messages, the stage-1
 X/Y/Z per phase, the stage-2 records, the desync info, the depth table and
-the first-threshold round of every run in the grid.  A change that moves any
+the first-threshold round of every run in the grid; the preamble's
+overlap entry runs its own two seeds.  A change that moves any
 RNG stream or any simulated outcome changes a digest; such a change must
 update the digest here and say so in CHANGES.md.
 """
@@ -27,6 +28,9 @@ from flipsim import (
 from flipsim.params import InitialSetTooSmallError, _ceil_log2
 
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
+# preamble runs whose realized clock spread exceeds D (17 and 18 against
+# D = 16), so that window traffic of neighbouring phases overlaps
+GRIDS = {"desync-preamble-overlap": [(256, 0.25, 20), (256, 0.25, 150)]}
 
 
 def _consensus(config):
@@ -48,11 +52,18 @@ def _desync_clocks(config):
     return run_desynchronized(config, clocks=ClockConfiguration(offsets, d))
 
 
+def _desync_overlap(config):
+    out = run_desynchronized(config)
+    assert out.desync.offset_spread > out.desync.d_bound     # the regime this entry pins
+    return out
+
+
 ENGINES = {
     "broadcast": run_broadcast,
     "consensus": _consensus,
     "desync-clocks": _desync_clocks,
     "desync-preamble": run_desynchronized,
+    "desync-preamble-overlap": _desync_overlap,
     "baseline-forward": lambda config: run_baseline_forward(
         config, max_rounds=8 * _ceil_log2(config.n) + 64),
     "baseline-silent": lambda config: run_baseline_silent_wait(
@@ -64,6 +75,7 @@ GOLDEN = {
     "consensus": "177e98a51a8c0066",
     "desync-clocks": "c3741f92c9143811",
     "desync-preamble": "6d404b8d322cf766",
+    "desync-preamble-overlap": "7bd5606b93e61e83",
     "baseline-forward": "d0dc5c27eca2d018",
     "baseline-silent": "71ed5148a0b3dc8c",
 }
@@ -91,7 +103,7 @@ def _fields(out):
 
 def fingerprint(engine) -> str:
     h = hashlib.sha256()
-    for n, eps, seed in GRID:
+    for n, eps, seed in GRIDS.get(engine, GRID):
         config = SimConfig(n=n, channel=NoiseChannel.from_epsilon(eps), master_seed=seed)
         out = ENGINES[engine](config)
         if out is not None:
