@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .model import ConfigurationError, NoiseChannel, derive_rng
-from .params import ProtocolConstants, SimConfig, _ceil_log2, min_initial_set_size
+from .params import ProtocolConstants, SimConfig, _ceil_log2, clock_bound, min_initial_set_size
 from .protocols import (
     ClockConfiguration,
     Outcome,
@@ -300,7 +300,7 @@ def _execute_run(task) -> Outcome:
                                      config.correct_opinion, init_gen)
         out = run_majority_consensus(config, initial, rng=gen)
     elif spec.protocol == "desync":
-        d = 2 * log2n
+        d = clock_bound(n)
         clocks = ClockConfiguration(init_gen.integers(0, d, size=n), d)
         out = run_desynchronized(config, clocks=clocks, rng=gen)
     elif spec.protocol == "baseline-forward":

@@ -48,8 +48,8 @@ class NoiseChannel:
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "NoiseChannel":
-        if not (0.0 < epsilon <= 0.5):
-            raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+        if not (0.0 < epsilon <= 0.5 and 0.5 - epsilon < 0.5):    # below 2^-55 it rounds to 1/2
+            raise ConfigurationError(f"epsilon must lie in (2^-55, 1/2], got {epsilon}")
         return cls(flip_probability=0.5 - epsilon)
 
 

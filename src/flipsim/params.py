@@ -120,6 +120,11 @@ def _ceil_log2(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
+def clock_bound(n: int) -> int:
+    """D = 2 ceil(log2 n): the clock-free variant's window gap and clock-spread bound."""
+    return 2 * _ceil_log2(n)
+
+
 def derive_schedule(n: int, channel: NoiseChannel, constants: ProtocolConstants | None = None) -> ScheduleParams:
     """Derive the complete two-stage schedule.
 

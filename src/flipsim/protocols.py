@@ -19,10 +19,10 @@ equivalences keep the hot path fast without changing any distribution:
 * the uniform accept among a round's arrivals is drawn from the arrival
   counts (:func:`~flipsim.model.deliver_span_counts`): an agent with ``a``
   arrivals, ``c`` of them correct, keeps a correct bit with probability
-  ``(c (1 - p) + (a - c) p) / a``, and no arrival order is drawn.  Between
-  two rebuild rounds the senders, payloads and listeners are fixed, so the
-  rounds of such a span are independent and one kernel call delivers them
-  all;
+  ``(c (1 - p) + (a - c) p) / a``, and no arrival order is drawn.  While
+  no clock group's window opens or closes the senders, payloads and
+  listeners are fixed, so the rounds of such a span are independent and
+  one kernel call delivers them all;
 * an agent's uniform choice among the messages of its activation phase is
   drawn at the phase close from its counters: correct with probability
   ``correct / accepted``;
@@ -51,7 +51,6 @@ simulated round passes, and ``flipsim.protocols.unanimous_phase``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,7 +65,7 @@ from .model import (
     derive_rng,
 )
 from .oracle import binomial_tail_geq, majority_wrong_prob
-from .params import ScheduleParams, SimConfig, _ceil_log2, derive_schedule, majority_entry_phase
+from .params import ScheduleParams, SimConfig, _ceil_log2, clock_bound, derive_schedule, majority_entry_phase
 
 _NEVER = np.int32(2 ** 31 - 1)   # send_from sentinel: dormant, never sends
 _UNSET = np.int64(2 ** 62)       # shift of an agent the preamble has not reached
@@ -305,18 +304,32 @@ def _local_windows(schedule: ScheduleParams, d: int):
     """Local-clock window layout: stage-1 phase i shifted to start at
     r_i + i*d, one further d-gap isolating stage 2, stage-2 phases
     contiguous.  Window codes: 0..T+1 stage 1, T+1+j for stage-2 phase j,
-    -1 between windows.  Returns the code of every local round.
+    -1 between windows and outside them.
+
+    Returns ``(edges, codes)``: the ascending local rounds at which the code
+    changes, and the code of each segment they cut, so local round u has
+    code ``codes[searchsorted(edges, u, "right")]``.  A window longer than
+    2^31 - 1 rounds is rejected: the engine counts its accepts in int32.
     """
-    t = schedule.t_phases
-    st2 = schedule.stage1_rounds + (t + 2) * d
-    wcode = np.full(st2 + schedule.stage2_rounds, -1, np.int32)
-    for i, (start, length) in enumerate(schedule.phase_bounds_stage1):
-        wcode[start + i * d:start + i * d + length] = i
-    off = st2
-    for j, m in enumerate(schedule.stage2_phase_lengths, start=1):
-        wcode[off:off + m] = t + 1 + j
+    windows = [(start + i * d, length) for i, (start, length) in enumerate(schedule.phase_bounds_stage1)]
+    off = schedule.stage1_rounds + (schedule.t_phases + 2) * d
+    for m in schedule.stage2_phase_lengths:
+        windows.append((off, m))
         off += m
-    return wcode
+    longest = max(length for _, length in windows)
+    if longest > 2 ** 31 - 1:
+        raise ConfigurationError(f"epsilon={schedule.epsilon:g} gives a window of {longest} rounds, "
+                                 "over the 2^31 - 1 that the int32 counters can count")
+    edges, codes = [], [-1]
+    for code, (start, length) in enumerate(windows):
+        if edges and edges[-1] == start:     # no gap since the previous window
+            codes[-1] = code
+        else:
+            edges.append(start)
+            codes.append(code)
+        edges.append(start + length)
+        codes.append(-1)
+    return np.array(edges, np.int64), np.array(codes, np.int64)
 
 
 def _run_windows(world, config, schedule, gen, shift, d=0):
@@ -331,46 +344,31 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     2*ceil(log2 n) rounds and its clock reads 0 exactly 4*ceil(log2 n)
     rounds after its first received message.
 
-    Senders and listener masks change only at rounds where some group's
-    window opens or closes or a preamble send window starts or ends; they
-    are rebuilt there.  A span runs from one rebuild round to the next, and
-    every close falls on a span's last round.  One kernel call per span
-    counts each agent's accepts and correct accepts over the span's rounds,
-    and listeners add them to their counters in place, with work buffers
-    allocated once per run.  While the preamble is still informing agents a
-    span is one round, because an agent that hears starts sending in the
-    next round.  With one clock group and no
-    preamble, a stage-2 window that opens with every agent correct is drawn
-    whole by :func:`unanimous_phase`, and its rounds are skipped.  The run
-    ends when the last window of the latest group has closed.
+    Everything the loop needs comes from the group shifts and the window
+    edges of :func:`_local_windows`.  A span runs from round t to the
+    earliest next edge of any group, or the next end of a preamble send
+    window; within it the senders, payloads and listeners are fixed, so one
+    kernel call counts each agent's accepts and correct accepts over the
+    span's rounds, and listeners add them to their counters in place, with
+    work buffers allocated once per run.  The groups whose code changes at
+    a span's end close their windows there, in (code, shift) order.  While
+    the preamble is still informing agents a span is one round, because an
+    agent that hears starts sending in the next round.  With one clock
+    group and no preamble, a stage-2 window that opens with every agent
+    correct is drawn whole by :func:`unanimous_phase`, and its rounds are
+    skipped.  The run ends when the last window of the latest group has
+    closed.
     """
     n = world.n
     channel = config.channel
     correct = world.correct
     t1 = schedule.t_phases + 1                 # code of the last stage-1 window
     log2n = _ceil_log2(n)
-    wcode = _local_windows(schedule, d)
-    local_total = wcode.size
-    edges = np.flatnonzero(np.diff(wcode, prepend=-2, append=-2))   # local rounds where the code changes
-    closes = [(e, int(wcode[e - 1])) for e in edges.tolist() if e and wcode[e - 1] >= 0]
-    wpad = np.concatenate(([-1], wcode, [-1]))     # codes of local rounds -1 .. local_total
+    edges, codes = _local_windows(schedule, d)
+    local_total = int(edges[-1])
     cnt = np.zeros(n, np.int32)     # messages accepted in the current window
     corr = np.zeros(n, np.int32)    # ... of them carrying the correct opinion after the channel
     buffers = delivery_buffers(n)
-
-    groups = set()  # shift values of the clock groups
-    events = {}     # global round -> [(window code, shift value)] closing at its end
-    rebuild = {0}   # global rounds at which senders or listeners may change
-
-    def register(v):
-        if v in groups:
-            return
-        groups.add(v)
-        rebuild.update((v + edges).tolist())
-        for close_local, code in closes:
-            et = v + close_local - 1
-            if et >= 0:     # a window fully before t=0 saw no traffic; skipping == empty finalize
-                events.setdefault(et, []).append((code, v))
 
     preamble = shift is None
     pre_rounds = 2 * log2n
@@ -380,20 +378,10 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         send_start = np.full(n, _UNSET, np.int64)   # preamble broadcast window start
         shift[0] = 4 * log2n                        # source: informed at start, resets at 4*log2n
         send_start[0] = 0
-        rebuild.add(pre_rounds)
-        register(4 * log2n)
         uninformed = n - 1
-    else:
-        for v in np.unique(shift):
-            register(int(v))
-    horizon = max(groups) + local_total
-    # global round -> index of the stage-2 phase whose window opens there,
-    # when every agent shares one clock (see unanimous_phase)
-    stage2_opens = {}
-    if len(groups) == 1 and not preamble:
-        (v,) = groups
-        stage2_opens = {v + e: int(wcode[e]) - t1 - 1
-                        for e in edges.tolist() if e < local_total and wcode[e] > t1}
+    groups = np.unique(shift[shift != _UNSET])      # ascending shifts of the clock groups
+    gid = np.searchsorted(groups, shift)            # each agent's group; groups.size if uninformed
+    one_clock = groups.size == 1 and not preamble   # see unanimous_phase
 
     y_acc = [0] * (t1 + 1)
     z_acc = [0] * (t1 + 1)
@@ -406,7 +394,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     def round_setup(t):
         """Senders carrying the correct opinion, the other senders, and the
         listener mask of round t."""
-        code = wpad[np.clip(t - shift, -1, local_total) + 1]
+        code = np.append(gcode, -1)[gid]    # -1: an uninformed agent has no window
         in1 = (code >= 0) & (code <= t1)
         in2 = code > t1
         main = (in1 & (world.send_from <= code)) | (in2 & (world.opinion >= 0))
@@ -445,12 +433,15 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             corr[members] = 0
 
     messages = 0
-    bounds = None   # sorted rebuild rounds; the set is final once no agent is uninformed
     t = 0
-    while t < horizon:
-        j = stage2_opens.get(t)
-        if j is not None and (world.opinion == correct).all():
+    while t < groups[-1] + local_total:
+        seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
+        gcode = codes[seg]
+        if (one_clock and gcode[0] > t1 and edges[seg[0] - 1] == t - groups[0]
+                and (world.opinion == correct).all()):
+            # a stage-2 window opens now with every agent correct
             assert not (cnt.any() or corr.any())
+            j = int(gcode[0]) - t1 - 1
             m = lengths[j]
             drawn = unanimous_phase(n, m, channel, gen)
             if drawn is not None:
@@ -460,39 +451,42 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
                 succ_acc[j] = n - failed.size
                 end_frac[j] = world.correct_fraction()
                 messages += n * m
-                del events[t + m - 1]       # the window's close, drawn above
                 t += m
                 continue
-        if t in rebuild:
-            carriers, others, listening = round_setup(t)
-            sent = carriers.size + others.size
+        carriers, others, listening = round_setup(t)
+        sent = carriers.size + others.size
         if uninformed:
             end = t + 1     # an agent that hears now sends from the next round on
         else:
-            if bounds is None:
-                bounds = sorted(rebuild)
-            end = bounds[bisect_right(bounds, t)]
-        # every close is followed by a rebuild round, so closes end spans
-        assert not any(r in events for r in range(t, end - 1))
+            ahead = groups + edges[np.minimum(seg, edges.size - 1)]    # each group's next edge
+            if preamble:
+                # send windows end at pre_rounds (the source's) and at t' + 1 + pre_rounds
+                # for the group informed in round t' (shift t' + 2*pre_rounds; t' = 0 too)
+                ahead = np.concatenate((ahead, groups - pre_rounds + 1, [pre_rounds]))
+            end = int(ahead[ahead > t].min())
+        # every group's code is constant within a span
+        assert (np.searchsorted(edges, end - 1 - groups, "right") == seg).all()
+        fresh = None
         if sent:
             heard, match = deliver_span_counts(carriers, others, end - t, n, channel, gen, buffers)
             messages += sent * (end - t)
             if uninformed:
                 fresh = np.flatnonzero((heard > 0) & (shift == _UNSET))
-                if fresh.size:
-                    uninformed -= fresh.size
-                    send_start[fresh] = t + 1
-                    shift[fresh] = t + 4 * log2n
-                    rebuild.update((t + 1, t + 1 + pre_rounds))
-                    register(t + 4 * log2n)
-                    horizon = max(groups) + local_total
             # listeners count their accepted messages and the correct ones
             np.multiply(heard, listening, out=heard)
             np.multiply(match, listening, out=match)
             np.add(cnt, heard, out=cnt)
             np.add(corr, match, out=corr)
-        for code_v, v in sorted(events.pop(end - 1, ())):
+        shut = np.flatnonzero((gcode >= 0) & (np.searchsorted(edges, end - groups, "right") != seg))
+        for code_v, v in sorted(zip(gcode[shut].tolist(), groups[shut].tolist())):
             close(code_v, v)
+        if fresh is not None and fresh.size:
+            # the new group's windows all lie ahead, so it joins after the closes
+            uninformed -= fresh.size
+            send_start[fresh] = t + 1
+            shift[fresh] = t + 4 * log2n
+            groups = np.append(groups, t + 4 * log2n)
+            gid = np.searchsorted(groups, shift)
         t = end
 
     per_phase = []
@@ -504,7 +498,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     stage2 = tuple(Stage2PhaseRecord(j + 1, succ_acc[j], end_frac[j], start_frac[j]) for j in range(n_st2))
     info = DesyncInfo(
         d_bound=d,
-        offset_spread=max(groups) - min(groups),
+        offset_spread=int(groups[-1] - groups[0]),
         preamble_rounds=4 * log2n if preamble else 0,
         local_total=local_total,
         stalled=uninformed > 0,
@@ -578,7 +572,7 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     schedule = derive_schedule(n, config.channel, config.constants)
     world = make_broadcast_world(config)
     if clocks is None:
-        out, info = _run_windows(world, config, schedule, gen, None, d=2 * _ceil_log2(n))
+        out, info = _run_windows(world, config, schedule, gen, None, d=clock_bound(n))
     else:
         off = np.asarray(clocks.offsets, dtype=np.int64)
         if off.shape != (n,):

@@ -14,6 +14,11 @@ corrective-flip bounds (:func:`flip_count_bound_check`), and the exact scalar
 Stirling claim (:func:`stirling_claim_check`) that
 ``flipsim.oracle.stirling_claim_grid`` vectorizes.  :func:`save_spec` writes
 the spec files that ``flipsim.harness.load_spec`` reads.
+
+Two plain forms pin the clock-free variant: :func:`window_codes` writes out
+the window code of every local round, which the engine keeps only as window
+edges, and :func:`push_spread` samples the push rumor spreading whose
+completion time is the preamble's clock spread.
 """
 
 import hashlib
@@ -156,6 +161,49 @@ def save_spec(spec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def window_codes(schedule, d):
+    """The window code of every local round of the clock-free layout, built
+    straight from the schedule: stage-1 phase i in local rounds
+    [r_i + i d, r_i + i d + x_i), then one more d-gap and the stage-2 phases
+    back to back.  Codes 0..T+1 mark stage 1, T+1+j stage-2 phase j, and -1
+    a gap."""
+    t = schedule.t_phases
+    st2 = schedule.stage1_rounds + (t + 2) * d
+    code = np.full(st2 + schedule.stage2_rounds, -1, np.int64)
+    for i, (start, length) in enumerate(schedule.phase_bounds_stage1):
+        code[start + i * d:start + i * d + length] = i
+    off = st2
+    for j, m in enumerate(schedule.stage2_phase_lengths, start=1):
+        code[off:off + m] = t + 1 + j
+        off += m
+    return code
+
+
+def push_spread(n, rounds, rng):
+    """The round in which push rumor spreading informs its last agent.  The
+    source sends from round 0; an agent informed in round r sends from round
+    r + 1; each agent sends in ``rounds`` consecutive rounds, each time to a
+    uniform other agent.  If the senders run out first, the last round that
+    informed anyone."""
+    first = np.full(n, -1, np.int64)    # first sending round; -1 while uninformed
+    first[0] = 0
+    r = last = 0
+    informed = 1
+    while informed < n:
+        senders = np.flatnonzero((first >= 0) & (first <= r) & (r < first + rounds))
+        if senders.size == 0:
+            break
+        t = rng.integers(0, n - 1, senders.size)
+        t += t >= senders
+        fresh = np.unique(t[first[t] < 0])
+        if fresh.size:
+            first[fresh] = r + 1
+            informed += fresh.size
+            last = r
+        r += 1
+    return last
 
 
 def replay_targets(senders, n, rng, rounds=None):

@@ -28,6 +28,7 @@ from flipsim.oracle import (
     majority_correct_prob,
     stirling_claim_grid,
 )
+from flipsim.params import clock_bound
 from reference import run_recorded
 
 SEED = 61803
@@ -54,7 +55,7 @@ def _growth_run(seed: int):
 
 def _desync_run(seed: int):
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
-    d = 2 * math.ceil(math.log2(N_MAIN))
+    d = clock_bound(N_MAIN)
     offsets = derive_rng(SEED, "a-clocks", seed).integers(0, d, size=N_MAIN)
     return run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
                               rng=derive_rng(SEED, "a-desync", seed))
@@ -240,7 +241,7 @@ def test_a9_desynchronization(broadcast_batch, desync_batch):
     lo, hi = wilson_interval(sync_successes, BATCH)
     desync_rate = sum(out.correct_fraction == 1.0 for out in desync_batch) / BATCH
     schedule = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_MAIN))
-    d = 2 * math.ceil(math.log2(N_MAIN))
+    d = clock_bound(N_MAIN)
     bound = (schedule.t_phases + 2) * d + 6 * math.ceil(math.log2(N_MAIN))
     slack_ok = all(out.rounds_used - schedule.total_rounds <= bound for out in desync_batch)
     in_ci = lo <= desync_rate <= hi

@@ -64,6 +64,15 @@ def test_run_validation_error_exit_code(capsys):
     assert "initial" in capsys.readouterr().err
 
 
+def test_run_tiny_epsilon_exit_code(capsys):
+    # eps = 1e-9 asks for windows past the 2^31 - 1 rounds that the engine's
+    # int32 counters can count; the run is refused before it allocates anything
+    with pytest.warns(UserWarning, match="outside the analyzed regime"):
+        code = cli.main(["run", "--protocol", "broadcast", "--n", "64", "--eps", "1e-9", "--runs", "1"])
+    assert code == 2
+    assert "window" in capsys.readouterr().err
+
+
 def test_sweep_round_trip(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

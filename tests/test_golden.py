@@ -25,7 +25,7 @@ from flipsim import (
     run_desynchronized,
     run_majority_consensus,
 )
-from flipsim.params import InitialSetTooSmallError, _ceil_log2
+from flipsim.params import InitialSetTooSmallError, _ceil_log2, clock_bound
 
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
 # preamble runs whose realized clock spread exceeds D (17 and 18 against
@@ -47,7 +47,7 @@ def _consensus(config):
 
 
 def _desync_clocks(config):
-    d = 2 * _ceil_log2(config.n)
+    d = clock_bound(config.n)
     offsets = derive_rng(config.master_seed, "golden-clocks").integers(0, d, config.n)
     return run_desynchronized(config, clocks=ClockConfiguration(offsets, d))
 

@@ -34,6 +34,8 @@ def test_channel_validation():
         NoiseChannel.from_epsilon(0.0)
     with pytest.raises(ConfigurationError):
         NoiseChannel.from_epsilon(0.6)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        NoiseChannel.from_epsilon(1e-200)     # 1/2 - 1e-200 rounds to 1/2
     ch = NoiseChannel.from_epsilon(0.25)
     assert ch.flip_probability == 0.25
     assert ch.epsilon_bias == 0.25

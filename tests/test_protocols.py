@@ -24,9 +24,10 @@ from flipsim import (
 )
 from flipsim.model import deliver_span_counts
 from flipsim.oracle import binomial_tail_geq, majority_wrong_prob
-from flipsim.params import _ceil_log2
+from flipsim.params import _ceil_log2, clock_bound
 from flipsim.protocols import (
     _failure_set,
+    _local_windows,
     _occupancy_given,
     _run_windows,
     _stage1_pick,
@@ -39,9 +40,15 @@ from reference import (
     ProtocolInvariantError,
     majority_update,
     permutation_counts,
+    push_spread,
     run_recorded,
     select_initial_opinion,
+    window_codes,
 )
+
+# Scaled-down constants: a 44-round schedule with a growth phase (T=1) at
+# n=64, for tests that need thousands of cheap runs
+SMALL = ProtocolConstants(c_s=1 / 16, c_beta=1 / 8, c_f=3 / 16, c_final_stage2=1 / 16, r_scale=1 / 16)
 
 
 def cfg(n, eps, seed=0, correct=1):
@@ -154,17 +161,14 @@ def test_stage1_pick_exact_law():
 
 def test_count_path_matches_permutation_path(monkeypatch):
     # The count kernel and stage-1 pick must give the law of the permutation
-    # kernel, installed here in the engine through an adapter.  Scaled-down
-    # constants give a 44-round schedule with a growth phase (T=1) at n=64,
-    # so a few thousand runs are cheap; mean per-phase y and z and the first
-    # stage-2 start fraction must agree within 4 sigma.  Every round the
-    # engine simulates must reach the adapter: with the rounds of the phases
-    # drawn by the unanimous-phase shortcut, they make up the whole run.
+    # kernel, installed here in the engine through an adapter, at the SMALL
+    # constants; mean per-phase y and z and the first stage-2 start fraction
+    # must agree within 4 sigma.  Every round the engine simulates must
+    # reach the adapter: with the rounds of the phases drawn by the
+    # unanimous-phase shortcut, they make up the whole run.
     runs = 1500
-    constants = ProtocolConstants(c_s=1 / 16, c_beta=1 / 8, c_f=3 / 16, c_final_stage2=1 / 16,
-                                  r_scale=1 / 16)
-    config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=constants)
-    assert derive_schedule(64, config.channel, constants).t_phases == 1
+    config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
+    assert derive_schedule(64, config.channel, SMALL).t_phases == 1
     seen = [0, 0]     # rounds through the adapter, rounds drawn by the shortcut
 
     def adapter(carriers, others, rounds, *args):
@@ -415,7 +419,7 @@ def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
 
     monkeypatch.setattr("flipsim.protocols.unanimous_phase", refuse)
     config = cfg(512, 0.25, seed=6)
-    d = 2 * _ceil_log2(512)
+    d = clock_bound(512)
     clocks = None if preamble else ClockConfiguration(derive_rng(0, "off").integers(0, d, 512), d)
     out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "bypass"))
     assert out.rounds_used > derive_schedule(512, config.channel).total_rounds
@@ -510,7 +514,7 @@ def test_desync_degenerate_equals_sync():
 def test_desync_random_offsets_success_and_round_bound():
     config = cfg(512, 0.25, seed=6)
     schedule = derive_schedule(512, config.channel)
-    d = 2 * _ceil_log2(512)
+    d = clock_bound(512)
     sync_rounds = schedule.total_rounds
     ok = 0
     for seed in range(5):
@@ -526,10 +530,47 @@ def test_desync_random_offsets_success_and_round_bound():
 def test_desync_preamble_reduction():
     config = cfg(512, 0.25, seed=8)
     out = run_desynchronized(config, rng=derive_rng(1, "pre"))
-    assert out.desync.d_bound == 2 * _ceil_log2(512)
+    assert out.desync.d_bound == clock_bound(512)
     assert out.desync.preamble_rounds == 4 * _ceil_log2(512)
     assert not out.desync.stalled
     assert out.correct_fraction == 1.0
+
+
+@pytest.mark.parametrize("n,eps,constants,t_phases", [
+    (1024, 0.25, None, 0), (4096, 0.5, None, 1), (64, 0.25, SMALL, 1)])
+@pytest.mark.parametrize("gapped", [False, True])
+def test_window_edges_match_per_round_codes(n, eps, constants, t_phases, gapped):
+    # the engine keeps only the rounds where the window code changes; they
+    # must give the code of every local round, and a different code on each
+    # side of every edge
+    schedule = derive_schedule(n, NoiseChannel.from_epsilon(eps), constants)
+    assert schedule.t_phases == t_phases
+    d = clock_bound(n) if gapped else 0
+    edges, codes = _local_windows(schedule, d)
+    expect = np.pad(window_codes(schedule, d), 3, constant_values=-1)
+    local = np.arange(-3, expect.size - 3)
+    assert np.array_equal(codes[np.searchsorted(edges, local, "right")], expect)
+    assert (codes[1:] != codes[:-1]).all()
+
+
+def test_preamble_spread_is_push_spreading_time():
+    # the preamble's realized clock spread is the round in which push rumor
+    # spreading (D sends per agent) informs its last agent; at the SMALL
+    # constants the engine's spread CDF must match the reference sampler's
+    # within 4 pooled sigma at every value, and so must the rate of spread > D
+    n = 256
+    d = clock_bound(n)
+    config = SimConfig(n=n, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
+    engine = np.array([run_desynchronized(config, rng=derive_rng(seed, "spread-law")).desync.offset_spread
+                       for seed in range(300)])
+    gen = derive_rng(0, "push-spread")
+    ref = np.array([push_spread(n, d, gen) for _ in range(3000)])
+    assert (ref > d).any()
+    values = range(min(engine.min(), ref.min()), max(engine.max(), ref.max()) + 1)
+    for a, b in [(engine <= v, ref <= v) for v in values] + [(engine > d, ref > d)]:
+        p = (a.sum() + b.sum()) / (a.size + b.size)
+        sigma = math.sqrt(p * (1 - p) * (1 / a.size + 1 / b.size))
+        assert abs(a.mean() - b.mean()) <= 4 * sigma, (a.mean(), b.mean())
 
 
 def test_desync_offset_validation():
@@ -606,7 +647,7 @@ def _consensus_from(config, correct):
 
 
 def _desync_clocks_from(config, correct):
-    d = 2 * _ceil_log2(config.n)
+    d = clock_bound(config.n)
     clocks = ClockConfiguration(derive_rng(5, "relabel-clocks").integers(0, d, config.n), d)
     return run_desynchronized(config, clocks=clocks, rng=derive_rng(5, "relabel"))
 
