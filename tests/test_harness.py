@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flipsim import NoiseChannel, ProtocolConstants, SimConfig, derive_rng, run_baseline_forward
 from flipsim.harness import (
+    CSV_COLUMNS,
     PROTOCOLS,
     ExperimentReport,
     ExperimentSpec,
@@ -238,27 +240,71 @@ def test_empty_report_rejected(tmp_path):
 
 
 def test_csv_and_json_agree(tmp_path):
-    spec = small_spec(n_grid=(128, 256), runs_per_cell=3)
-    report = run_experiment(spec)
-    jpath = tmp_path / "r.json"
-    cpath = tmp_path / "r.csv"
-    save_report(report, jpath)
-    report_to_csv(report, cpath)
-    jdoc = json.loads(jpath.read_text())
-    with open(cpath, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(jdoc["perCell"])
-    for row, jcell in zip(rows, jdoc["perCell"]):
-        for csv_key, json_key in (("successRate", "successRate"),
-                                  ("meanRounds", "meanRounds"),
-                                  ("meanMessages", "meanMessages"),
-                                  ("wilsonLo", "wilsonLo")):
-            jv = jcell[json_key]
-            cv = row[csv_key]
-            if jv is None:
-                assert cv == ""
-            else:
-                assert float(f"{float(cv):.12g}") == float(f"{jv:.12g}")
+    # every CSV cell is the repr of the JSON number, or empty where it is null
+    for spec in (small_spec(n_grid=(128, 256), runs_per_cell=3),
+                 small_spec(protocol="consensus", runs_per_cell=3,
+                            initial_bias=0.0, initial_set_size=64)):
+        report = run_experiment(spec)
+        jpath = tmp_path / "r.json"
+        cpath = tmp_path / "r.csv"
+        save_report(report, jpath)
+        report_to_csv(report, cpath)
+        jdoc = json.loads(jpath.read_text())
+        with open(cpath, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(jdoc["perCell"])
+        for row, jcell in zip(rows, jdoc["perCell"]):
+            assert tuple(row) == CSV_COLUMNS
+            for key in CSV_COLUMNS:
+                jv = jcell[key]
+                assert row[key] == ("" if jv is None else repr(jv)), key
+
+
+_REPORT_KEYS = {"schemaVersion", "toolVersion", "spec", "constantsUsed", "perCell", "scalingFit"}
+_SPEC_KEYS = {"schemaVersion", "protocol", "nGrid", "epsilonGrid", "runsPerCell", "masterSeed",
+              "constants"}
+_CONSTANTS_JSON_KEYS = {"cS", "cBeta", "cF", "cFinalStage2", "cEntry", "eta", "rScale"}
+_CELL_KEYS = {"n", "epsilon", "runs", "successRate", "wilsonLo", "wilsonHi", "relaxedSuccessRate",
+              "meanRounds", "meanMessages", "meanFinalCorrect", "allActivatedRate",
+              "symmetricOutcomeRate"}
+_FIT_KEYS = {"slope", "intercept", "log2sqCoeff", "maxResidualRel"}
+# (spec overrides, extra spec keys, extra cell keys, has a fit, sha256 of JSON bytes + CSV bytes)
+_PINNED = [
+    (dict(protocol="broadcast", n_grid=(64, 128), epsilon_grid=(0.5, 0.25)), set(), set(), True,
+     "19044f89c351263425abddca886c8ee8a7ba970559d365a71840d38f710ed3dd"),
+    (dict(protocol="consensus", n_grid=(128,), initial_bias=0.1, initial_set_size=64),
+     {"initialBias", "initialSetSize"}, set(), False,
+     "6b56ffd9296f5dc07d10fc17f15d45b10ff8125db4f8d19755a8178f39f6f251"),
+    (dict(protocol="consensus", n_grid=(128,), initial_bias=0.0, initial_set_size=64),
+     {"initialBias", "initialSetSize"}, set(), False,
+     "4cb6740f7ed084a3d334d2d206fa47fc6f19404dc89ca0393d4c802e5d22d3ec"),
+    (dict(protocol="desync", n_grid=(64, 128)), set(), set(), True,
+     "2fea72474d6e84472c49dfb8077a6b1eab31ed3d51e5f8a8c38fbebf1346bbf8"),
+    (dict(protocol="baseline-forward", n_grid=(64,), epsilon_grid=(0.25,), max_rounds=40),
+     {"maxRounds"}, {"depthTable"}, False,
+     "8e694a5aa1ef8da742b698e1389d2242f5a278f3cc52fefbf7018936df561389"),
+    (dict(protocol="baseline-silent", n_grid=(64,), epsilon_grid=(0.25,), threshold=3),
+     {"threshold"}, {"medianFirstThreshold"}, False,
+     "3de5b92d8ca5b9eec17869e861c1cf6084d64d06ad19997f17dd0b206a3ce774"),
+]
+
+
+def test_report_format_pinned(tmp_path, monkeypatch):
+    # the v1 report and CSV formats, byte for byte: a renamed record field,
+    # a dropped default or a changed number rendering moves a digest
+    monkeypatch.setenv("FLIPSIM_THREADS", "1")
+    for overrides, spec_extra, cell_extra, has_fit, digest in _PINNED:
+        report = run_experiment(small_spec(master_seed=5, **overrides))
+        doc = report_to_dict(report)
+        assert set(doc) == _REPORT_KEYS
+        assert set(doc["spec"]) == _SPEC_KEYS | spec_extra
+        assert set(doc["spec"]["constants"]) == set(doc["constantsUsed"]) == _CONSTANTS_JSON_KEYS
+        assert all(set(cell) == _CELL_KEYS | cell_extra for cell in doc["perCell"])
+        assert (set(doc["scalingFit"]) == _FIT_KEYS) if has_fit else doc["scalingFit"] is None
+        save_report(report, tmp_path / "r.json")
+        report_to_csv(report, tmp_path / "r.csv")
+        written = (tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, overrides["protocol"]
 
 
 def test_scaling_fit_mechanics():
