@@ -86,20 +86,18 @@ def _cmd_run(args) -> int:
         f = report.scaling_fit
         print(f"scaling fit: rounds ~ {f.slope:.3f} * log2(n)/eps^2 + {f.intercept:.1f}"
               f" (max residual {f.max_residual_rel:.3f})")
-    if args.out:
-        harness.save_report(report, args.out)
-        print(f"report written to {args.out}")
-    if args.csv:
-        harness.report_to_csv(report, args.csv)
-        print(f"csv written to {args.csv}")
-    return 0
+    return _write(report, args)
 
 
 def _cmd_sweep(args) -> int:
-    spec = harness.load_spec(args.spec)
-    report = harness.run_experiment(spec)
-    harness.save_report(report, args.out)
-    print(f"report written to {args.out}")
+    return _write(harness.run_experiment(harness.load_spec(args.spec)), args)
+
+
+def _write(report, args) -> int:
+    """Save the report to ``--out`` and the CSV to ``--csv``, where given."""
+    if args.out:
+        harness.save_report(report, args.out)
+        print(f"report written to {args.out}")
     if args.csv:
         harness.report_to_csv(report, args.csv)
         print(f"csv written to {args.csv}")
@@ -142,8 +140,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except (harness.SpecValidationError, harness.SpecParseError,
-            harness.SchemaVersionError, harness.ReportError, ConfigurationError) as e:
+    except ConfigurationError as e:     # every input error, the harness's included
         print(f"error: {e}", file=sys.stderr)
         return 2
     raise AssertionError(args.command)

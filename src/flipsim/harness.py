@@ -2,6 +2,13 @@
 Wilson intervals, scaling fits, JSON/CSV persistence, and deterministic
 parallel execution.
 
+File format (schema v1): every JSON key is the camelCase of a record field
+name (``c_final_stage2`` -> ``cFinalStage2``), written by one rule,
+:func:`_record`, which leaves out a field that holds its plain default;
+:meth:`ExperimentSpec.from_dict` reads the spec keys by the same rule.  The
+CSV columns are a subset of the per-cell keys, each cell rendered with
+``repr`` so it matches the JSON digit for digit.
+
 Reproducibility contract: run r of cell c uses the protocol stream
 ``(master_seed, "run", c, r)`` and the instrumentation stream
 ``(master_seed, "init", c, r)`` (initial sets, clock offsets), so reports
@@ -15,7 +22,7 @@ import json
 import math
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -37,7 +44,7 @@ PROTOCOLS = ("broadcast", "consensus", "desync", "baseline-forward", "baseline-s
 RELAXED_SUCCESS = 0.99
 
 
-class SpecValidationError(ValueError):
+class SpecValidationError(ConfigurationError):
     """Invalid experiment spec; ``problems`` lists every violated field."""
 
     def __init__(self, problems):
@@ -45,27 +52,18 @@ class SpecValidationError(ValueError):
         super().__init__("invalid experiment spec: " + "; ".join(self.problems))
 
 
-class SpecParseError(ValueError):
+class SpecParseError(ConfigurationError):
     pass
 
 
-class SchemaVersionError(ValueError):
+class SchemaVersionError(ConfigurationError):
     pass
 
 
-class ReportError(ValueError):
+class ReportError(ConfigurationError):
     pass
 
 
-_CONSTANTS_KEYS = {
-    "cS": "c_s",
-    "cBeta": "c_beta",
-    "cF": "c_f",
-    "cFinalStage2": "c_final_stage2",
-    "cEntry": "c_entry",
-    "eta": "eta",
-    "rScale": "r_scale",
-}
 _RETIRED_CONSTANTS = ("cDirect",)   # read from v1 specs and checked, but nothing uses them
 
 
@@ -147,24 +145,7 @@ class ExperimentSpec:
             raise SpecValidationError(problems)
 
     def to_dict(self) -> dict:
-        d = {
-            "schemaVersion": SCHEMA_VERSION,
-            "protocol": self.protocol,
-            "nGrid": list(self.n_grid),
-            "epsilonGrid": list(self.epsilon_grid),
-            "runsPerCell": self.runs_per_cell,
-            "masterSeed": self.master_seed,
-            "constants": {k: getattr(self.constants, v) for k, v in _CONSTANTS_KEYS.items()},
-        }
-        if self.initial_bias is not None:
-            d["initialBias"] = self.initial_bias
-        if self.initial_set_size is not None:
-            d["initialSetSize"] = self.initial_set_size
-        if self.threshold != 2:
-            d["threshold"] = self.threshold
-        if self.max_rounds is not None:
-            d["maxRounds"] = self.max_rounds
-        return d
+        return {"schemaVersion": SCHEMA_VERSION, **_record(self)}
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "<spec>") -> "ExperimentSpec":
@@ -178,18 +159,15 @@ class ExperimentSpec:
             raise SchemaVersionError(
                 f"{source}: schemaVersion {version} not supported (current: {SCHEMA_VERSION})"
             )
-        known = {
-            "protocol", "nGrid", "epsilonGrid", "runsPerCell", "masterSeed",
-            "constants", "initialBias", "initialSetSize", "threshold",
-            "maxRounds", "outputPath",
-        }
-        unknown = set(d) - known
+        spec_fields = {_key(f.name): f for f in fields(cls)}
+        unknown = set(d) - set(spec_fields) - {"outputPath"}
         if unknown:
             raise SpecParseError(f"{source}: unknown fields {sorted(unknown)}")
         const_in = d.get("constants", {})
         if not isinstance(const_in, dict):
             raise SpecParseError(f"{source}: constants must be a JSON object")
-        bad = set(const_in) - set(_CONSTANTS_KEYS) - set(_RETIRED_CONSTANTS)
+        constant_names = {_key(f.name): f.name for f in fields(ProtocolConstants)}
+        bad = set(const_in) - set(constant_names) - set(_RETIRED_CONSTANTS)
         if bad:
             raise SpecParseError(f"{source}: unknown constants fields {sorted(bad)}")
         not_numbers = [f"constants.{k}: must be a number" for k, v in const_in.items() if not _is_real(v)]
@@ -200,8 +178,8 @@ class ExperimentSpec:
         if retired:
             raise SpecValidationError(retired)
         try:
-            constants = ProtocolConstants(**{_CONSTANTS_KEYS[k]: v for k, v in const_in.items()
-                                             if k in _CONSTANTS_KEYS})
+            constants = ProtocolConstants(**{constant_names[k]: v for k, v in const_in.items()
+                                             if k in constant_names})
         except ConfigurationError as e:
             raise SpecValidationError([f"constants: {e}"]) from None
         # v1 specs may carry outputPath: checked, then dropped (`sweep --out` names the report)
@@ -210,21 +188,11 @@ class ExperimentSpec:
         for key in ("nGrid", "epsilonGrid"):
             if key in d and not isinstance(d[key], list):
                 raise SpecParseError(f"{source}: {key} must be a list")
-        try:
-            return cls(
-                protocol=d["protocol"],
-                n_grid=tuple(d["nGrid"]),
-                epsilon_grid=tuple(d["epsilonGrid"]),
-                runs_per_cell=d["runsPerCell"],
-                master_seed=d["masterSeed"],
-                constants=constants,
-                initial_bias=d.get("initialBias"),
-                initial_set_size=d.get("initialSetSize"),
-                threshold=d.get("threshold", 2),
-                max_rounds=d.get("maxRounds"),
-            )
-        except KeyError as e:
-            raise SpecParseError(f"{source}: missing required field {e.args[0]!r}") from None
+        for key, f in spec_fields.items():
+            if key not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise SpecParseError(f"{source}: missing required field {key!r}")
+        d["constants"] = constants
+        return cls(**{f.name: d[key] for key, f in spec_fields.items() if key in d})
 
 
 @dataclass(frozen=True)
@@ -241,8 +209,8 @@ class CellReport:
     mean_final_correct: float
     all_activated_rate: float | None
     symmetric_outcome_rate: float | None
-    depth_table: tuple | None
-    median_first_threshold: float | None
+    depth_table: tuple | None = None
+    median_first_threshold: float | None = None
 
 
 @dataclass(frozen=True)
@@ -255,10 +223,7 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    schema_version: int
-    tool_version: str
-    spec_echo: ExperimentSpec
-    constants_used: ProtocolConstants
+    spec: ExperimentSpec
     per_cell: tuple
     scaling_fit: ScalingFit | None
 
@@ -414,58 +379,40 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     for ci, (n, e) in enumerate(cells):
         outs = flat[ci * spec.runs_per_cell:(ci + 1) * spec.runs_per_cell]
         per_cell.append(_aggregate_cell(spec, n, e, outs))
-    return ExperimentReport(
-        schema_version=SCHEMA_VERSION,
-        tool_version=__version__,
-        spec_echo=spec,
-        constants_used=spec.constants,
-        per_cell=tuple(per_cell),
-        scaling_fit=_fit_scaling(spec, per_cell),
-    )
+    return ExperimentReport(spec=spec, per_cell=tuple(per_cell), scaling_fit=_fit_scaling(spec, per_cell))
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
+def _key(name: str) -> str:
+    """The JSON key of a record field: its name in camelCase."""
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _value(v):
+    if isinstance(v, ExperimentSpec):
+        return v.to_dict()
+    if isinstance(v, ProtocolConstants):
+        return {_key(f.name): getattr(v, f.name) for f in fields(v)}     # always in full
+    if is_dataclass(v):
+        return _record(v)
+    return [_value(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _record(obj) -> dict:
+    """The fields of a spec, cell, fit or report under their JSON keys; a
+    field that holds its plain default (None for the optional ones, 2 for
+    ``threshold``) is left out."""
+    return {_key(f.name): _value(getattr(obj, f.name)) for f in fields(obj)
+            if getattr(obj, f.name) != f.default}
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    cells = []
-    for c in report.per_cell:
-        d = {
-            "n": c.n,
-            "epsilon": c.epsilon,
-            "runs": c.runs,
-            "successRate": c.success_rate,
-            "wilsonLo": c.wilson_lo,
-            "wilsonHi": c.wilson_hi,
-            "relaxedSuccessRate": c.relaxed_success_rate,
-            "meanRounds": c.mean_rounds,
-            "meanMessages": c.mean_messages,
-            "meanFinalCorrect": c.mean_final_correct,
-            "allActivatedRate": c.all_activated_rate,
-            "symmetricOutcomeRate": c.symmetric_outcome_rate,
-        }
-        if c.depth_table is not None:
-            d["depthTable"] = [list(row) for row in c.depth_table]
-        if c.median_first_threshold is not None:
-            d["medianFirstThreshold"] = c.median_first_threshold
-        cells.append(d)
-    fit = None
-    if report.scaling_fit is not None:
-        fit = {
-            "slope": report.scaling_fit.slope,
-            "intercept": report.scaling_fit.intercept,
-            "log2sqCoeff": report.scaling_fit.log2sq_coeff,
-            "maxResidualRel": report.scaling_fit.max_residual_rel,
-        }
-    return {
-        "schemaVersion": report.schema_version,
-        "toolVersion": report.tool_version,
-        "spec": report.spec_echo.to_dict(),
-        "constantsUsed": {k: getattr(report.constants_used, v) for k, v in _CONSTANTS_KEYS.items()},
-        "perCell": cells,
-        "scalingFit": fit,
-    }
+    return {"schemaVersion": SCHEMA_VERSION, "toolVersion": __version__,
+            "constantsUsed": _value(report.spec.constants), **_record(report)}
 
 
 def save_report(report: ExperimentReport, path) -> None:
@@ -498,13 +445,8 @@ def report_to_csv(report: ExperimentReport, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for c in report.per_cell:
-                writer.writerow([
-                    render(c.n), render(c.epsilon), render(c.runs),
-                    render(c.success_rate), render(c.wilson_lo), render(c.wilson_hi),
-                    render(c.mean_rounds), render(c.mean_messages),
-                    render(c.symmetric_outcome_rate),
-                ])
+            for cell in map(_record, report.per_cell):
+                writer.writerow([render(cell[k]) for k in CSV_COLUMNS])
     except OSError as e:
         raise ReportError(f"cannot write CSV to {path}: {e}") from e
 

@@ -76,7 +76,7 @@ class SimConfig:
             warnings.warn(
                 f"epsilon={eps:g} is at or below n^-(1/2-eta)={floor:g}; "
                 "outside the analyzed regime",
-                stacklevel=2,
+                stacklevel=3,     # past the generated __init__, to the code that built the config
             )
 
 

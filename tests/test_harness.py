@@ -230,9 +230,7 @@ def test_noiseless_cell_statistics():
 
 def test_empty_report_rejected(tmp_path):
     spec = small_spec()
-    report = ExperimentReport(
-        schema_version=1, tool_version="x", spec_echo=spec,
-        constants_used=spec.constants, per_cell=(), scaling_fit=None)
+    report = ExperimentReport(spec=spec, per_cell=(), scaling_fit=None)
     with pytest.raises(ReportError, match="zero cells"):
         save_report(report, tmp_path / "r.json")
     with pytest.raises(ReportError):

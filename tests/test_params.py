@@ -134,6 +134,12 @@ def test_sim_config_regime_warning():
     assert not caught
 
 
+def test_sim_config_regime_warning_names_caller():
+    with pytest.warns(UserWarning, match="regime") as caught:
+        SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.01))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_sim_config_validation():
     with pytest.raises(ConfigurationError):
         SimConfig(n=1, channel=NoiseChannel.from_epsilon(0.25))
