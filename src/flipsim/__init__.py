@@ -26,7 +26,6 @@ from .protocols import (
     PhaseMetrics,
     Stage1Result,
     Stage2PhaseRecord,
-    World,
     majority_bias,
     run_baseline_forward,
     run_baseline_silent_wait,

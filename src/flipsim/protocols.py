@@ -10,11 +10,13 @@ at ``r_entry``, the first round of its entry phase, so the earlier windows
 are skipped; the clock-free variant is many groups, one per clock offset,
 with a gap of D rounds between windows.
 
-Engines are array-based for speed.  Per-agent state lives in a
-struct-of-arrays :class:`World`.  An agent only ever uses how many of the
-messages it accepted carry each opinion, so the engine keeps two counters
-per agent, accepted messages and correct ones among them, and four
-equivalences keep the hot path fast without changing any distribution:
+Engines are array-based for speed.  An agent's state is its entry of an
+int8 opinion vector (-1 until it holds one) and its clock group; it sends
+exactly when it holds an opinion and is inside one of its windows.  An
+agent only ever uses how many of the messages it accepted carry each
+opinion, so the engine also keeps two counters per agent, accepted
+messages and correct ones among them.  Four equivalences keep the hot path
+fast without changing any distribution:
 
 * the uniform accept among a round's arrivals is drawn from the arrival
   counts (:func:`~flipsim.model.deliver_span_counts`): an agent with ``a``
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
@@ -66,10 +69,6 @@ from .model import (
 )
 from .oracle import binomial_tail_geq, majority_wrong_prob
 from .params import ScheduleParams, SimConfig, _ceil_log2, clock_bound, derive_schedule, majority_entry_phase
-
-_NEVER = np.int32(2 ** 31 - 1)   # send_from sentinel: dormant, never sends
-_UNSET = np.int64(2 ** 62)       # shift of an agent the preamble has not reached
-
 
 # ---------------------------------------------------------------------------
 # records
@@ -149,39 +148,16 @@ class ClockConfiguration:
             raise ConfigurationError("every clock offset must lie in [0, d_bound)")
 
 
-class World:
-    """Struct-of-arrays per-agent state for one run."""
-
-    __slots__ = ("n", "correct", "opinion", "send_from")
-
-    def __init__(self, n: int, correct_opinion: int):
-        self.n = n
-        self.correct = int(correct_opinion)
-        self.opinion = np.full(n, -1, np.int8)
-        self.send_from = np.full(n, _NEVER, np.int32)
-
-    def correct_fraction(self) -> float:
-        return float((self.opinion == self.correct).mean())
+def _correct_fraction(opinion, correct) -> float:
+    return float((opinion == correct).mean())
 
 
-def make_broadcast_world(config: SimConfig, source: int = 0) -> World:
-    world = World(config.n, config.correct_opinion)
-    world.opinion[source] = config.correct_opinion
-    world.send_from[source] = 0
-    return world
-
-
-def make_consensus_world(config: SimConfig, initial_opinions: np.ndarray, entry_phase: int) -> World:
-    """World for a majority-consensus run: ``initial_opinions`` holds -1 for
-    agents outside the initial set.  Members already hold opinions and send
-    in every executed phase (entry_phase .. T+1)."""
-    world = World(config.n, config.correct_opinion)
-    members = np.flatnonzero(initial_opinions >= 0)
-    if members.size == 0:
-        raise ConfigurationError("initial set is empty")
-    world.opinion[members] = initial_opinions[members]
-    world.send_from[members] = entry_phase
-    return world
+def _source_opinions(config: SimConfig) -> np.ndarray:
+    """Opinions at the start of a broadcast: only the source, agent 0, holds
+    one, the correct opinion; -1 marks an agent without an opinion."""
+    opinion = np.full(config.n, -1, np.int8)
+    opinion[0] = config.correct_opinion
+    return opinion
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +171,7 @@ def _stage1_pick(cnt, corr, gen):
     return gen.random(cnt.size) * cnt < corr
 
 
-def _stage2_apply(world, successful, cnt, corr, subset, gen):
+def _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen):
     """Subset-majority update for all successful agents of one phase.
 
     The number of correct samples inside a uniform subset of ``subset``
@@ -207,8 +183,7 @@ def _stage2_apply(world, successful, cnt, corr, subset, gen):
     good = corr[successful].astype(np.int64)
     bad = cnt[successful].astype(np.int64) - good
     h = gen.hypergeometric(good, bad, subset)
-    correct = world.correct
-    world.opinion[successful] = np.where(2 * h > subset, correct, complement(correct)).astype(np.int8)
+    opinion[successful] = np.where(2 * h > subset, correct, complement(correct)).astype(np.int8)
 
 
 def _truncated_binomial(m, q, s, gen):
@@ -332,17 +307,21 @@ def _local_windows(schedule: ScheduleParams, d: int):
     return np.array(edges, np.int64), np.array(codes, np.int64)
 
 
-def _run_windows(world, config, schedule, gen, shift, d=0):
+def _run_windows(opinion, config, schedule, gen, shift, d=0):
     """Run the stage-1 and stage-2 windows of ``schedule`` on each agent's
-    local clock; returns ``(Outcome, DesyncInfo)``.
+    local clock, updating ``opinion`` in place; returns the :class:`Outcome`
+    that holds ``opinion``, with ``desync`` set when ``d > 0``.
 
     ``shift[i]`` is the global round at which agent i's local clock reads 0,
     and ``d`` is the gap between windows.  Agents that share a shift form a
-    clock group, and a window closes (phase activation, or subset-majority
+    clock group, ``gid[i]`` indexes agent i's group in the ascending shifts
+    ``groups``, and a window closes (phase activation, or subset-majority
     update) one group at a time.  With ``shift=None`` an activation preamble
-    sets the shifts: every informed agent broadcasts a junk bit for
-    2*ceil(log2 n) rounds and its clock reads 0 exactly 4*ceil(log2 n)
-    rounds after its first received message.
+    forms the groups: with pre = 2*ceil(log2 n), the source (agent 0)
+    broadcasts a junk bit in rounds [0, pre), and an agent that first hears
+    in round t' joins the group with shift v = t' + 2*pre, which broadcasts
+    in rounds v - 2*pre < t <= v - pre.  The source's group is round 0's;
+    until the preamble reaches it an agent has ``gid`` -1 and no window.
 
     Everything the loop needs comes from the group shifts and the window
     edges of :func:`_local_windows`.  A span runs from round t to the
@@ -359,11 +338,10 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     skipped.  The run ends when the last window of the latest group has
     closed.
     """
-    n = world.n
+    n = config.n
     channel = config.channel
-    correct = world.correct
+    correct = config.correct_opinion
     t1 = schedule.t_phases + 1                 # code of the last stage-1 window
-    log2n = _ceil_log2(n)
     edges, codes = _local_windows(schedule, d)
     local_total = int(edges[-1])
     cnt = np.zeros(n, np.int32)     # messages accepted in the current window
@@ -371,16 +349,14 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     buffers = delivery_buffers(n)
 
     preamble = shift is None
-    pre_rounds = 2 * log2n
-    uninformed = 0      # agents the preamble has not reached
+    pre = 2 * _ceil_log2(n)         # length of a preamble send window
     if preamble:
-        shift = np.full(n, _UNSET, np.int64)
-        send_start = np.full(n, _UNSET, np.int64)   # preamble broadcast window start
-        shift[0] = 4 * log2n                        # source: informed at start, resets at 4*log2n
-        send_start[0] = 0
-        uninformed = n - 1
-    groups = np.unique(shift[shift != _UNSET])      # ascending shifts of the clock groups
-    gid = np.searchsorted(groups, shift)            # each agent's group; groups.size if uninformed
+        groups = np.array([2 * pre], np.int64)    # the source's clock reads 0 at round 2*pre
+        gid = np.full(n, -1, np.intp)
+        gid[0] = 0
+    else:
+        groups, gid = np.unique(shift, return_inverse=True)
+    uninformed = int((gid < 0).sum())   # agents the preamble has not reached
     one_clock = groups.size == 1 and not preamble   # see unanimous_phase
 
     y_acc = [0] * (t1 + 1)
@@ -394,28 +370,29 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
     def round_setup(t):
         """Senders carrying the correct opinion, the other senders, and the
         listener mask of round t."""
-        code = np.append(gcode, -1)[gid]    # -1: an uninformed agent has no window
-        in1 = (code >= 0) & (code <= t1)
-        in2 = code > t1
-        main = (in1 & (world.send_from <= code)) | (in2 & (world.opinion >= 0))
-        carries = main & (world.opinion == correct)
+        code = np.append(gcode, -1)[gid]    # gid -1 picks the appended -1: no window
+        inside = code >= 0
+        main = inside & (opinion >= 0)
+        carries = main & (opinion == correct)
         if preamble:
             # preamble broadcasts carry a junk bit: the complement of the
             # correct opinion, so that relabeling the opinions maps a run to
             # a run.  A window listener can accept one only when the clock
             # spread reaches D.
-            main |= (send_start <= t) & (t < send_start + pre_rounds)
-        listen1 = in1 & (world.send_from == _NEVER)    # activated agents discard stage-1 traffic
-        return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listen1 | in2
+            junk = np.append((groups - 2 * pre < t) & (t <= groups - pre), False)[gid]
+            junk[0] = t < pre
+            main |= junk
+        # activated agents discard stage-1 traffic
+        listening = (inside & (code <= t1) & (opinion < 0)) | (code > t1)
+        return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listening
 
-    def close(code_v, v):
-        """Close window ``code_v`` for the clock group with shift ``v``."""
-        members = np.flatnonzero(shift == v)
+    def close(code_v, g):
+        """Close window ``code_v`` for clock group ``g``."""
+        members = np.flatnonzero(gid == g)
         if code_v <= t1:
-            new = members[(world.send_from[members] == _NEVER) & (cnt[members] > 0)]
+            new = members[(opinion[members] < 0) & (cnt[members] > 0)]
             right = _stage1_pick(cnt[new], corr[new], gen)
-            world.send_from[new] = code_v + 1
-            world.opinion[new] = np.where(right, correct, complement(correct))
+            opinion[new] = np.where(right, correct, complement(correct))
             y_acc[code_v] += int(new.size)
             z_acc[code_v] += int(right.sum())
             cnt[new] = 0     # stage 2 counts its samples from zero
@@ -424,11 +401,11 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             j = code_v - t1 - 1
             subset = lengths[j] // 2
             if start_frac[j] is None:
-                start_frac[j] = world.correct_fraction()
+                start_frac[j] = _correct_fraction(opinion, correct)
             successful = members[cnt[members] >= subset]
-            _stage2_apply(world, successful, cnt, corr, subset, gen)
+            _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen)
             succ_acc[j] += int(successful.size)
-            end_frac[j] = world.correct_fraction()   # last group's close wins
+            end_frac[j] = _correct_fraction(opinion, correct)   # last group's close wins
             cnt[members] = 0
             corr[members] = 0
 
@@ -438,7 +415,7 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
         gcode = codes[seg]
         if (one_clock and gcode[0] > t1 and edges[seg[0] - 1] == t - groups[0]
-                and (world.opinion == correct).all()):
+                and (opinion == correct).all()):
             # a stage-2 window opens now with every agent correct
             assert not (cnt.any() or corr.any())
             j = int(gcode[0]) - t1 - 1
@@ -446,10 +423,10 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             drawn = unanimous_phase(n, m, channel, gen)
             if drawn is not None:
                 failed, wrong = drawn
-                start_frac[j] = world.correct_fraction()
-                world.opinion[wrong] = complement(correct)
+                start_frac[j] = 1.0
+                opinion[wrong] = complement(correct)
                 succ_acc[j] = n - failed.size
-                end_frac[j] = world.correct_fraction()
+                end_frac[j] = _correct_fraction(opinion, correct)
                 messages += n * m
                 t += m
                 continue
@@ -460,9 +437,8 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
         else:
             ahead = groups + edges[np.minimum(seg, edges.size - 1)]    # each group's next edge
             if preamble:
-                # send windows end at pre_rounds (the source's) and at t' + 1 + pre_rounds
-                # for the group informed in round t' (shift t' + 2*pre_rounds; t' = 0 too)
-                ahead = np.concatenate((ahead, groups - pre_rounds + 1, [pre_rounds]))
+                # the send windows end at pre (the source's) and at v - pre + 1
+                ahead = np.concatenate((ahead, groups - pre + 1, [pre]))
             end = int(ahead[ahead > t].min())
         # every group's code is constant within a span
         assert (np.searchsorted(edges, end - 1 - groups, "right") == seg).all()
@@ -471,39 +447,30 @@ def _run_windows(world, config, schedule, gen, shift, d=0):
             heard, match = deliver_span_counts(carriers, others, end - t, n, channel, gen, buffers)
             messages += sent * (end - t)
             if uninformed:
-                fresh = np.flatnonzero((heard > 0) & (shift == _UNSET))
+                fresh = np.flatnonzero((heard > 0) & (gid < 0))
             # listeners count their accepted messages and the correct ones
             np.multiply(heard, listening, out=heard)
             np.multiply(match, listening, out=match)
             np.add(cnt, heard, out=cnt)
             np.add(corr, match, out=corr)
         shut = np.flatnonzero((gcode >= 0) & (np.searchsorted(edges, end - groups, "right") != seg))
-        for code_v, v in sorted(zip(gcode[shut].tolist(), groups[shut].tolist())):
-            close(code_v, v)
+        for code_v, g in sorted(zip(gcode[shut].tolist(), shut.tolist())):
+            close(code_v, g)
         if fresh is not None and fresh.size:
             # the new group's windows all lie ahead, so it joins after the closes
             uninformed -= fresh.size
-            send_start[fresh] = t + 1
-            shift[fresh] = t + 4 * log2n
-            groups = np.append(groups, t + 4 * log2n)
-            gid = np.searchsorted(groups, shift)
+            if groups[-1] != t + 2 * pre:       # agents informed in round 0 join the source's group
+                groups = np.append(groups, t + 2 * pre)
+            gid[fresh] = groups.size - 1
         t = end
 
-    per_phase = []
-    x = 0
-    for p, (y, z) in enumerate(zip(y_acc, z_acc)):
-        x += y
-        per_phase.append(PhaseMetrics(p, x, y, z, z / y - 0.5 if y else None))
-    stage1 = Stage1Result(tuple(per_phase), bool((world.send_from != _NEVER).all()), schedule.stage1_rounds)
+    per_phase = tuple(PhaseMetrics(p, x, y, z, z / y - 0.5 if y else None)
+                      for p, (x, y, z) in enumerate(zip(accumulate(y_acc), y_acc, z_acc)))
+    stage1 = Stage1Result(per_phase, bool((opinion >= 0).all()), schedule.stage1_rounds)
     stage2 = tuple(Stage2PhaseRecord(j + 1, succ_acc[j], end_frac[j], start_frac[j]) for j in range(n_st2))
-    info = DesyncInfo(
-        d_bound=d,
-        offset_spread=int(groups[-1] - groups[0]),
-        preamble_rounds=4 * log2n if preamble else 0,
-        local_total=local_total,
-        stalled=uninformed > 0,
-    )
-    return Outcome(world.opinion.copy(), world.correct_fraction(), t, messages, stage1, stage2), info
+    desync = DesyncInfo(d_bound=d, offset_spread=int(groups[-1] - groups[0]), local_total=local_total,
+                        preamble_rounds=2 * pre if preamble else 0, stalled=uninformed > 0) if d else None
+    return Outcome(opinion, _correct_fraction(opinion, correct), t, messages, stage1, stage2, desync=desync)
 
 
 def _as_generator(rng, config: SimConfig, purpose: str) -> np.random.Generator:
@@ -516,9 +483,7 @@ def run_broadcast(config: SimConfig, rng=None) -> Outcome:
     the schedule total no matter what happens."""
     gen = _as_generator(rng, config, "broadcast")
     schedule = derive_schedule(config.n, config.channel, config.constants)
-    world = make_broadcast_world(config)
-    out, _ = _run_windows(world, config, schedule, gen, np.zeros(config.n, np.int64))
-    return out
+    return _run_windows(_source_opinions(config), config, schedule, gen, np.zeros(config.n, np.int64))
 
 
 def majority_bias(initial_opinions: np.ndarray, correct: int) -> float:
@@ -540,15 +505,17 @@ def run_majority_consensus(config: SimConfig, initial_opinions: np.ndarray, rng=
     """
     gen = _as_generator(rng, config, "consensus")
     schedule = derive_schedule(config.n, config.channel, config.constants)
-    initial_opinions = np.asarray(initial_opinions, dtype=np.int8)
+    initial_opinions = np.asarray(initial_opinions)
     if initial_opinions.shape != (config.n,):
         raise ConfigurationError("initial_opinions must have one entry per agent (-1 for none)")
-    a_size = int((initial_opinions >= 0).sum())
+    if not np.isin(initial_opinions, (-1, 0, 1)).all():
+        raise ConfigurationError("initial_opinions must hold -1 (none), 0 or 1")
+    opinion = initial_opinions.astype(np.int8)     # a copy: the engine updates it in place
+    a_size = int((opinion >= 0).sum())
     entry = majority_entry_phase(a_size, config.n, config.channel, config.constants)
-    bias = majority_bias(initial_opinions, config.correct_opinion)
-    world = make_consensus_world(config, initial_opinions, entry)
+    bias = majority_bias(opinion, config.correct_opinion)
     r_entry = schedule.phase_bounds_stage1[entry][0]
-    out, _ = _run_windows(world, config, schedule, gen, np.full(config.n, -r_entry, np.int64))
+    out = _run_windows(opinion, config, schedule, gen, np.full(config.n, -r_entry, np.int64))
     stage1 = Stage1Result(out.stage1.per_phase[entry:], out.stage1.all_activated,
                           schedule.stage1_rounds - r_entry)
     return replace(out, stage1=stage1, initial_majority_bias=bias)
@@ -570,17 +537,15 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     gen = _as_generator(rng, config, "desync")
     n = config.n
     schedule = derive_schedule(n, config.channel, config.constants)
-    world = make_broadcast_world(config)
+    opinion = _source_opinions(config)
     if clocks is None:
-        out, info = _run_windows(world, config, schedule, gen, None, d=clock_bound(n))
-    else:
-        off = np.asarray(clocks.offsets, dtype=np.int64)
-        if off.shape != (n,):
-            raise ConfigurationError("clock offsets must have one entry per agent")
-        ClockConfiguration(off, clocks.d_bound)    # revalidate against the n-sized array
-        # clock value o at t=0 means local time t + o
-        out, info = _run_windows(world, config, schedule, gen, -off, d=clocks.d_bound)
-    return replace(out, desync=info)
+        return _run_windows(opinion, config, schedule, gen, None, d=clock_bound(n))
+    off = np.asarray(clocks.offsets, dtype=np.int64)
+    if off.shape != (n,):
+        raise ConfigurationError("clock offsets must have one entry per agent")
+    ClockConfiguration(off, clocks.d_bound)    # revalidate against the n-sized array
+    # clock value o at t=0 means local time t + o
+    return _run_windows(opinion, config, schedule, gen, -off, d=clocks.d_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +558,15 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     (ties broken by a fair coin, drawn only at even thresholds, where ties
     can occur) and resends it every round.
 
-    Returns ``(world, rounds, messages, depth, first_reach)``.  ``depth[i]``
+    Returns ``(opinion, rounds, messages, depth, first_reach)``.  ``depth[i]``
     is 1 + the depth of the agent whose message i accepted in the round it
     reached the threshold, through diagnostics-only sender metadata that the
     protocol itself never reads; ``first_reach`` is the first round in which
     some agent reached the threshold (None if none did).
     """
     n = config.n
-    world = make_broadcast_world(config)
-    correct = world.correct
+    opinion = _source_opinions(config)
+    correct = config.correct_opinion
     cnt = np.zeros(n, np.int64)
     corr = np.zeros(n, np.int64)
     depth = np.full(n, -1, np.int64)
@@ -609,10 +574,10 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     first_reach = None
     messages = rounds = 0
     for t in range(max_rounds):
-        senders = np.flatnonzero(world.opinion >= 0)
-        recv, acc, src = deliver_round_arrays(senders, world.opinion[senders], n, config.channel, gen)
+        senders = np.flatnonzero(opinion >= 0)
+        recv, acc, src = deliver_round_arrays(senders, opinion[senders], n, config.channel, gen)
         messages += senders.size
-        waiting = world.opinion[recv] < 0
+        waiting = opinion[recv] < 0
         wr = recv[waiting]
         cnt[wr] += 1
         corr[wr] += acc[waiting] == correct
@@ -624,12 +589,12 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
             good = 2 * corr[reached] > threshold
             if threshold % 2 == 0:
                 good |= (2 * corr[reached] == threshold) & (gen.random(reached.size) < 0.5)
-            world.opinion[reached] = np.where(good, correct, complement(correct))
+            opinion[reached] = np.where(good, correct, complement(correct))
             depth[reached] = depth[src[waiting][hit]] + 1
         rounds = t + 1
-        if (world.opinion >= 0).all():
+        if (opinion >= 0).all():
             break
-    return world, rounds, messages, depth, first_reach
+    return opinion, rounds, messages, depth, first_reach
 
 
 def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcome:
@@ -640,14 +605,15 @@ def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcom
     hop depth (1 + depth of the agent whose message activated it).
     """
     gen = _as_generator(rng, config, "baseline-forward")
-    world, rounds, messages, depth, _ = _threshold_loop(config, 1, max_rounds, gen)
+    opinion, rounds, messages, depth, _ = _threshold_loop(config, 1, max_rounds, gen)
+    correct = config.correct_opinion
     table = []
     for dv in range(1, int(depth.max()) + 1):
         at = depth == dv
         agents = int(at.sum())
         if agents:
-            table.append(DepthStat(dv, agents, int((world.opinion[at] == world.correct).sum())))
-    return Outcome(world.opinion.copy(), world.correct_fraction(), rounds, messages,
+            table.append(DepthStat(dv, agents, int((opinion[at] == correct).sum())))
+    return Outcome(opinion, _correct_fraction(opinion, correct), rounds, messages,
                    stage1=None, stage2=(), depth_table=tuple(table))
 
 
@@ -663,6 +629,6 @@ def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int,
     if threshold < 1:
         raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
     gen = _as_generator(rng, config, "baseline-silent")
-    world, rounds, messages, _, first_reach = _threshold_loop(config, threshold, max_rounds, gen)
-    return Outcome(world.opinion.copy(), world.correct_fraction(), rounds, messages,
+    opinion, rounds, messages, _, first_reach = _threshold_loop(config, threshold, max_rounds, gen)
+    return Outcome(opinion, _correct_fraction(opinion, config.correct_opinion), rounds, messages,
                    stage1=None, stage2=(), first_threshold_round=first_reach)

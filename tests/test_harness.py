@@ -276,8 +276,9 @@ _PINNED = [
     (dict(protocol="consensus", n_grid=(128,), initial_bias=0.0, initial_set_size=64),
      {"initialBias", "initialSetSize"}, set(), False,
      "4cb6740f7ed084a3d334d2d206fa47fc6f19404dc89ca0393d4c802e5d22d3ec"),
-    (dict(protocol="desync", n_grid=(64, 128)), set(), set(), True,
-     "2fea72474d6e84472c49dfb8077a6b1eab31ed3d51e5f8a8c38fbebf1346bbf8"),
+    # two n cannot pin the desync fit's three coefficients: no fit
+    (dict(protocol="desync", n_grid=(64, 128)), set(), set(), False,
+     "4a22ebcd0caac04e24a6780f1b22368435719a3d926f73f279616bc1ffabab9b"),
     (dict(protocol="baseline-forward", n_grid=(64,), epsilon_grid=(0.25,), max_rounds=40),
      {"maxRounds"}, {"depthTable"}, False,
      "8e694a5aa1ef8da742b698e1389d2242f5a278f3cc52fefbf7018936df561389"),
@@ -314,6 +315,13 @@ def test_scaling_fit_mechanics():
     assert fit.slope > 0
     # round counts are schedule-determined, so a 2-point fit is exact
     assert fit.max_residual_rel < 1e-9
+    # desync fits three coefficients (slope, log2(n)^2, intercept): two n
+    # leave the split between the first two open, three n pin it
+    two = run_experiment(small_spec(protocol="desync", n_grid=(64, 128), runs_per_cell=1))
+    assert two.scaling_fit is None
+    three = run_experiment(small_spec(protocol="desync", n_grid=(64, 128, 256), runs_per_cell=1))
+    assert three.scaling_fit is not None and three.scaling_fit.log2sq_coeff is not None
+    assert three.scaling_fit.max_residual_rel < 1e-9
 
 
 def test_symmetric_outcome_rate_for_unbiased_consensus():

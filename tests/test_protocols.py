@@ -33,7 +33,6 @@ from flipsim.protocols import (
     _stage1_pick,
     _stage2_apply,
     _truncated_binomial,
-    make_broadcast_world,
     unanimous_phase,
 )
 from reference import (
@@ -56,12 +55,11 @@ def cfg(n, eps, seed=0, correct=1):
                      correct_opinion=correct)
 
 
-def run_stage2(world, config, schedule, gen):
-    """Run only the stage-2 windows on ``world``: a clock shifted past the
-    end of stage 1 skips every stage-1 window."""
+def run_stage2(opinion, config, schedule, gen):
+    """Run only the stage-2 windows on ``opinion``, in place: a clock shifted
+    past the end of stage 1 skips every stage-1 window."""
     shift = np.full(config.n, -schedule.stage1_rounds, np.int64)
-    out, _ = _run_windows(world, config, schedule, gen, shift)
-    return out.stage2
+    return _run_windows(opinion, config, schedule, gen, shift).stage2
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +204,11 @@ def test_count_path_matches_permutation_path(monkeypatch):
 def test_stage2_preserves_unanimity():
     config = cfg(128, 0.25, seed=3)
     schedule = derive_schedule(config.n, config.channel)
-    world = make_broadcast_world(config)
-    world.opinion[:] = config.correct_opinion
-    world.send_from[:] = 0
-    records = run_stage2(world, config, schedule, derive_rng(10, "s2"))
+    opinion = np.full(config.n, config.correct_opinion, np.int8)
+    records = run_stage2(opinion, config, schedule, derive_rng(10, "s2"))
     for rec in records:
         assert rec.correct_fraction == 1.0
-    assert world.correct_fraction() == 1.0
+    assert (opinion == config.correct_opinion).mean() == 1.0
 
 
 def test_stage2_boost_regression():
@@ -221,15 +217,12 @@ def test_stage2_boost_regression():
     for seed in range(10):
         config = cfg(1024, 0.25, seed=seed)
         schedule = derive_schedule(config.n, config.channel)
-        world = make_broadcast_world(config)
         gen = derive_rng(seed, "s2boost")
         opinions = np.zeros(config.n, np.int8)
         opinions[: round(1024 * 0.55)] = 1
         gen.shuffle(opinions)
-        world.opinion[:] = opinions
-        world.send_from[:] = 0
-        run_stage2(world, config, schedule, gen)
-        wins += world.correct_fraction() == 1.0
+        run_stage2(opinions, config, schedule, gen)
+        wins += (opinions == config.correct_opinion).mean() == 1.0
     assert wins >= 9
 
 
@@ -239,12 +232,12 @@ def test_stage2_subset_majority_exact_law():
     exact = Fraction(sum(2 * sum(sub) > 3 for sub in combinations([1, 1, 1, 0, 0], 3)), math.comb(5, 3))
     assert exact == Fraction(7, 10)
     agents = 200_000
-    world = make_broadcast_world(cfg(agents, 0.25))
+    opinion = np.full(agents, -1, np.int8)
     cnt = np.full(agents, 5, np.int32)
     corr = np.full(agents, 3, np.int32)
-    _stage2_apply(world, np.arange(agents), cnt, corr, 3, derive_rng(15, "hyper"))
+    _stage2_apply(opinion, 1, np.arange(agents), cnt, corr, 3, derive_rng(15, "hyper"))
     sigma = math.sqrt(0.7 * 0.3 / agents)
-    assert abs(world.correct_fraction() - 0.7) < 4 * sigma
+    assert abs((opinion == 1).mean() - 0.7) < 4 * sigma
 
 
 def test_stage2_relabeling_symmetry():
@@ -257,10 +250,8 @@ def test_stage2_relabeling_symmetry():
     for correct in (1, 0):
         config = cfg(n, 0.25, correct=correct)
         schedule = derive_schedule(n, config.channel)
-        world = make_broadcast_world(config)
-        world.opinion[:] = base if correct == 1 else base ^ 1
-        world.send_from[:] = 0
-        records = run_stage2(world, config, schedule, derive_rng(11, "sym"))
+        opinion = base.copy() if correct == 1 else base ^ 1
+        records = run_stage2(opinion, config, schedule, derive_rng(11, "sym"))
         trajs.append([r.correct_fraction for r in records])
     assert trajs[0] == trajs[1]
 
@@ -275,20 +266,17 @@ def _union_bound(n, m):
     return n * binomial_tail_geq(m, m - m // 2 + 1, miss)
 
 
-def _unanimous_world(config):
-    world = make_broadcast_world(config)
-    world.opinion[:] = config.correct_opinion
-    world.send_from[:] = 0
-    return world
+def _unanimous_opinions(config):
+    return np.full(config.n, config.correct_opinion, np.int8)
 
 
 def _unanimous_phase_run(config, schedule, gen):
-    """One stage-2 phase from an all-correct world: (successful count,
+    """One stage-2 phase from an all-correct start: (successful count,
     agents turned wrong)."""
-    world = _unanimous_world(config)
-    (record,) = run_stage2(world, config, schedule, gen)
+    opinion = _unanimous_opinions(config)
+    (record,) = run_stage2(opinion, config, schedule, gen)
     assert record.start_correct_fraction == 1.0
-    return record.successful_count, int((world.opinion != config.correct_opinion).sum())
+    return record.successful_count, int((opinion != config.correct_opinion).sum())
 
 
 @pytest.mark.filterwarnings("ignore:epsilon")  # n=16 at eps=0.1 sits outside the regime by design
@@ -405,7 +393,7 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
         return deliver_span_counts(carriers, others, span, *args)
 
     monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
-    records = run_stage2(_unanimous_world(config), config, schedule, gen)
+    records = run_stage2(_unanimous_opinions(config), config, schedule, gen)
     assert sum(rounds) == final
     assert [r.start_correct_fraction for r in records] == [1.0] * len(records)
 
@@ -490,6 +478,28 @@ def test_consensus_rejects_small_set():
     initial[:8] = 1
     with pytest.raises(InitialSetTooSmallError):
         run_majority_consensus(config, initial)
+
+
+def test_consensus_rejects_opinions_outside_range():
+    # unchecked, a 7 would count as a wrong member (192 ones and 64 sevens
+    # give bias 0.25) and a -5 as no opinion
+    config = cfg(256, 0.25)
+    for bad in (7, -5):
+        initial = np.ones(256, np.int8)
+        initial[192:] = bad
+        with pytest.raises(ConfigurationError, match="initial_opinions"):
+            run_majority_consensus(config, initial)
+
+
+def test_consensus_leaves_callers_opinions_unchanged():
+    config = cfg(256, 0.25, seed=3)
+    initial = np.full(256, -1, np.int8)
+    initial[:128] = 1
+    initial[128:192] = 0
+    before = initial.copy()
+    out = run_majority_consensus(config, initial)
+    assert np.array_equal(initial, before)
+    assert not np.array_equal(out.final_opinions, before)    # the run did update its own copy
 
 
 def test_majority_bias_definition():
