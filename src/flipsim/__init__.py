@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .model import (
     ConfigurationError,
     NoiseChannel,
-    RngStream,
     complement,
     derive_rng,
 )

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 validation error, 3 oracle check failed.
+Exit codes: 0 success, 2 validation error or out of memory, 3 oracle check failed.
 """
 
 from __future__ import annotations
@@ -134,16 +134,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return {"run": _cmd_run, "sweep": _cmd_sweep, "oracle": _cmd_oracle}[args.command](args)
     except ConfigurationError as e:     # every input error, the harness's included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
+    except MemoryError as e:            # a grid too large for this host
+        print(f"error: not enough memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import __version__
-from .model import ConfigurationError, NoiseChannel, derive_rng
+from .model import ConfigurationError, NoiseChannel, _is_int, derive_rng
 from .params import ProtocolConstants, SimConfig, _ceil_log2, clock_bound, min_initial_set_size
 from .protocols import (
     ClockConfiguration,
@@ -65,10 +65,6 @@ class ReportError(ConfigurationError):
 
 
 _RETIRED_CONSTANTS = ("cDirect",)   # read from v1 specs and checked, but nothing uses them
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:

@@ -4,7 +4,7 @@ that tracks sender identities round by round, and one that delivers a span
 of rounds with fixed senders as per-agent counts.
 
 Opinions are plain ints in {0, 1}.  All randomness flows through numpy
-Generators derived from a single master seed (see :class:`RngStream`), so a
+Generators derived from a single master seed (see :func:`derive_rng`), so a
 run is reproducible bit-for-bit across platforms and processes.
 """
 
@@ -18,6 +18,10 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """A simulation input violates a structural precondition."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def complement(bit: int) -> int:
@@ -68,8 +72,7 @@ def _mix_id(part) -> int:
     raise ConfigurationError(f"unsupported stream id component: {part!r}")
 
 
-@dataclass(frozen=True)
-class RngStream:
+def derive_rng(master_seed: int, *stream_id) -> np.random.Generator:
     """A named, reproducible random stream derived from a master seed.
 
     The mixing function is ``SeedSequence(entropy=master_seed,
@@ -78,19 +81,9 @@ class RngStream:
     with distinct ids are statistically independent, so adding an
     instrumentation stream never perturbs protocol draws.
     """
-
-    master_seed: int
-    stream_id: tuple = ()
-
-    def generator(self) -> np.random.Generator:
-        key = tuple(_mix_id(p) for p in self.stream_id)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
-
-
-def derive_rng(master_seed: int, *stream_id) -> np.random.Generator:
-    """Shorthand for ``RngStream(master_seed, stream_id).generator()``."""
-    return RngStream(master_seed, tuple(stream_id)).generator()
+    key = tuple(_mix_id(p) for p in stream_id)
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def deliver_round_arrays(

@@ -1,13 +1,10 @@
 """Exact and high-precision numerical checks of the protocol's probabilistic
 building blocks, independent of the simulator.
 
-Two routes compute binomial tails and must agree: a direct summation of the
-probability mass (mode-normalized product recurrence, exact to ~1e-13
-relative, used for n <= 1e6) and the regularized incomplete beta function
-(scipy's continued-fraction evaluation, used beyond).  Small cases are
-additionally pinned by brute-force enumeration over all 2**gamma outcome
-vectors in the test suite.  No factorials are ever formed: everything runs
-through ratios or log-gamma.
+Every binomial tail is a regularized incomplete beta function (scipy's
+continued-fraction evaluation), each tail computed as its own so that tiny
+probabilities keep full relative precision.  No factorials are ever formed:
+everything runs through the incomplete beta or log-gamma.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from scipy.special import betainc, gammaln
 
 from .model import ConfigurationError
 from .params import PAPER_R_SCALE
-
-DIRECT_SUM_LIMIT = 10 ** 6
 
 
 def _check_unit(name, value, lo, hi):
@@ -40,40 +35,15 @@ def sample_correct_prob(delta: float, epsilon: float) -> float:
     return 0.5 + 2.0 * epsilon * delta
 
 
-def _binom_sums(n: int, q: float, k: int):
-    """Normalized pmf sums (below k, at-or-above k) for Binomial(n, q), 0 < q < 1.
-
-    The pmf, scaled to 1 at the mode, is built by a product recurrence from
-    the mode, which sidesteps log-gamma cancellation entirely; accuracy is
-    ~1e-13 relative.
-    """
-    mode = min(max(int((n + 1) * q), 0), n)
-    j = np.arange(n, dtype=np.float64)
-    ratio = (n - j) / (j + 1.0) * (q / (1.0 - q))
-    u = np.empty(n + 1)
-    u[mode] = 1.0
-    if mode < n:
-        u[mode + 1:] = np.cumprod(ratio[mode:])
-    if mode > 0:
-        u[mode - 1::-1] = np.cumprod(1.0 / ratio[mode - 1::-1])
-    below = float(u[:k].sum())
-    above = float(u[k:].sum())
-    total = below + above
-    return below / total, above / total
-
-
 def _binomial_tails(n: int, k: int, p: float):
     """(P(Binomial(n, p) < k), P(Binomial(n, p) >= k)), each computed as its
-    own tail so that tiny probabilities keep full relative precision: direct
-    summation up to ``DIRECT_SUM_LIMIT`` trials, incomplete beta beyond."""
+    own incomplete-beta tail."""
     if k <= 0:
         return 0.0, 1.0
     if k > n or p == 0.0:
         return 1.0, 0.0
     if p == 1.0:
         return 0.0, 1.0
-    if n <= DIRECT_SUM_LIMIT:
-        return _binom_sums(n, p, k)
     return float(betainc(n - k + 1, k, 1.0 - p)), float(betainc(k, n - k + 1, p))
 
 

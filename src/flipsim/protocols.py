@@ -61,6 +61,7 @@ from scipy.special import gammaln
 
 from .model import (
     ConfigurationError,
+    _is_int,
     complement,
     deliver_round_arrays,
     deliver_span_counts,
@@ -134,18 +135,20 @@ class Outcome:
 
 @dataclass(frozen=True)
 class ClockConfiguration:
-    """Initial clock values for the desynchronized variant, one per agent,
-    each in [0, d_bound)."""
+    """Initial clock values for the desynchronized variant: one integer offset
+    per agent, each in [0, d_bound), kept as a read-only int64 array."""
 
     offsets: np.ndarray
     d_bound: int
 
     def __post_init__(self):
         off = np.asarray(self.offsets)
-        if self.d_bound < 1:
-            raise ConfigurationError("d_bound must be >= 1")
+        if off.dtype.kind not in "iu" or not _is_int(self.d_bound) or self.d_bound < 1:
+            raise ConfigurationError("clock offsets must be integers and d_bound an integer >= 1")
         if off.size and (off.min() < 0 or off.max() >= self.d_bound):
             raise ConfigurationError("every clock offset must lie in [0, d_bound)")
+        object.__setattr__(self, "offsets", off.astype(np.int64))
+        self.offsets.flags.writeable = False
 
 
 def _correct_fraction(opinion, correct) -> float:
@@ -540,12 +543,10 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     opinion = _source_opinions(config)
     if clocks is None:
         return _run_windows(opinion, config, schedule, gen, None, d=clock_bound(n))
-    off = np.asarray(clocks.offsets, dtype=np.int64)
-    if off.shape != (n,):
+    if clocks.offsets.shape != (n,):
         raise ConfigurationError("clock offsets must have one entry per agent")
-    ClockConfiguration(off, clocks.d_bound)    # revalidate against the n-sized array
     # clock value o at t=0 means local time t + o
-    return _run_windows(opinion, config, schedule, gen, -off, d=clocks.d_bound)
+    return _run_windows(opinion, config, schedule, gen, -clocks.offsets, d=clocks.d_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +565,9 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     protocol itself never reads; ``first_reach`` is the first round in which
     some agent reached the threshold (None if none did).
     """
+    if not (_is_int(threshold) and _is_int(max_rounds) and threshold >= 1 and max_rounds >= 1):
+        raise ConfigurationError(f"threshold and max_rounds must be integers >= 1, "
+                                 f"got {threshold!r} and {max_rounds!r}")
     n = config.n
     opinion = _source_opinions(config)
     correct = config.correct_opinion
@@ -626,8 +630,6 @@ def run_baseline_silent_wait(config: SimConfig, threshold: int, max_rounds: int,
     reached the threshold (None on timeout).  With only the source talking
     initially, that wait is a birthday-paradox event of order sqrt(n).
     """
-    if threshold < 1:
-        raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
     gen = _as_generator(rng, config, "baseline-silent")
     opinion, rounds, messages, _, first_reach = _threshold_loop(config, threshold, max_rounds, gen)
     return Outcome(opinion, _correct_fraction(opinion, config.correct_opinion), rounds, messages,

@@ -12,8 +12,10 @@ correct-count law and a sampler (:func:`two_step_correct_prob`,
 :func:`two_step_correct_count_pmf`, :func:`simulate_two_step_counts`), the
 corrective-flip bounds (:func:`flip_count_bound_check`), and the exact scalar
 Stirling claim (:func:`stirling_claim_check`) that
-``flipsim.oracle.stirling_claim_grid`` vectorizes.  :func:`save_spec` writes
-the spec files that ``flipsim.harness.load_spec`` reads.
+``flipsim.oracle.stirling_claim_grid`` vectorizes.  :func:`binom_sums` sums
+the binomial mass directly, the reference for the package's incomplete-beta
+tails.  :func:`save_spec` writes the spec files that
+``flipsim.harness.load_spec`` reads.
 
 Two plain forms pin the clock-free variant: :func:`window_codes` writes out
 the window code of every local round, which the engine keeps only as window
@@ -145,6 +147,28 @@ def flip_count_bound_check(r: int, b: float) -> FlipCountCheck:
     x = math.ceil(rb)
     prob = binomial_tail_geq(r + x, x, 2.0 * b)
     return FlipCountCheck(None, None, prob, prob >= 1.0 / 3.0)
+
+
+def binom_sums(n: int, q: float, k: int):
+    """Normalized pmf sums (below k, at-or-above k) for Binomial(n, q), 0 < q < 1.
+
+    The pmf, scaled to 1 at the mode, is built by a product recurrence from
+    the mode, which sidesteps log-gamma cancellation entirely; accuracy is
+    ~1e-13 relative.
+    """
+    mode = min(max(int((n + 1) * q), 0), n)
+    j = np.arange(n, dtype=np.float64)
+    ratio = (n - j) / (j + 1.0) * (q / (1.0 - q))
+    u = np.empty(n + 1)
+    u[mode] = 1.0
+    if mode < n:
+        u[mode + 1:] = np.cumprod(ratio[mode:])
+    if mode > 0:
+        u[mode - 1::-1] = np.cumprod(1.0 / ratio[mode - 1::-1])
+    below = float(u[:k].sum())
+    above = float(u[k:].sum())
+    total = below + above
+    return below / total, above / total
 
 
 def stirling_claim_check(r: int) -> bool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flipsim import cli
+from flipsim import cli, harness, oracle
 
 
 def test_oracle_lemma2_pass(capsys):
@@ -26,13 +26,16 @@ def test_oracle_stirling(capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--r-max", "0"), ("--r-max", "-3"),
     ("--eps", "0"), ("--eps", "nan"), ("--eps", "1e-200"),
+    ("--delta", "0"), ("--delta", "0.7"),
     ("--r-scale", "inf"), ("--r-scale", "nan"), ("--r-scale", "0"), ("--r-scale", "-1"),
     ("--exponent", "inf"), ("--exponent", "1e300"), ("--exponent", "nan"),
+    ("--n", "1"),
 ])
 def test_oracle_bad_value_exit_code(capsys, flag, value):
     check = {
         "--r-max": ["stirling"],
         "--exponent": ["direct", "--eps", "0.25", "--n", "1024"],
+        "--n": ["direct", "--eps", "0.25"],
     }.get(flag, ["lemma2", "--eps", "0.25", "--delta", "0.1"])
     assert cli.main(["oracle", *check, flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -55,6 +58,49 @@ def test_run_writes_report_and_csv(tmp_path, capsys):
     assert doc["schemaVersion"] == 1
     assert doc["perCell"][0]["successRate"] == 1.0
     assert csv_path.read_text().startswith("n,epsilon,runs")
+
+
+def test_run_prints_cell_extras(monkeypatch, capsys):
+    # the forward baseline's depth table, the silent baseline's median wait,
+    # and the scaling fit over a two-n broadcast grid
+    monkeypatch.setenv("FLIPSIM_THREADS", "1")
+    common = ["--eps", "0.25", "--runs", "3", "--seed", "1"]
+    assert cli.main(["run", "--protocol", "baseline-forward", "--n", "64", *common]) == 0
+    assert cli.main(["run", "--protocol", "baseline-silent", "--n", "64", *common]) == 0
+    assert cli.main(["run", "--protocol", "broadcast", "--n", "64", "128", "--eps", "0.5",
+                     "--runs", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=64 eps=0.25 runs=3 successRate=0.0000 wilson=[0.0000,0.5615] meanRounds=12.3 meanMessages=407.0",
+        "  depth 1: 16/19 correct (0.8421)",
+        "  depth 2: 29/39 correct (0.7436)",
+        "  depth 3: 30/61 correct (0.4918)",
+        "  depth 4: 16/42 correct (0.3810)",
+        "  depth 5: 7/20 correct (0.3500)",
+        "  depth 6: 1/7 correct (0.1429)",
+        "  depth 7: 1/1 correct (1.0000)",
+        "n=64 eps=0.25 runs=3 successRate=0.0000 wilson=[0.0000,0.5615] meanRounds=27.0 meanMessages=464.0",
+        "  median first-threshold round: 7.0",
+        "n=64 eps=0.5 runs=2 successRate=1.0000 wilson=[0.3424,1.0000] meanRounds=550.0 meanMessages=24400.0",
+        "n=128 eps=0.5 runs=2 successRate=1.0000 wilson=[0.3424,1.0000] meanRounds=728.0 meanMessages=64050.0",
+        "scaling fit: rounds ~ 44.500 * log2(n)/eps^2 + -518.0 (max residual 0.000)",
+    ]
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (harness, "run_experiment",
+     ["run", "--protocol", "broadcast", "--n", "100000000000", "--eps", "0.5", "--runs", "1"]),
+    (oracle, "stirling_claim_grid", ["oracle", "stirling", "--r-max", "100000000000"]),
+], ids=["run", "stirling"])
+def test_out_of_memory_exit_code(monkeypatch, capsys, module, name, argv):
+    # a stand-in raises numpy's error: a real allocation of this size may
+    # succeed lazily on a host that overcommits memory, then exhaust it
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate") and err.count("\n") == 1
 
 
 def test_run_validation_error_exit_code(capsys):
@@ -96,7 +142,8 @@ def test_sweep_bad_spec_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [("runsPerCell", "10"), ("runsPerCell", 2.5),
-                                         ("masterSeed", "x")])
+                                         ("masterSeed", "x"), ("nGrid", 128),
+                                         ("constants", {"cS": -1.0})])
 def test_sweep_bad_field_type_exit_code(tmp_path, capsys, field, value):
     spec = {"schemaVersion": 1, "protocol": "broadcast", "nGrid": [128],
             "epsilonGrid": [0.5], "runsPerCell": 2, "masterSeed": 3}

@@ -80,6 +80,18 @@ def test_spec_validation_lists_every_problem():
     assert any("runsPerCell" in p for p in problems)
     assert any("initialSetSize" in p for p in problems)
     assert any("initialBias" in p for p in problems)
+    # each remaining check, with the message that names its field
+    for overrides, message in [
+        (dict(protocol="gossip"), "protocol: 'gossip' not one of"),
+        (dict(n_grid=(128, 1.5)), "nGrid: entries must be integers"),
+        (dict(epsilon_grid=()), "epsilonGrid: must be nonempty"),
+        (dict(protocol="consensus", initial_set_size=2.5, initial_bias=0.1), "initialSetSize: must be an integer"),
+        (dict(protocol="consensus", initial_set_size=129, initial_bias=0.1), "initialSetSize: exceeds"),
+        (dict(protocol="consensus", initial_set_size=64, initial_bias=0.7), "initialBias: must be a number"),
+        (dict(protocol="baseline-silent", threshold=0), "threshold: must be >= 1"),
+        (dict(max_rounds=0), "maxRounds: must be an integer >= 1"),
+    ]:
+        assert [p for p in small_spec(**overrides).problems() if p.startswith(message)], message
 
 
 def test_spec_validation_consensus_minimum_set():
@@ -179,6 +191,9 @@ def test_spec_unread_constant_checked_then_dropped():
 
 
 def test_spec_parse_errors(tmp_path):
+    with pytest.raises(SpecParseError, match="cannot read"):
+        load_spec(tmp_path / "missing.json")
+
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     with pytest.raises(SpecParseError, match="line"):
@@ -235,6 +250,12 @@ def test_empty_report_rejected(tmp_path):
         save_report(report, tmp_path / "r.json")
     with pytest.raises(ReportError):
         report_to_csv(report, tmp_path / "r.csv")
+    # a path in a missing directory cannot be written
+    report = run_experiment(small_spec(runs_per_cell=1))
+    with pytest.raises(ReportError, match="cannot write report"):
+        save_report(report, tmp_path / "missing" / "r.json")
+    with pytest.raises(ReportError, match="cannot write CSV"):
+        report_to_csv(report, tmp_path / "missing" / "r.csv")
 
 
 def test_csv_and_json_agree(tmp_path):

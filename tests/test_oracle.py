@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flipsim import ConfigurationError, oracle
+from flipsim import ConfigurationError
 from flipsim.oracle import (
     binomial_tail_geq,
     boost_map,
@@ -18,6 +18,7 @@ from flipsim.oracle import (
 from flipsim.oracle import _stirling_log_p
 from flipsim.model import derive_rng
 from reference import (
+    binom_sums,
     flip_count_bound_check,
     simulate_two_step_counts,
     stirling_claim_check,
@@ -74,19 +75,14 @@ def test_majority_matches_brute_force(q):
         assert abs(majority_correct_prob(gamma, q) - expected) < 1e-12
 
 
-def test_cross_method_agreement(monkeypatch):
-    # incomplete-beta vs direct summation to 1e-10 relative, gamma <= 1e6
-    def both_routes(tail, gamma, q):
-        monkeypatch.setattr(oracle, "DIRECT_SUM_LIMIT", 0)
-        beta = tail(gamma, q)
-        monkeypatch.setattr(oracle, "DIRECT_SUM_LIMIT", 10 ** 6)
-        return beta, tail(gamma, q)
-
+def test_cross_method_agreement():
+    # incomplete beta vs the reference's direct summation to 1e-10 relative,
+    # gamma <= 1e6
     gen = derive_rng(2024, "oracle-grid")
     for _ in range(25):
         gamma = int(gen.integers(3, 10 ** 6)) | 1
         q = 0.5 + 0.4999 * float(gen.random())
-        a, d = both_routes(majority_correct_prob, gamma, q)
+        a, d = majority_correct_prob(gamma, q), binom_sums(gamma, q, (gamma + 1) // 2)[1]
         assert abs(a - d) <= 1e-10 * d
     # the wrong tail, at q within 2/sqrt(gamma) of 1/2 so that it does not
     # underflow to 0 on both routes
@@ -94,7 +90,7 @@ def test_cross_method_agreement(monkeypatch):
     for _ in range(25):
         gamma = int(gen.integers(3, 10 ** 6)) | 1
         q = 0.5 + min(2.0 / math.sqrt(gamma), 0.4999) * float(gen.random())
-        a, d = both_routes(majority_wrong_prob, gamma, q)
+        a, d = majority_wrong_prob(gamma, q), binom_sums(gamma, q, (gamma + 1) // 2)[0]
         assert d > 0.0 and abs(a - d) <= 1e-10 * d
 
 
@@ -210,6 +206,10 @@ def test_direct_sample_requirement():
     ms = [direct_sample_requirement(e, 1024, 2) for e in (0.05, 0.1, 0.25, 0.5)]
     assert all(a >= b for a, b in zip(ms, ms[1:]))
     assert all(m % 2 == 1 for m in ms)
+    # eps = 1e-7 needs m of order 1e15, past the 2^40 search limit
+    for eps, n, message in ((0.0, 1024, "epsilon"), (0.25, 1, "n must be"), (1e-7, 1024, "out of range")):
+        with pytest.raises(ConfigurationError, match=message):
+            direct_sample_requirement(eps, n, 2)
 
 
 def test_direct_sample_requirement_is_tight():
@@ -224,3 +224,6 @@ def test_binomial_tail_edges():
     assert binomial_tail_geq(10, 11, 0.3) == 0.0
     assert binomial_tail_geq(10, 5, 0.0) == 0.0
     assert binomial_tail_geq(10, 5, 1.0) == 1.0
+    for n, p in ((-1, 0.3), (10, -0.1), (10, 1.5), (10, math.nan)):
+        with pytest.raises(ConfigurationError):
+            binomial_tail_geq(n, 5, p)

@@ -489,6 +489,8 @@ def test_consensus_rejects_opinions_outside_range():
         initial[192:] = bad
         with pytest.raises(ConfigurationError, match="initial_opinions"):
             run_majority_consensus(config, initial)
+    with pytest.raises(ConfigurationError, match="one entry per agent"):
+        run_majority_consensus(config, np.ones(255, np.int8))
 
 
 def test_consensus_leaves_callers_opinions_unchanged():
@@ -589,6 +591,20 @@ def test_desync_offset_validation():
     config = cfg(64, 0.25)
     with pytest.raises(ConfigurationError):
         run_desynchronized(config, clocks=ClockConfiguration(np.zeros(32, np.int64), 2))
+    # a float offset would be truncated to an integer, a float d_bound echoed
+    # in DesyncInfo, True read as d = 1, and NaN passes the range check
+    zeros = np.zeros(64, np.int64)
+    for offsets, d_bound in ((np.full(64, 0.7), 2), (np.full(64, np.nan), 2), (np.zeros(64, bool), 2),
+                             (zeros, 2.5), (zeros, True), (zeros, 0), (zeros, -1)):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ClockConfiguration(offsets, d_bound)
+    # the offsets are a read-only int64 copy
+    raw = np.array([0, 1, 1], np.int32)
+    clocks = ClockConfiguration(raw, 2)
+    raw[0] = 1
+    assert clocks.offsets.dtype == np.int64 and clocks.offsets.tolist() == [0, 1, 1]
+    with pytest.raises(ValueError):
+        clocks.offsets[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +659,14 @@ def test_silent_wait_birthday_scaling_small_n():
 def test_silent_wait_validation():
     with pytest.raises(ConfigurationError):
         run_baseline_silent_wait(cfg(64, 0.25), threshold=0, max_rounds=10)
+    # the thresholds and round caps that ExperimentSpec rejects: a cap below 1
+    # would return an Outcome of a run that never ran
+    for threshold, max_rounds in ((2.5, 10), (True, 10), (2, 0), (2, -5), (2, 2.5), (2, True)):
+        with pytest.raises(ConfigurationError, match="integers >= 1"):
+            run_baseline_silent_wait(cfg(64, 0.25), threshold=threshold, max_rounds=max_rounds)
+    for max_rounds in (0, -5):
+        with pytest.raises(ConfigurationError, match="integers >= 1"):
+            run_baseline_forward(cfg(64, 0.25), max_rounds=max_rounds)
 
 
 # ---------------------------------------------------------------------------
