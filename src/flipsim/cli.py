@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lemma_p = osub.add_parser("lemma2", help="sample-majority boost bound")
     lemma_p.add_argument("--eps", type=float, required=True)
     lemma_p.add_argument("--delta", type=float, required=True)
-    lemma_p.add_argument("--r-scale", type=float, default=None,
+    lemma_p.add_argument("--r-scale", type=float, default=PAPER_R_SCALE,
                          help="override the sample-radius scale (default: the literal 2**22)")
 
     stir_p = osub.add_parser("stirling", help="central binomial lower bound over an r grid")
@@ -106,8 +106,7 @@ def _write(report, args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.check == "lemma2":
-        r_scale = args.r_scale if args.r_scale is not None else PAPER_R_SCALE
-        res = oracle.lemma_second_bound_check(args.eps, args.delta, r_scale=r_scale)
+        res = oracle.lemma_second_bound_check(args.eps, args.delta, r_scale=args.r_scale)
         print(
             f"eps={args.eps} delta={args.delta} r={res.r} gamma={res.gamma} "
             f"q={res.q:.12g} probability={res.probability:.12g} bound={res.bound:.12g} "

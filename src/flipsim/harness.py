@@ -71,6 +71,11 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_epsilon(e) -> bool:
+    # NoiseChannel.from_epsilon's bound: below 2^-55, 1/2 - e rounds to 1/2
+    return _is_real(e) and 0.0 < e <= 0.5 and 0.5 - e < 0.5
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     protocol: str
@@ -98,8 +103,8 @@ class ExperimentSpec:
             out.append("nGrid: entries must be integers >= 2")
         if not self.epsilon_grid:
             out.append("epsilonGrid: must be nonempty")
-        elif any(not _is_real(e) or not (0.0 < e <= 0.5) for e in self.epsilon_grid):
-            out.append("epsilonGrid: entries must be numbers in (0, 1/2]")
+        elif not all(_is_epsilon(e) for e in self.epsilon_grid):
+            out.append("epsilonGrid: entries must be numbers in (2^-55, 1/2]")
         if not _is_int(self.runs_per_cell) or self.runs_per_cell < 1:
             out.append("runsPerCell: must be an integer >= 1")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2 ** 64:
@@ -107,7 +112,7 @@ class ExperimentSpec:
         if self.protocol == "consensus":
             size = self.initial_set_size
             ns = [n for n in self.n_grid if _is_int(n) and n >= 2]    # the rest is reported above
-            epss = [e for e in self.epsilon_grid if _is_real(e) and 0.0 < e <= 0.5]
+            epss = [e for e in self.epsilon_grid if _is_epsilon(e)]
             if size is None:
                 out.append("initialSetSize: required for consensus")
             elif not _is_int(size):
@@ -224,8 +229,9 @@ class ExperimentReport:
     scaling_fit: ScalingFit | None
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054      # the standard normal's 0.975 quantile
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials

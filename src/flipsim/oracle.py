@@ -4,11 +4,13 @@ building blocks, independent of the simulator.
 Every binomial tail is a regularized incomplete beta function (scipy's
 continued-fraction evaluation), each tail computed as its own so that tiny
 probabilities keep full relative precision.  No factorials are ever formed:
-everything runs through the incomplete beta or log-gamma.
+everything runs through the incomplete beta or log-gamma.  The Stirling grid
+checks each r at its binding i = floor(sqrt(r)) only, in O(r_max).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -25,13 +27,17 @@ def _check_unit(name, value, lo, hi):
         raise ConfigurationError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
+def _check_epsilon(epsilon):
+    if not (0.0 < epsilon <= 0.5):
+        raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+
+
 def sample_correct_prob(delta: float, epsilon: float) -> float:
     """Probability that one noisy sample from a population with bias delta
     shows the correct opinion: (1/2+delta)(1/2+eps) + (1/2-delta)(1/2-eps)
     = 1/2 + 2*eps*delta."""
     _check_unit("delta", delta, 0.0, 0.5)
-    if not (0.0 < epsilon <= 0.5):
-        raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    _check_epsilon(epsilon)
     return 0.5 + 2.0 * epsilon * delta
 
 
@@ -98,8 +104,7 @@ def lemma_second_bound_check(epsilon: float, delta: float, r_scale: float = PAPE
     """
     if not (0.0 < delta <= 0.5):
         raise ConfigurationError(f"delta must lie in (0, 1/2], got {delta}")
-    if not (0.0 < epsilon <= 0.5):
-        raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    _check_epsilon(epsilon)
     if not (0.0 < r_scale < math.inf):
         raise ConfigurationError(f"r_scale must be positive and finite, got {r_scale}")
     eps2 = epsilon * epsilon
@@ -114,35 +119,34 @@ def lemma_second_bound_check(epsilon: float, delta: float, r_scale: float = PAPE
     return LemmaCheck(probability, bound, probability >= bound, r, gamma, q)
 
 
-def _stirling_log_p(r_flat: np.ndarray, i_flat: np.ndarray) -> np.ndarray:
+def _stirling_log_p(r: np.ndarray, i: np.ndarray) -> np.ndarray:
     """log of P(r+i) = 2^-(2r+1) C(2r+1, r+i), elementwise."""
-    two_r1 = 2.0 * r_flat + 1.0
+    two_r1 = 2.0 * r + 1.0
     return (
         -two_r1 * math.log(2.0)
         + gammaln(two_r1 + 1.0)
-        - gammaln(r_flat - i_flat + 2.0)
-        - gammaln(r_flat + i_flat + 1.0)
+        - gammaln(r - i + 2.0)
+        - gammaln(r + i + 1.0)
     )
 
 
 def stirling_claim_grid(r_max: int) -> np.ndarray:
     """For each r = 1..r_max, whether P(r+i) > 1/(10*sqrt(r)) for every
     1 <= i <= floor(sqrt(r)), which implies the summed central-deviation
-    bound; returns a boolean array (index 0 <-> r=1)."""
+    bound; returns a boolean array (index 0 <-> r=1).
+
+    Only i = floor(sqrt(r)) is evaluated: C(2r+1, r+i+1) / C(2r+1, r+i)
+    = (r+1-i) / (r+i+1) < 1 for i >= 1, so P(r+i) falls strictly in i and
+    the largest i binds.
+    """
     if r_max < 1:
         raise ConfigurationError(f"r_max must be >= 1, got {r_max}")
     rs = np.arange(1, r_max + 1, dtype=np.int64)
     w = np.sqrt(rs).astype(np.int64)
     w = np.where((w + 1) ** 2 <= rs, w + 1, w)
     w = np.where(w ** 2 > rs, w - 1, w)          # exact floor(sqrt(r))
-    r_flat = np.repeat(rs, w).astype(np.float64)
-    ends = np.cumsum(w)
-    starts = ends - w
-    i_flat = (np.arange(ends[-1]) - np.repeat(starts, w) + 1).astype(np.float64)
-    logp = _stirling_log_p(r_flat, i_flat)
-    ok_flat = logp > -np.log(10.0 * np.sqrt(r_flat))
-    # segments are nonempty for every r >= 1 since floor(sqrt(r)) >= 1
-    return np.logical_and.reduceat(ok_flat, starts)
+    r = rs.astype(np.float64)
+    return _stirling_log_p(r, w.astype(np.float64)) > -np.log(10.0 * np.sqrt(r))
 
 
 def boost_map(delta: float, epsilon: float, gamma: int, success_rate: float) -> float:
@@ -161,8 +165,7 @@ def direct_sample_requirement(epsilon: float, n: int, target_exponent: float) ->
     directly, and serves as the scaling yardstick for the protocol's round
     complexity.
     """
-    if not (0.0 < epsilon <= 0.5):
-        raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    _check_epsilon(epsilon)
     if n < 2:
         raise ConfigurationError(f"n must be >= 2, got {n}")
     if not (0.0 < target_exponent < math.inf):
@@ -174,23 +177,14 @@ def direct_sample_requirement(epsilon: float, n: int, target_exponent: float) ->
             f"n**-target_exponent = {allowed:g} is below the smallest normal float "
             f"at n={n}, target_exponent={target_exponent}")
 
-    def ok(m: int) -> bool:
-        return majority_wrong_prob(m, q) <= allowed
+    def ok(k: int) -> bool:
+        return majority_wrong_prob(2 * k + 1, q) <= allowed
 
-    if ok(1):
-        return 1
-    lo, hi = 1, 3
+    # search over k with m = 2k + 1: probe m = 1, 3, 7, ..., 2^40 - 1
+    lo = hi = 0
     while not ok(hi):
-        lo, hi = hi, 2 * hi + 1
-        if hi > 2 ** 40:
+        lo, hi = hi + 1, 2 * hi + 1
+        if 2 * hi + 1 > 2 ** 40:
             raise ConfigurationError("direct sample requirement out of range")
-    # invariant: ok(hi) holds, ok(lo) fails; bisect over odd values
-    while hi - lo > 2:
-        mid = lo + (hi - lo) // 2
-        if mid % 2 == 0:
-            mid += 1
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # ok(hi) holds, and ok(k) fails for k < lo since the wrong tail falls in m
+    return 2 * bisect.bisect_left(range(hi), True, lo, key=ok) + 1

@@ -11,10 +11,10 @@ ship: the two-step process (fair coin, then corrective flip) with its exact
 correct-count law and a sampler (:func:`two_step_correct_prob`,
 :func:`two_step_correct_count_pmf`, :func:`simulate_two_step_counts`), the
 corrective-flip bounds (:func:`flip_count_bound_check`), and the exact scalar
-Stirling claim (:func:`stirling_claim_check`) that
-``flipsim.oracle.stirling_claim_grid`` vectorizes.  :func:`binom_sums` sums
-the binomial mass directly, the reference for the package's incomplete-beta
-tails.  :func:`save_spec` writes the spec files that
+Stirling claim over every i (:func:`stirling_claim_check`), which
+``flipsim.oracle.stirling_claim_grid`` checks at the binding i only.
+:func:`binom_sums` sums the binomial mass directly, the reference for the
+package's incomplete-beta tails.  :func:`save_spec` writes the spec files that
 ``flipsim.harness.load_spec`` reads.
 
 Two plain forms pin the clock-free variant: :func:`window_codes` writes out
@@ -175,8 +175,13 @@ def stirling_claim_check(r: int) -> bool:
     """Whether P(r+i) = C(2r+1, r+i) / 2^(2r+1) > 1/(10*sqrt(r)) for every
     1 <= i <= floor(sqrt(r)), decided exactly in integers as
     100 r C(2r+1, r+i)^2 > 4^(2r+1)."""
-    return all(100 * r * math.comb(2 * r + 1, r + i) ** 2 > 4 ** (2 * r + 1)
-               for i in range(1, math.isqrt(r) + 1))
+    bound = 4 ** (2 * r + 1)
+    c = math.comb(2 * r + 1, r)
+    for i in range(1, math.isqrt(r) + 1):
+        c = c * (r + 2 - i) // (r + i)      # C(2r+1, r+i), exactly
+        if 100 * r * c * c <= bound:
+            return False
+    return True
 
 
 def save_spec(spec, path) -> None:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flipsim import cli, harness, oracle
@@ -21,6 +22,15 @@ def test_oracle_lemma2_violation_exit_code(capsys):
 
 def test_oracle_stirling(capsys):
     assert cli.main(["oracle", "stirling", "--r-max", "500"]) == 0
+    assert capsys.readouterr().out == (
+        "P(r+i) > 1/(10 sqrt(r)) for all 1 <= i <= floor(sqrt(r)), r in 1..500\n")
+
+
+def test_oracle_stirling_violation_exit_code(monkeypatch, capsys):
+    # the claim holds at every r, so a stand-in grid fails at r = 7
+    monkeypatch.setattr(oracle, "stirling_claim_grid", lambda r_max: np.arange(r_max) != 6)
+    assert cli.main(["oracle", "stirling", "--r-max", "20"]) == 3
+    assert capsys.readouterr().out == "violated at r=7\n"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -85,6 +85,8 @@ def test_spec_validation_lists_every_problem():
         (dict(protocol="gossip"), "protocol: 'gossip' not one of"),
         (dict(n_grid=(128, 1.5)), "nGrid: entries must be integers"),
         (dict(epsilon_grid=()), "epsilonGrid: must be nonempty"),
+        # below 2^-55 the channel's flip probability rounds to 1/2
+        (dict(epsilon_grid=(1e-20,)), "epsilonGrid: entries must be numbers in (2^-55, 1/2]"),
         (dict(protocol="consensus", initial_set_size=2.5, initial_bias=0.1), "initialSetSize: must be an integer"),
         (dict(protocol="consensus", initial_set_size=129, initial_bias=0.1), "initialSetSize: exceeds"),
         (dict(protocol="consensus", initial_set_size=64, initial_bias=0.7), "initialBias: must be a number"),

@@ -164,8 +164,10 @@ def test_stirling_r100_value():
 
 
 def test_stirling_grid_matches_scalar():
-    grid = stirling_claim_grid(200)
-    scalar = np.array([stirling_claim_check(r) for r in range(1, 201)])
+    # the grid evaluates only i = floor(sqrt(r)); the reference decides every
+    # i exactly in integers
+    grid = stirling_claim_grid(2000)
+    scalar = np.array([stirling_claim_check(r) for r in range(1, 2001)])
     assert np.array_equal(grid, scalar)
     assert grid.all()
 
@@ -212,11 +214,16 @@ def test_direct_sample_requirement():
             direct_sample_requirement(eps, n, 2)
 
 
-def test_direct_sample_requirement_is_tight():
-    m = direct_sample_requirement(0.25, 1024, 2)
-    allowed = 1024.0 ** -2
-    assert majority_wrong_prob(m, 0.75) <= allowed
-    assert majority_wrong_prob(m - 2, 0.75) > allowed
+@pytest.mark.parametrize("eps,n,exponent", [
+    (0.25, 1024, 2), (0.5, 2, 0.5), (0.4, 10, 2), (0.1, 10 ** 6, 1),
+    (0.05, 10 ** 9, 3), (0.01, 1024, 5), (1e-3, 77, 0.5), (1e-4, 10 ** 9, 2),
+])
+def test_direct_sample_requirement_is_tight(eps, n, exponent):
+    m = direct_sample_requirement(eps, n, exponent)
+    allowed = float(n) ** -exponent
+    assert m % 2 == 1
+    assert majority_wrong_prob(m, 0.5 + eps) <= allowed
+    assert m == 1 or majority_wrong_prob(m - 2, 0.5 + eps) > allowed
 
 
 def test_binomial_tail_edges():
