@@ -132,11 +132,13 @@ def deliver_round_arrays(
     return receivers, accepted, sender_ids[chosen]
 
 
-# A kernel call delivers its rounds in blocks of max(1, BLOCK_CELLS // n)
-# rounds, so that a block's per-call overhead is shared while its (round,
-# agent) cells stay in cache.  On a 2-vCPU host, dense rounds at n = 4096
-# with 600 senders cost 72 us one at a time and 45 us in blocks of 16; at
-# n = 2^16 a block of 2 rounds is slower than single rounds.
+# A kernel call delivers its rounds in blocks of BLOCK_CELLS // n rounds, so
+# that a block's per-call overhead is shared while its (round, agent) cells
+# stay in cache; below 8 rounds (n >= 2^14) a block is one round.  On a
+# 2-vCPU host, dense rounds at n = 4096 with 600 senders cost 72 us one at a
+# time and 45 us in blocks of 16.  At n = 2^14 and 2^15, rounds in which
+# every agent sends, or one in six, cost 5-35% less one at a time than in
+# blocks of 4 or 2, in both modes of the kernel.
 BLOCK_CELLS = 2 ** 16
 # A block takes the sparse step, which touches only the heard cells, when at
 # most one agent in SPARSE_FACTOR sends.  Fancy indexing costs several times
@@ -146,26 +148,35 @@ BLOCK_CELLS = 2 ** 16
 SPARSE_FACTOR = 8
 
 
+def _block_rounds(n: int) -> int:
+    """Rounds per block of :func:`deliver_span_counts` at ``n`` agents."""
+    block = BLOCK_CELLS // n
+    return block if block >= 8 else 1
+
+
 def delivery_buffers(n: int):
-    """Work arrays for :func:`deliver_span_counts` at ``n`` agents: two
-    per-agent count arrays and the cell buffers of one block.  A run
-    allocates them once and passes them to every call, so calls allocate no
-    per-agent arrays (fresh ones cost a page fault per touched page).  The
-    arrival counts stay zero between calls."""
-    cells = max(1, BLOCK_CELLS // n) * n
-    return (np.empty(n, np.int32), np.empty(n, np.int32),
+    """Work arrays for :func:`deliver_span_counts` at ``n`` agents: the
+    per-agent int32 ``heard`` and float64 ``match`` arrays and the cell
+    buffers of one block.  A run allocates them once and passes them to
+    every call, so calls allocate no per-agent arrays (fresh ones cost a
+    page fault per touched page).  The arrival counts stay zero between
+    calls."""
+    cells = _block_rounds(n) * n
+    return (np.empty(n, np.int32), np.empty(n, np.float64),
             np.zeros(cells, np.float64), np.zeros(cells, np.float64),
             np.empty(cells, np.float64), np.empty(cells, bool))
 
 
 def _add_rows(total, cells, b, n):
-    """``total += `` the ``b`` rows of ``n`` agents in ``cells``, summed."""
+    """``total += `` the ``b`` rows of ``n`` agents in ``cells``, summed;
+    boolean cells are summed as int32, several times faster than float64."""
     if b > 1:
-        cells = np.add.reduce(cells.reshape(b, n), axis=0, dtype=np.int32)
+        cells = np.add.reduce(cells.reshape(b, n), axis=0,
+                              dtype=np.int32 if cells.dtype == bool else cells.dtype)
     np.add(total, cells, out=total)
 
 
-def deliver_span_counts(carriers, others, rounds, n, channel, rng, out):
+def deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected=False):
     """Count-based core of ``rounds`` independent push-gossip delivery
     rounds with one fixed set of senders.
 
@@ -175,25 +186,34 @@ def deliver_span_counts(carriers, others, rounds, n, channel, rng, out):
     agent with ``a`` arrivals in a round, ``c`` of them carrying the
     reference bit, accepts one of them uniformly and passes it through the
     channel, so the bit it keeps equals the reference bit with probability
-    ``(c (1 - p) + (a - c) p) / a``.  One float64 uniform per heard
-    (round, agent) cell decides this: ``(u - p) a / (1 - 2p) < c``.  Given
-    the targets, accepts at distinct cells are independent, so this is the
-    law of ``rounds`` rounds of the permutation kernel with the arrival
-    order left undrawn.
+    ``q = p + (1 - 2p) c / a``.  Given the targets, accepts at distinct
+    cells are independent, so drawing one Bernoulli(q) per heard
+    (round, agent) cell, as a float64 uniform tested by
+    ``(u - p) a / (1 - 2p) < c``, is the law of ``rounds`` rounds of the
+    permutation kernel with the arrival order left undrawn.
 
-    Rounds go in blocks of ``max(1, BLOCK_CELLS // n)``.  A block draws its
-    targets at once and counts ``a`` and ``c`` per cell.  The dense step then
-    draws a uniform for every cell; the sparse step, taken when at most one
-    agent in ``SPARSE_FACTOR`` sends, keeps one message per heard cell (which
-    one does not matter: ``a`` and ``c`` are read from the counts) and draws
-    a uniform for those cells alone.  Both steps have the same law.
+    With ``expected`` true nothing is drawn after the targets: ``match``
+    holds each agent's sum of ``q`` over its heard cells, a deterministic
+    function of the targets, instead of a drawn count.  A caller that reads
+    ``match`` only through one Bernoulli draw of ``match / heard`` (a
+    uniform pick among the accepted messages, made later) sees the same law
+    either way, since given the targets the drawn count has mean ``sum q``.
 
-    ``out`` is ``delivery_buffers(n)``.  Returns per-agent int32 arrays
+    Rounds go in blocks of ``BLOCK_CELLS // n`` (one round for n >= 2^14).
+    A block draws its targets at once and counts ``a`` and ``c`` per cell.
+    The dense step then tests every cell; the sparse step, taken when at most
+    one agent in ``SPARSE_FACTOR`` sends, keeps one message per heard cell
+    (which one does not matter: ``a`` and ``c`` are read from the counts) and
+    tests those cells alone.  Both steps have the same law in either mode.
+
+    ``out`` is ``delivery_buffers(n)``.  Returns per-agent arrays
     ``(heard, match)``, views of ``out`` that the next call overwrites:
-    ``heard`` counts the rounds in which an agent accepted a message and
-    ``match`` those in which the accepted bit equals the reference bit.  The
-    draws depend on the messages only through who carries the reference
-    bit, so both are invariant under relabeling the bits.
+    int32 ``heard`` counts the rounds in which an agent accepted a message,
+    and float64 ``match`` those in which the accepted bit equals the
+    reference bit (integer-valued), or with ``expected`` their expected
+    number given the targets.  The draws depend on the messages only through
+    who carries the reference bit, so both are invariant under relabeling
+    the bits.
     """
     heard, match, ref_cells, other_cells, u, hit = out
     k = carriers.size
@@ -205,7 +225,7 @@ def deliver_span_counts(carriers, others, rounds, n, channel, rng, out):
     match.fill(0)
     p = channel.flip_probability
     spread = 1.0 - 2.0 * p
-    block = max(1, BLOCK_CELLS // n)
+    block = _block_rounds(n)
     sparse = SPARSE_FACTOR * m <= n
     for first in range(0, rounds, block):
         b = min(block, rounds - first)
@@ -232,26 +252,37 @@ def deliver_span_counts(carriers, others, rounds, n, channel, rng, out):
             ac = a[cells] + cc
             a[cells] = 0.0
             c[cells] = 0.0
-            uu = rng.random(cells.size)
-            uu -= p
-            uu *= ac
-            uu /= spread
             agents = targets.ravel()[kept]
             np.add.at(heard, agents, np.int32(1))
-            np.add.at(match, agents[uu < cc], np.int32(1))
+            if expected:
+                np.add.at(match, agents, cc / ac)
+            else:
+                uu = rng.random(cells.size)
+                uu -= p
+                uu *= ac
+                uu /= spread
+                np.add.at(match, agents[uu < cc], 1.0)
         else:
             a += c
-            uu = u[:b * n]
-            rng.random(out=uu)
-            uu -= p
-            uu *= a
-            uu /= spread
             h = hit[:b * n]
-            np.less(uu, c, out=h)
-            _add_rows(match, h, b, n)
             np.greater(a, 0.0, out=h)
             _add_rows(heard, h, b, n)
+            if expected:
+                np.maximum(a, 1.0, out=a)
+                np.divide(c, a, out=c)
+                _add_rows(match, c, b, n)
+            else:
+                uu = u[:b * n]
+                rng.random(out=uu)
+                uu -= p
+                uu *= a
+                uu /= spread
+                np.less(uu, c, out=h)
+                _add_rows(match, h, b, n)
             a.fill(0.0)
             c.fill(0.0)
         del targets, keys   # before the next block draws its own
+    if expected:
+        match *= spread     # sum of q = p heard + (1 - 2p) sum of c / a
+        match += p * heard
     return heard, match

@@ -27,7 +27,12 @@ fast without changing any distribution:
   one kernel call delivers them all;
 * an agent's uniform choice among the messages of its activation phase is
   drawn at the phase close from its counters: correct with probability
-  ``correct / accepted``;
+  ``correct / accepted``.  Only that draw reads the stage-1 correct
+  counter, so a span in which no clock group is inside a stage-2 window
+  adds each agent's expected correct accepts given the targets, the sum of
+  ``(c (1 - p) + (a - c) p) / a`` over its heard rounds, and draws no
+  accept (``expected`` in the kernel); spans with a stage-2 listener draw
+  integer counts, which the subset majority below needs;
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law;
@@ -332,14 +337,16 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     window; within it the senders, payloads and listeners are fixed, so one
     kernel call counts each agent's accepts and correct accepts over the
     span's rounds, and listeners add them to their counters in place, with
-    work buffers allocated once per run.  The groups whose code changes at
-    a span's end close their windows there, in (code, shift) order.  While
-    the preamble is still informing agents a span is one round, because an
-    agent that hears starts sending in the next round.  With one clock
-    group and no preamble, a stage-2 window that opens with every agent
-    correct is drawn whole by :func:`unanimous_phase`, and its rounds are
-    skipped.  The run ends when the last window of the latest group has
-    closed.
+    work buffers allocated once per run.  When every group's code is at
+    most T+1 (stage 1, a gap, or not yet informed) the correct accepts are
+    their expected number given the targets; otherwise they are drawn.  The
+    groups whose code changes at a span's end close their windows there, in
+    (code, shift) order.  While the preamble is still informing agents a
+    span is one round, because an agent that hears starts sending in the
+    next round.  With one clock group and no preamble, a stage-2 window that
+    opens with every agent correct is drawn whole by
+    :func:`unanimous_phase`, and its rounds are skipped.  The run ends when
+    the last window of the latest group has closed.
     """
     n = config.n
     channel = config.channel
@@ -348,7 +355,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     edges, codes = _local_windows(schedule, d)
     local_total = int(edges[-1])
     cnt = np.zeros(n, np.int32)     # messages accepted in the current window
-    corr = np.zeros(n, np.int32)    # ... of them carrying the correct opinion after the channel
+    corr = np.zeros(n, np.float64)  # ... of them correct after the channel; in stage 1 expected
     buffers = delivery_buffers(n)
 
     preamble = shift is None
@@ -447,7 +454,11 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         assert (np.searchsorted(edges, end - 1 - groups, "right") == seg).all()
         fresh = None
         if sent:
-            heard, match = deliver_span_counts(carriers, others, end - t, n, channel, gen, buffers)
+            # stage-1 listeners read corr only through the close's pick, which
+            # is linear in it, so a span without stage-2 listeners adds expected
+            # matches
+            heard, match = deliver_span_counts(carriers, others, end - t, n, channel, gen, buffers,
+                                               bool((gcode <= t1).all()))
             messages += sent * (end - t)
             if uninformed:
                 fresh = np.flatnonzero((heard > 0) & (gid < 0))

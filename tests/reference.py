@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flipsim import ConfigurationError, NoiseChannel
+from flipsim import ConfigurationError, NoiseChannel, model
 from flipsim.model import deliver_round_arrays, deliver_span_counts
 from flipsim.oracle import binomial_tail_geq
 from flipsim.protocols import unanimous_phase
@@ -235,26 +235,38 @@ def push_spread(n, rounds, rng):
     return last
 
 
+def clone(rng):
+    """A generator in ``rng``'s current state that draws independently of it."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
 def replay_targets(senders, n, rng, rounds=None):
-    """The targets the next delivery call on ``rng`` will draw for
-    ``senders`` (in the kernel's order), read from a clone of ``rng``: one
-    per sender, or with ``rounds`` the (rounds, senders) targets of the
-    first block of :func:`~flipsim.model.deliver_span_counts`, which draws
-    them sender by sender."""
-    clone = np.random.Generator(np.random.PCG64())
-    clone.bit_generator.state = rng.bit_generator.state
+    """The targets the next delivery call will draw for ``senders`` (in the
+    kernel's order), drawn from ``rng``, a :func:`clone` of the call's
+    generator: one per sender, or with ``rounds`` the (rounds, senders)
+    targets of :func:`~flipsim.model.deliver_span_counts`, which draws them
+    block by block, sender by sender.  Past the first block these are the
+    call's targets only if it draws nothing else, as with ``expected``."""
     if rounds is None:
-        t = clone.integers(0, n - 1, size=senders.size)
+        t = rng.integers(0, n - 1, size=senders.size)
         return t + (t >= senders)
-    t = clone.integers(0, n - 1, size=(senders.size, rounds))
-    return (t + (t >= senders[:, None])).T
+    block = model._block_rounds(n)
+    rows = []
+    for first in range(0, rounds, block):
+        t = rng.integers(0, n - 1, size=(senders.size, min(block, rounds - first)))
+        rows.append((t + (t >= senders[:, None])).T)
+    return np.concatenate(rows)
 
 
-def permutation_counts(carriers, others, rounds, n, channel, rng, out):
+def permutation_counts(carriers, others, rounds, n, channel, rng, out, expected=False):
     """:func:`~flipsim.model.deliver_span_counts` realized by ``rounds``
     rounds of the permutation kernel: the reference bit travels as payload
     1, and ``heard``/``match`` sum the receivers and the receivers of an
-    accepted payload 1 over the rounds."""
+    accepted payload 1 over the rounds.  ``match`` is a drawn count also
+    with ``expected``, whose sum of q is that count's mean given the
+    targets."""
     heard, match = out[:2]
     senders = np.concatenate((carriers, others))
     payloads = (np.arange(senders.size) < carriers.size).astype(np.int8)
@@ -269,8 +281,8 @@ def permutation_counts(carriers, others, rounds, n, channel, rng, out):
 
 class KernelRecorder:
     """Count kernel that feeds every call's carriers, other senders, round
-    count, ``heard`` and ``match`` into one sha256, and counts the messages
-    sent.
+    count, mode, ``heard`` and ``match`` into one sha256, and counts the
+    messages sent.
     Its :meth:`phase` does the same for the unanimous-phase shortcut: the
     phase length, the failed and the turned-wrong agents of every phase it
     draws, and that phase's messages."""
@@ -280,9 +292,9 @@ class KernelRecorder:
         self.messages = 0
         self.shortcuts = 0      # phases drawn by the shortcut
 
-    def __call__(self, carriers, others, rounds, n, channel, rng, out):
-        heard, match = deliver_span_counts(carriers, others, rounds, n, channel, rng, out)
-        self.sha.update(np.array([carriers.size, others.size, rounds], np.int64).tobytes())
+    def __call__(self, carriers, others, rounds, n, channel, rng, out, expected=False):
+        heard, match = deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected)
+        self.sha.update(np.array([carriers.size, others.size, rounds, expected], np.int64).tobytes())
         for arr in (carriers, others, heard, match):
             self.sha.update(arr.tobytes())
         self.messages += rounds * (carriers.size + others.size)

@@ -28,9 +28,9 @@ from flipsim import (
 from flipsim.params import InitialSetTooSmallError, _ceil_log2, clock_bound
 
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
-# preamble runs whose realized clock spread exceeds D (17 and 18 against
+# preamble runs whose realized clock spread exceeds D (19 and 20 against
 # D = 16), so that window traffic of neighbouring phases overlaps
-GRIDS = {"desync-preamble-overlap": [(256, 0.25, 20), (256, 0.25, 150)]}
+GRIDS = {"desync-preamble-overlap": [(256, 0.25, 42), (256, 0.25, 133)]}
 
 
 def _consensus(config):
@@ -71,11 +71,11 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "96edb67b38cd5891",
-    "consensus": "177e98a51a8c0066",
-    "desync-clocks": "c3741f92c9143811",
-    "desync-preamble": "6d404b8d322cf766",
-    "desync-preamble-overlap": "7bd5606b93e61e83",
+    "broadcast": "0bf8e7b5aca379cc",
+    "consensus": "d57a7ad2a712b7e2",
+    "desync-clocks": "a59ffa45c6243020",
+    "desync-preamble": "c82ab8877ce2ff68",
+    "desync-preamble-overlap": "f9211faa9c49d471",
     "baseline-forward": "d0dc5c27eca2d018",
     "baseline-silent": "71ed5148a0b3dc8c",
 }

@@ -298,10 +298,10 @@ _PINNED = [
      "6b56ffd9296f5dc07d10fc17f15d45b10ff8125db4f8d19755a8178f39f6f251"),
     (dict(protocol="consensus", n_grid=(128,), initial_bias=0.0, initial_set_size=64),
      {"initialBias", "initialSetSize"}, set(), False,
-     "4cb6740f7ed084a3d334d2d206fa47fc6f19404dc89ca0393d4c802e5d22d3ec"),
+     "a54ba41af19f2cf628a2df453b045c9cd186baa3f322fe353c76f80426641c40"),
     # two n cannot pin the desync fit's three coefficients: no fit
     (dict(protocol="desync", n_grid=(64, 128)), set(), set(), False,
-     "4a22ebcd0caac04e24a6780f1b22368435719a3d926f73f279616bc1ffabab9b"),
+     "7cba3c08b364a1796cc0b82f92a554b16bb38efce3cc9789ae0301905c346471"),
     (dict(protocol="baseline-forward", n_grid=(64,), epsilon_grid=(0.25,), max_rounds=40),
      {"maxRounds"}, {"depthTable"}, False,
      "8e694a5aa1ef8da742b698e1389d2242f5a278f3cc52fefbf7018936df561389"),

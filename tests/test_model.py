@@ -12,7 +12,7 @@ from flipsim import (
 )
 from flipsim import model
 from flipsim.model import deliver_round_arrays, deliver_span_counts, delivery_buffers
-from reference import deliver_round, flip, replay_targets
+from reference import clone, deliver_round, flip, replay_targets
 
 
 def test_complement_is_involution():
@@ -116,7 +116,7 @@ def test_deliver_conservation_and_anonymity():
     gen = derive_rng(8, "cons")
     ids = np.arange(0, n, 2)
     pay = (ids % 3 == 0).astype(np.int8)
-    targets = replay_targets(ids, n, gen)
+    targets = replay_targets(ids, n, clone(gen))
     recv, acc, src = deliver_round_arrays(ids, pay, n, ch, gen)
     assert targets.size == ids.size                  # every sender's message arrives somewhere
     assert recv.size <= ids.size                     # accept-one can only drop
@@ -132,7 +132,7 @@ def test_deliver_never_targets_self():
     ids = np.arange(5)
     pay = np.ones(5, np.int8)
     for _ in range(200):
-        targets = replay_targets(ids, 5, gen)
+        targets = replay_targets(ids, 5, clone(gen))
         recv, _, _ = deliver_round_arrays(ids, pay, 5, ch, gen)
         assert np.array_equal(recv, np.unique(targets))     # the replay is the kernel's draw
         assert not np.any(targets == ids)
@@ -202,7 +202,7 @@ def _count_law(step, n, p, carriers, others):
     tally = {}          # (a, c) -> [heard cells, matches]
     matches = mean = var = 0.0
     for _ in range(calls):
-        targets = replay_targets(senders, n, gen, rounds)
+        targets = replay_targets(senders, n, clone(gen), rounds)
         a = np.stack([np.bincount(row, minlength=n) for row in targets])
         c = np.stack([np.bincount(row[:carriers.size], minlength=n) for row in targets])
         heard, match = deliver_span_counts(carriers, others, rounds, n, ch, gen, buffers)
@@ -228,7 +228,7 @@ def _count_law(step, n, p, carriers, others):
     # One call over several blocks: each agent hears in a round with
     # probability 1-(1-1/(n-1))^m for the m messages that can reach it, and
     # matches with probability E q(a, c) under its exact per-round law.
-    long = 3 * (model.BLOCK_CELLS // n) + 5
+    long = 3 * model._block_rounds(n) + 5
     heard, match = deliver_span_counts(carriers, others, long, n, ch, gen, buffers)
     assert ((0 <= match) & (match <= heard) & (heard <= long)).all(), step
     for i, law in _cell_law(n, carriers, others).items():
@@ -238,6 +238,27 @@ def _count_law(step, n, p, carriers, others):
         hit = sum(w * q(a, c) for (a, c), w in law.items() if a)
         for share, count in ((hear, heard[i]), (hit, match[i])):
             assert abs(count / long - share) < 4 * math.sqrt(share * (1 - share) / long), (step, i, count)
+
+    # The expected mode draws nothing after the targets, so a clone that
+    # draws the targets alone ends in the call's state, and the replayed
+    # targets give every cell's (a, c): heard counts the cells with a > 0
+    # and match is the sum of q(a, c) over them, in calls of one block and
+    # in one call over several.
+    for rounds in [4] * 300 + [long]:
+        twin = clone(gen)
+        targets = replay_targets(senders, n, twin, rounds)
+        heard, match = deliver_span_counts(carriers, others, rounds, n, ch, gen, buffers, True)
+        assert gen.bit_generator.state == twin.bit_generator.state, step
+        cell = np.arange(rounds)[:, None]
+        a = np.zeros((rounds, n))
+        c = np.zeros((rounds, n))
+        np.add.at(a, (cell, targets), 1)
+        np.add.at(c, (cell, targets[:, :carriers.size]), 1)
+        hit = a > 0
+        qsum = np.array([q(a[hit[:, i], i], c[hit[:, i], i]).sum() for i in range(n)])
+        assert np.array_equal(heard, hit.sum(0)), step
+        assert ((0 <= match) & (match <= heard)).all(), step
+        assert (np.abs(match - qsum) <= 1e-12 * np.maximum(qsum, 1)).all(), (step, rounds, match - qsum)
 
 
 def test_count_kernel_exact_law(monkeypatch):

@@ -44,6 +44,7 @@ from reference import (
     select_initial_opinion,
     window_codes,
 )
+from test_golden import GRIDS, _desync_overlap
 
 # Scaled-down constants: a 44-round schedule with a growth phase (T=1) at
 # n=64, for tests that need thousands of cheap runs
@@ -143,12 +144,14 @@ def test_stage1_invariants_and_sandwich():
 
 def test_stage1_pick_exact_law():
     # an activating agent that accepted k messages, j of them correct,
-    # adopts the correct opinion with probability exactly j/k
+    # adopts the correct opinion with probability exactly j/k; j may be a
+    # fraction, the expected correct count that stage-1 spans add up
     agents = 40_000
     gen = derive_rng(12, "pick")
     for k in range(1, 5):
-        for j in range(k + 1):
-            right = _stage1_pick(np.full(agents, k, np.int32), np.full(agents, j, np.int32), gen)
+        fractions = (0.3, 1.7) if k > 1 else ()
+        for j in (*range(k + 1), *fractions):
+            right = _stage1_pick(np.full(agents, k, np.int32), np.full(agents, j, np.float64), gen)
             share = right.mean()
             if j in (0, k):
                 assert share == j / k
@@ -709,3 +712,37 @@ def test_relabeling_symmetry_without_log(monkeypatch, engine, shortcut):
     for out, rec in runs:
         assert rec.messages > 0 and out.messages_sent == rec.messages
         assert (rec.shortcuts > 0) == shortcut
+
+
+def _overlap_runs(config, correct):
+    # the golden entry's preamble runs whose clock spread exceeds D, so that
+    # spans hold stage-1 and stage-2 listeners at once
+    for n, eps, seed in GRIDS["desync-preamble-overlap"]:
+        _desync_overlap(cfg(n, eps, seed=seed, correct=correct))
+
+
+@pytest.mark.parametrize("engine", [
+    pytest.param(lambda config, correct: run_broadcast(config), id="broadcast"),
+    pytest.param(_consensus_from, id="consensus"),
+    pytest.param(_desync_clocks_from, id="desync-clocks"),
+    pytest.param(_overlap_runs, id="desync-preamble-overlap"),
+])
+def test_stage2_closes_read_drawn_counts(monkeypatch, engine):
+    # stage-1 spans add expected, fractional correct counts; every span with
+    # a stage-2 listener must draw integer ones, since the subset majority's
+    # int64 cast would truncate a fraction without a word
+    closes = [0, 0]     # stage-2 closes with successful agents, stage-1 closes reading a fraction
+
+    def stage2(opinion, correct, successful, cnt, corr, subset, gen):
+        assert (corr[successful] == np.floor(corr[successful])).all()
+        closes[0] += successful.size > 0
+        return _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen)
+
+    def pick(cnt, corr, gen):
+        closes[1] += bool((corr != np.floor(corr)).any())
+        return _stage1_pick(cnt, corr, gen)
+
+    monkeypatch.setattr("flipsim.protocols._stage2_apply", stage2)
+    monkeypatch.setattr("flipsim.protocols._stage1_pick", pick)
+    engine(cfg(256, 0.25, seed=3), 1)
+    assert closes[0] > 0 and closes[1] > 0, closes
