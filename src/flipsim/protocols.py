@@ -37,14 +37,16 @@ fast without changing any distribution:
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law;
 * when every agent shares one clock (broadcast, consensus, desync with
-  identical clocks), a stage-2 phase that opens with every agent correct
-  is drawn from its exact law instead of simulated
-  (:func:`unanimous_phase`): every accepted sample is then correct with
-  probability 1-p, so each successful agent turns wrong independently with
-  probability ``majority_wrong_prob(m/2, 1-p)``, and the agents with fewer
-  than m/2 samples come from the Karp-Luby-Madras union sampler, which
-  simulates the phase's occupancy only with probability pi, the union bound
-  of the failure events.  When pi >= 1 the rounds are simulated.
+  identical clocks), a stage-2 phase that opens with every agent holding an
+  opinion is drawn from its exact law instead of simulated
+  (:func:`stage2_phase`): opinions are frozen within the phase and every
+  agent sends, so an agent's accepted samples are independent, each correct
+  with a probability set by the share of wrong agents among the others.
+  The events "fails or ends on a wrong majority" come from the
+  Karp-Luby-Madras union sampler, which simulates the phase's rounds only
+  with probability pi, the union bound of those events; without any event
+  every agent succeeds and ends correct.  When pi >= 1 the rounds are
+  simulated.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
@@ -52,7 +54,7 @@ randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
 0 <-> 1.  Tests that watch or replace the engine's draws patch its
 bindings ``flipsim.protocols.deliver_span_counts``, through which every
-simulated round passes, and ``flipsim.protocols.unanimous_phase``.
+simulated round passes, and ``flipsim.protocols.stage2_phase``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from scipy.special import gammaln
 
 from .model import (
     ConfigurationError,
+    _block_rounds,
     _is_int,
     complement,
     deliver_round_arrays,
@@ -202,85 +205,142 @@ def _truncated_binomial(m, q, s, gen):
     return int(gen.choice(s, p=w / w.sum()))
 
 
-def _failure_set(n, m, gen):
-    """Agents that hear in fewer than s = m/2 rounds of an m-round phase in
-    which all n agents send, drawn with its exact law; None when the union
-    bound below is 1 or more.
+def stage2_phase(n, m, wrong, channel, gen):
+    """Outcome of an m-round stage-2 phase in which all n agents hold an
+    opinion and every counter starts at zero, drawn without simulating its
+    rounds; ``wrong`` marks the agents whose opinion is wrong at the open.
 
-    Each agent hears in a round with probability h = 1-(1-1/(n-1))^(n-1),
-    so its count is Binomial(m, h) and the failure events E_i share one
-    probability; pi = n P(Bin(m, h) < s) is their union bound.  The
-    Karp-Luby-Madras sampler: with probability pi pick a uniform agent I,
-    simulate the phase's occupancy conditioned on E_I, and keep its failure
-    set F with probability 1/|F|; in every other case F is empty.  A given
-    nonempty F is reached through each of its |F| agents with probability
-    P(F)/|F|, so F is drawn with probability P(F).
+    Returns ``(failed, wrong_after)``: the agents with fewer than s = m/2
+    samples, who keep their opinions, and the agents wrong after the phase.
+    Opinions are frozen within the phase and all n agents send every round,
+    so agent i hears in a round with probability h = 1-(1-1/(n-1))^(n-1),
+    and the arrival it accepts comes from a uniform other agent: its samples
+    are independent, each correct with probability
+    q_i = (1-p)(1-w_i) + p w_i, where w_i is the share of wrong agents among
+    the other n-1.  Let B_i be "i fails or ends on a wrong majority":
+    P(B_i) = P(Bin(m, h) < s) + P(Bin(m, h) >= s) ``majority_wrong_prob(s, q_i)``,
+    and pi is their sum.  Without any B_i every agent succeeds and ends
+    correct.  The Karp-Luby-Madras sampler: with probability pi pick I with
+    probability P(B_I)/pi, draw I's count, its subset majority and the class
+    of each sender it picked given B_I, simulate everyone else's rounds given
+    I's arrivals (:func:`_occupancy_given`), close them as
+    :func:`_stage2_apply` does, and keep the outcome with probability 1/|F|,
+    F = {j : B_j}; in every other case no B_j happens.  A given outcome with
+    a nonempty F is reached through each of its |F| agents with probability
+    P(outcome)/|F|, so it is drawn with its own probability.  Returns None
+    when pi >= 1, or at n = 2, where each agent hears in every round and no
+    sender can aim past I; the caller then simulates the rounds.
     """
+    if n < 3:
+        return None
     s = m // 2
-    miss = ((n - 2) / (n - 1)) ** (n - 1)       # P(an agent hears nothing in a round)
-    pi = n * binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
+    p = channel.flip_probability
+    members = (np.flatnonzero(~wrong), np.flatnonzero(wrong))    # start correct, start wrong
+    miss = ((n - 2) / (n - 1)) ** (n - 1)           # P(an agent hears nothing in a round)
+    fail = binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
+    omega, q, event = [], [], []
+    for c, agents in enumerate(members):
+        w = (members[1].size - c) / (n - 1)         # wrong share among the other n-1
+        omega.append(w)
+        q.append((1.0 - p) * (1.0 - w) + p * w)
+        event.append(fail + (1.0 - fail) * majority_wrong_prob(s, q[c]) if agents.size else 0.0)
+    weight = [agents.size * e for agents, e in zip(members, event)]
+    pi = sum(weight)
     if pi >= 1.0:
         return None
+    none = np.empty(0, np.int64)
     if gen.random() >= pi:
-        return np.empty(0, np.int64)
-    i = int(gen.integers(n))
-    hears = gen.permutation(m) < _truncated_binomial(m, 1.0 - miss, s, gen)   # I's rounds
-    failed = np.flatnonzero(_occupancy_given(i, hears, n, gen) < s)
-    return failed if gen.random() * failed.size < 1.0 else np.empty(0, np.int64)
+        return none, none
+    c = int(gen.random() * pi >= weight[0])
+    i = int(members[c][gen.integers(members[c].size)])
+    w = omega[c]
+    if gen.random() * event[c] < fail:
+        heard = _truncated_binomial(m, 1.0 - miss, s, gen)      # I fails
+        cell = np.full(heard, w)
+    else:
+        heard = m - _truncated_binomial(m, miss, m - s + 1, gen)
+        good = _truncated_binomial(s, q[c], (s + 1) // 2, gen)    # I's subset majority is wrong
+        # a picked sender is wrong-class with probability w, updated on the
+        # sample it gave when that sample lies in the subset
+        cell = np.concatenate((np.full(good, w * p / q[c]), np.full(s - good, w * (1.0 - p) / (1.0 - q[c])),
+                               np.full(heard - s, w)))
+    pick = np.full(m, -1, np.int8)      # per round: -1 I hears nothing, else its pick is wrong-class
+    pick[gen.permutation(m)[:heard]] = gen.random(heard) < cell
+    cnt, corr = _occupancy_given(i, pick, wrong, channel, gen)
+    opinion = (~wrong).astype(np.int8)     # 1: correct
+    successful = np.flatnonzero(cnt >= s)
+    _stage2_apply(opinion, 1, successful[successful != i], cnt, corr, s, gen)
+    cnt[i] = heard
+    if heard >= s:
+        opinion[i] = 0
+    failed = np.flatnonzero(cnt < s)
+    wrong_after = np.flatnonzero(opinion == 0)
+    if gen.random() * np.union1d(failed, wrong_after).size >= 1.0:
+        return none, none
+    return failed, wrong_after
 
 
-def _occupancy_given(i, hears, n, gen):
-    """How many rounds each agent hears in, over rounds in which all n
-    agents send, conditioned on agent i hearing in exactly the rounds where
-    ``hears`` is true."""
+def _occupancy_given(i, pick, wrong, channel, gen):
+    """How many samples each agent other than i accepts, and how many of them
+    are correct, over rounds in which all n agents send their opinions
+    (``wrong`` marks the wrong ones), conditioned on agent i's arrivals:
+    in round r, i hears nothing when ``pick[r]`` is -1, and otherwise
+    accepts from a sender that is wrong exactly when ``pick[r]`` is 1.
+    Rounds go in the kernel's blocks, and each heard cell keeps a correct
+    sample with the kernel's probability.  Returns int64 ``(cnt, corr)``
+    with zeros at i."""
+    n = wrong.size
+    p = channel.flip_probability
     others = np.delete(np.arange(n), i)
-    lo = np.minimum(others, i)
-    hi = np.maximum(others, i)
-    heard = np.empty(n, bool)
+    right = ~wrong[others]
+    senders = np.concatenate((others[right], others[~right]))     # correct ones first
+    k = int(right.sum())
+    pools = (np.arange(k), np.arange(k, n - 1))     # each class, as columns of senders
+    lo = np.minimum(senders, i)
+    hi = np.maximum(senders, i)
     cnt = np.zeros(n, np.int64)
-    for hit in hears:
+    corr = np.zeros(n, np.int64)
+    block = _block_rounds(n)
+    for first in range(0, pick.size, block):
+        cls = pick[first:first + block]
+        b = cls.size
         # every other sender aims uniformly at the n-2 agents that are
         # neither itself nor I ...
-        t = gen.integers(0, n - 2, size=n - 1)
+        t = gen.integers(0, n - 2, size=(b, n - 1))     # a row per round, a column per sender
         t += t >= lo
         t += t >= hi
-        if hit:
+        for r in np.flatnonzero(cls >= 0):
             # ... except, in a round where I hears, K >= 1 of them, where K
-            # is Binomial(n-1, 1/(n-1)) conditioned on K >= 1
-            k = 0
-            while not k:
-                k = gen.binomial(n - 1, 1.0 / (n - 1))
-            t[gen.choice(n - 1, k, replace=False)] = i
-        heard.fill(False)
-        heard[t] = True
-        own = gen.integers(n - 1)
-        heard[own + (own >= i)] = True      # I's own message
-        cnt += heard
-    return cnt
-
-
-def unanimous_phase(n, m, channel, gen):
-    """Outcome of an m-round stage-2 phase that starts with all n agents
-    correct and every counter at zero, drawn without simulating its rounds.
-
-    Returns ``(failed, wrong)``: the agents with fewer than m/2 samples, and
-    the successful agents whose subset majority comes out wrong.  Under
-    unanimity every accepted sample is correct with probability 1-p,
-    whatever the targets, so a successful agent turns wrong with probability
-    w = ``majority_wrong_prob(m/2, 1-p)``, independently of the rest:
-    K ~ Binomial(n - |failed|, w) of them, at uniform positions.  Returns
-    None when :func:`_failure_set` cannot draw the failures; the caller then
-    simulates the rounds.
-    """
-    failed = _failure_set(n, m, gen)
-    if failed is None:
-        return None
-    k = gen.binomial(n - failed.size, majority_wrong_prob(m // 2, 1.0 - channel.flip_probability))
-    wrong = np.empty(0, np.int64)
-    if k:
-        successful = np.setdiff1d(np.arange(n), failed, assume_unique=True)
-        wrong = gen.choice(successful, k, replace=False)
-    return failed, wrong
+            # is Binomial(n-1, 1/(n-1)) conditioned on K >= 1: I's pick,
+            # uniform in its class, and K-1 uniform among the rest
+            arrivals = 0
+            while not arrivals:
+                arrivals = gen.binomial(n - 1, 1.0 / (n - 1))
+            pool = pools[cls[r]]
+            x = pool[gen.integers(pool.size)]
+            t[r, x] = i
+            if arrivals > 1:
+                rest = gen.choice(n - 2, arrivals - 1, replace=False)
+                t[r, rest + (rest >= x)] = i
+        rows = np.arange(0, b * n, n)
+        t += rows[:, None]                  # cell keys: round * n + target
+        own = gen.integers(0, n - 1, size=b)
+        own += (own >= i) + rows            # I's own messages
+        c = np.bincount(t[:, :k].ravel(), minlength=b * n).astype(np.float64)
+        a = np.bincount(t[:, k:].ravel(), minlength=b * n).astype(np.float64)
+        (a if wrong[i] else c)[own] += 1.0   # one key per round: no repeats
+        a += c
+        a[i::n] = 0.0                       # I's arrivals are given
+        c[i::n] = 0.0
+        # each listener accepts a uniform arrival and passes it through the
+        # channel: correct with probability (c (1-p) + (a-c) p) / a
+        u = gen.random(b * n)
+        u -= p
+        u *= a
+        u /= 1.0 - 2.0 * p
+        cnt += (a > 0.0).reshape(b, n).sum(0)
+        corr += (u < c).reshape(b, n).sum(0)
+    return cnt, corr
 
 
 def _local_windows(schedule: ScheduleParams, d: int):
@@ -344,9 +404,10 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     (code, shift) order.  While the preamble is still informing agents a
     span is one round, because an agent that hears starts sending in the
     next round.  With one clock group and no preamble, a stage-2 window that
-    opens with every agent correct is drawn whole by
-    :func:`unanimous_phase`, and its rounds are skipped.  The run ends when
-    the last window of the latest group has closed.
+    opens with every agent holding an opinion is drawn whole by
+    :func:`stage2_phase` unless its union bound is 1 or more, and its rounds
+    are skipped.  The run ends when the last window of the latest group has
+    closed.
     """
     n = config.n
     channel = config.channel
@@ -367,7 +428,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     else:
         groups, gid = np.unique(shift, return_inverse=True)
     uninformed = int((gid < 0).sum())   # agents the preamble has not reached
-    one_clock = groups.size == 1 and not preamble   # see unanimous_phase
+    one_clock = groups.size == 1 and not preamble   # see stage2_phase
 
     y_acc = [0] * (t1 + 1)
     z_acc = [0] * (t1 + 1)
@@ -425,15 +486,16 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
         gcode = codes[seg]
         if (one_clock and gcode[0] > t1 and edges[seg[0] - 1] == t - groups[0]
-                and (opinion == correct).all()):
-            # a stage-2 window opens now with every agent correct
+                and (opinion >= 0).all()):
+            # a stage-2 window opens now with every agent holding an opinion
             assert not (cnt.any() or corr.any())
             j = int(gcode[0]) - t1 - 1
             m = lengths[j]
-            drawn = unanimous_phase(n, m, channel, gen)
+            drawn = stage2_phase(n, m, opinion != correct, channel, gen)
             if drawn is not None:
                 failed, wrong = drawn
-                start_frac[j] = 1.0
+                start_frac[j] = _correct_fraction(opinion, correct)
+                opinion.fill(correct)
                 opinion[wrong] = complement(correct)
                 succ_acc[j] = n - failed.size
                 end_frac[j] = _correct_fraction(opinion, correct)

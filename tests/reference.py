@@ -4,7 +4,7 @@ The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
 end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
-(and the recorder also in place of ``flipsim.protocols.unanimous_phase``).
+(and the recorder also in place of ``flipsim.protocols.stage2_phase``).
 
 The lemma references state the paper's side claims that the package does not
 ship: the two-step process (fair coin, then corrective flip) with its exact
@@ -33,7 +33,7 @@ import numpy as np
 from flipsim import ConfigurationError, NoiseChannel, model
 from flipsim.model import deliver_round_arrays, deliver_span_counts
 from flipsim.oracle import binomial_tail_geq
-from flipsim.protocols import unanimous_phase
+from flipsim.protocols import stage2_phase
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -283,9 +283,9 @@ class KernelRecorder:
     """Count kernel that feeds every call's carriers, other senders, round
     count, mode, ``heard`` and ``match`` into one sha256, and counts the
     messages sent.
-    Its :meth:`phase` does the same for the unanimous-phase shortcut: the
-    phase length, the failed and the turned-wrong agents of every phase it
-    draws, and that phase's messages."""
+    Its :meth:`phase` does the same for the drawn stage-2 phase: the phase
+    length, the agents wrong at its open, the failed agents and the agents
+    wrong after every phase it draws, and that phase's messages."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -300,13 +300,13 @@ class KernelRecorder:
         self.messages += rounds * (carriers.size + others.size)
         return heard, match
 
-    def phase(self, n, m, channel, rng):
-        drawn = unanimous_phase(n, m, channel, rng)
+    def phase(self, n, m, wrong, channel, rng):
+        drawn = stage2_phase(n, m, wrong, channel, rng)
         if drawn is not None:
-            failed, wrong = drawn
-            self.sha.update(np.array([m, failed.size, wrong.size], np.int64).tobytes())
-            self.sha.update(failed.tobytes())
-            self.sha.update(wrong.tobytes())
+            failed, wrong_after = drawn
+            self.sha.update(np.array([m, failed.size, wrong_after.size], np.int64).tobytes())
+            for arr in (wrong, failed, wrong_after):
+                self.sha.update(arr.tobytes())
             self.messages += n * m
             self.shortcuts += 1
         return drawn
@@ -317,10 +317,10 @@ class KernelRecorder:
 
 def run_recorded(monkeypatch, engine, *args, **kwargs):
     """Run ``engine(*args, **kwargs)`` with a fresh :class:`KernelRecorder`
-    as the engine's count kernel and unanimous-phase shortcut; returns
+    as the engine's count kernel and drawn stage-2 phase; returns
     ``(outcome, recorder)``."""
     recorder = KernelRecorder()
     with monkeypatch.context() as m:
         m.setattr("flipsim.protocols.deliver_span_counts", recorder)
-        m.setattr("flipsim.protocols.unanimous_phase", recorder.phase)
+        m.setattr("flipsim.protocols.stage2_phase", recorder.phase)
         return engine(*args, **kwargs), recorder

@@ -21,9 +21,11 @@ from flipsim import (
     run_baseline_silent_wait,
     run_broadcast,
     run_desynchronized,
+    run_majority_consensus,
 )
-from flipsim.harness import pool_map, wilson_interval
+from flipsim.harness import _consensus_initial, pool_map, wilson_interval
 from flipsim.oracle import (
+    binomial_tail_geq,
     lemma_second_bound_check,
     majority_correct_prob,
     stirling_claim_grid,
@@ -36,6 +38,8 @@ BATCH = 200
 N_MAIN = 4096
 EPS_MAIN = 0.25
 EPS_GROWTH = 0.4    # T=1 at N_MAIN: a growth phase, so A7's X sandwich is not empty
+CONSENSUS_SET = N_MAIN // 4     # the initial opinionated set |A| of A12
+CONSENSUS_BIAS = 0.1
 
 
 def _report(name, ok, detail):
@@ -59,6 +63,13 @@ def _desync_run(seed: int):
     offsets = derive_rng(SEED, "a-clocks", seed).integers(0, d, size=N_MAIN)
     return run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
                               rng=derive_rng(SEED, "a-desync", seed))
+
+
+def _consensus_run(seed: int):
+    config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
+    initial = _consensus_initial(N_MAIN, CONSENSUS_SET, CONSENSUS_BIAS, config.correct_opinion,
+                                 derive_rng(SEED, "a-consensus-init", seed))
+    return run_majority_consensus(config, initial, rng=derive_rng(SEED, "a-consensus", seed))
 
 
 def _noiseless_run(args) -> bool:
@@ -96,6 +107,11 @@ def broadcast_batch():
 @pytest.fixture(scope="module")
 def growth_batch():
     return pool_map(_growth_run, list(range(BATCH)))
+
+
+@pytest.fixture(scope="module")
+def consensus_batch():
+    return pool_map(_consensus_run, list(range(BATCH)))
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +252,65 @@ def test_a8_stage2_boost(broadcast_batch):
                       f"{succ_half}/{phases_total} phases")
 
 
+def _phase_law_z(batch, eps):
+    """z-scores of the stage-2 phases' end-correct counts against the exact
+    one-phase law, for the phases whose independent-agent variance is at
+    least 1; also returns the number of runs skipped because stage 1 left an
+    agent without an opinion (it would not send in stage 2).
+
+    In a phase of m rounds that opens with C of n agents correct, all n send
+    and opinions are frozen, so an agent hears in fewer than s = m/2 rounds
+    with probability f = P(Bin(m, h) < s), h = 1-(1-1/(n-1))^(n-1), and each
+    sample is correct with probability q = x/(n-1) (1-p) + (1-x/(n-1)) p,
+    where x = C-1 for a correct agent and C for a wrong one.  A start-correct
+    agent ends correct with probability f + (1-f) ``majority_correct_prob(s,
+    q)`` and a start-wrong one with probability (1-f) ``majority_correct_prob(s,
+    q)``.  Agents of one phase are slightly negatively correlated (two
+    cannot accept the same message), so the sum of the agents' Bernoulli
+    variances bounds the variance of the count from above.
+    """
+    n = N_MAIN
+    channel = NoiseChannel.from_epsilon(eps)
+    p = channel.flip_probability
+    lengths = derive_schedule(n, channel).stage2_phase_lengths
+    miss = (1 - 1 / (n - 1)) ** (n - 1)
+    zs = []
+    skipped = 0
+    for out in batch:
+        if not out.stage1.all_activated:
+            skipped += 1
+            continue
+        for rec, m in zip(out.stage2, lengths):
+            s = m // 2
+            fail = binomial_tail_geq(m, m - s + 1, miss)
+            start = round(rec.start_correct_fraction * n)
+            mean = var = 0.0
+            for agents, x, stays in ((start, start - 1, fail), (n - start, start, 0.0)):
+                if agents:
+                    w = x / (n - 1)
+                    right = stays + (1 - fail) * majority_correct_prob(s, w * (1 - p) + (1 - w) * p)
+                    mean += agents * right
+                    var += agents * right * (1 - right)
+            if var >= 1.0:
+                zs.append((round(rec.correct_fraction * n) - mean) / math.sqrt(var))
+    return zs, skipped
+
+
+def _law_detail(zs, skipped):
+    """``(ok, detail)`` of the exact one-phase law gate: the mean z of N
+    phases within 4/sqrt(N) of 0."""
+    count = len(zs)
+    mean = sum(zs) / count if count else float("nan")
+    ok = count > 0 and abs(mean) <= 4.0 / math.sqrt(count)
+    return ok, (f"exact one-phase law: mean z {mean:+.3f} over N={count} phases "
+                f"(bound {4.0 / math.sqrt(max(count, 1)):.3f}; {skipped} runs not all activated)")
+
+
+def test_a8_stage2_exact_phase_law(broadcast_batch):
+    ok, detail = _law_detail(*_phase_law_z(broadcast_batch, EPS_MAIN))
+    _report("A8-law", ok, f"broadcast n={N_MAIN} eps={EPS_MAIN}: {detail}")
+
+
 def test_a9_desynchronization(broadcast_batch, desync_batch):
     sync_successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)
     lo, hi = wilson_interval(sync_successes, BATCH)
@@ -292,5 +367,15 @@ def test_a11_symmetry_obliviousness(monkeypatch):
         all_ok &= bool(np.array_equal(out0.final_opinions ^ 1, out1.final_opinions))
     _report("A11", all_ok, "20 seeds at n=256: flipping the correct opinion leaves every "
                            "delivery round's senders, accepts and matches and every "
-                           "unanimous-phase draw identical and complements the final "
+                           "drawn stage-2 phase identical and complements the final "
                            "opinions")
+
+
+def test_a12_majority_consensus(consensus_batch):
+    successes = sum(out.correct_fraction == 1.0 for out in consensus_batch)
+    rate = successes / BATCH
+    lo, hi = wilson_interval(successes, BATCH)
+    law_ok, law = _law_detail(*_phase_law_z(consensus_batch, EPS_MAIN))
+    ok = rate >= 0.99 and lo >= 0.96 and law_ok
+    _report("A12", ok, f"consensus n={N_MAIN} eps={EPS_MAIN} |A|={CONSENSUS_SET} bias={CONSENSUS_BIAS}: "
+                       f"success {successes}/{BATCH} (rate {rate:.4f}, wilson [{lo:.4f}, {hi:.4f}]); {law}")

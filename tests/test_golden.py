@@ -71,8 +71,8 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "0bf8e7b5aca379cc",
-    "consensus": "d57a7ad2a712b7e2",
+    "broadcast": "cadb6064b06fc9cd",
+    "consensus": "b1dba40b60f7dc6a",
     "desync-clocks": "a59ffa45c6243020",
     "desync-preamble": "c82ab8877ce2ff68",
     "desync-preamble-overlap": "f9211faa9c49d471",

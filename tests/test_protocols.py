@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -26,14 +27,13 @@ from flipsim.model import deliver_span_counts
 from flipsim.oracle import binomial_tail_geq, majority_wrong_prob
 from flipsim.params import _ceil_log2, clock_bound
 from flipsim.protocols import (
-    _failure_set,
     _local_windows,
     _occupancy_given,
     _run_windows,
     _stage1_pick,
     _stage2_apply,
     _truncated_binomial,
-    unanimous_phase,
+    stage2_phase,
 )
 from reference import (
     ProtocolInvariantError,
@@ -123,6 +123,19 @@ def test_stage1_two_agents_noiseless():
     assert out.final_opinions.tolist() == [1, 1]
 
 
+@pytest.mark.filterwarnings("ignore:epsilon")  # n=2 sits outside the regime by design
+def test_two_agents_noisy_broadcast_runs():
+    # at n=2 each agent hears the other in every round, so the drawn
+    # stage-2 phase cannot condition on an agent missing a round and
+    # leaves those phases to the simulated rounds
+    config = cfg(2, 0.25)
+    assert stage2_phase(2, 38, np.zeros(2, bool), config.channel, derive_rng(0, "two")) is None
+    total = derive_schedule(2, config.channel).total_rounds
+    for seed in range(20):
+        out = run_broadcast(config, rng=derive_rng(seed, "two"))
+        assert out.rounds_used == total and (out.final_opinions >= 0).all()
+
+
 def test_stage1_invariants_and_sandwich():
     # eps=1/2 at n=4096 gives T=1, exercising the growth phase cheaply
     config = cfg(4096, 0.5, seed=9)
@@ -166,7 +179,7 @@ def test_count_path_matches_permutation_path(monkeypatch):
     # constants; mean per-phase y and z and the first stage-2 start fraction
     # must agree within 4 sigma.  Every round the engine simulates must
     # reach the adapter: with the rounds of the phases drawn by the
-    # unanimous-phase shortcut, they make up the whole run.
+    # drawn stage-2 phase, they make up the whole run.
     runs = 1500
     config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
     assert derive_schedule(64, config.channel, SMALL).t_phases == 1
@@ -177,7 +190,7 @@ def test_count_path_matches_permutation_path(monkeypatch):
         return permutation_counts(carriers, others, rounds, *args)
 
     def shortcut(n, m, *args):
-        drawn = unanimous_phase(n, m, *args)
+        drawn = stage2_phase(n, m, *args)
         seen[1] += m if drawn is not None else 0
         return drawn
 
@@ -185,7 +198,7 @@ def test_count_path_matches_permutation_path(monkeypatch):
     for reference in (False, True):
         if reference:
             monkeypatch.setattr("flipsim.protocols.deliver_span_counts", adapter)
-            monkeypatch.setattr("flipsim.protocols.unanimous_phase", shortcut)
+            monkeypatch.setattr("flipsim.protocols.stage2_phase", shortcut)
         rows = []
         for seed in range(runs):
             seen[:] = [0, 0]
@@ -260,62 +273,168 @@ def test_stage2_relabeling_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# stage 2: phases that start unanimous
+# stage 2: phases drawn from their law
 
 
-def _union_bound(n, m):
-    """pi = n P(Binomial(m, h) < m/2), h = 1-(1-1/(n-1))^(n-1)."""
+def _union_bound(n, m, wrong=0, p=0.0):
+    """pi = sum over agents of P(B_i), B_i = "i hears in fewer than s = m/2
+    of m rounds, or in s or more and its subset majority of s is wrong",
+    each of its samples correct with probability (1-p)(1-w_i) + p w_i, w_i
+    the share of the ``wrong`` agents among the n-1 others; each agent
+    hears in a round with probability h = 1-(1-1/(n-1))^(n-1)."""
+    s = m // 2
     miss = (1 - 1 / (n - 1)) ** (n - 1)
-    return n * binomial_tail_geq(m, m - m // 2 + 1, miss)
+    fail = binomial_tail_geq(m, m - s + 1, miss)
+    pi = 0.0
+    for agents, others_wrong in ((n - wrong, wrong), (wrong, wrong - 1)):
+        if agents:
+            w = others_wrong / (n - 1)
+            pi += agents * (fail + (1 - fail) * majority_wrong_prob(s, (1 - p) * (1 - w) + p * w))
+    return pi
 
 
 def _unanimous_opinions(config):
     return np.full(config.n, config.correct_opinion, np.int8)
 
 
-def _unanimous_phase_run(config, schedule, gen):
-    """One stage-2 phase from an all-correct start: (successful count,
-    agents turned wrong)."""
+def _one_phase_run(config, schedule, gen, wrong):
+    """One stage-2 phase from a start with the first ``wrong`` agents wrong:
+    (successful count, start-correct agents ending wrong, start-wrong agents
+    ending wrong)."""
     opinion = _unanimous_opinions(config)
+    opinion[:wrong] ^= 1
     (record,) = run_stage2(opinion, config, schedule, gen)
-    assert record.start_correct_fraction == 1.0
-    return record.successful_count, int((opinion != config.correct_opinion).sum())
+    assert record.start_correct_fraction == (config.n - wrong) / config.n
+    ends_wrong = opinion != config.correct_opinion
+    return record.successful_count, int(ends_wrong[wrong:].sum()), int(ends_wrong[:wrong].sum())
 
 
-@pytest.mark.filterwarnings("ignore:epsilon")  # n=16 at eps=0.1 sits outside the regime by design
+@pytest.mark.filterwarnings("ignore:epsilon")  # n=20 at eps=0.35 sits outside the regime by design
 def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
-    # One 38-round phase at n=16 and eps=0.1: pi = 0.37 and w = 0.19, so
-    # failures and wrong turns both happen often.  The joint law of
-    # (successful count, agents turned wrong) drawn by the shortcut must
-    # match the simulated rounds (shortcut patched out) cell by cell, 4 sigma.
-    n, m, runs = 16, 38, 4000
-    config = cfg(n, 0.1)
+    # One 54-round phase at n=20 and eps=0.35 that opens with W in {0, 2, 5}
+    # agents wrong: pi = 0.23, 0.24 and 0.84, with failures and wrong
+    # majorities both in it.  The joint law of (successful count, wrong
+    # among start-correct, wrong among start-wrong) drawn by stage2_phase
+    # must match the simulated rounds (the draw patched out) cell by cell,
+    # 4 sigma, and the Karp-Luby-Madras branch must run in over 10% of the
+    # drawn phases.  On both paths the mean number of agents ending wrong
+    # must match its exact law, and on the drawn path E|F| = pi, F the
+    # agents that fail or end on a wrong majority.
+    n, m, runs = 20, 54, 4000
+    s = m // 2
+    config = cfg(n, 0.35)
     p = config.channel.flip_probability
-    assert 0.05 < _union_bound(n, m) < 0.5
-    assert 0.05 < majority_wrong_prob(m // 2, 1 - p) < 0.5
     schedule = replace(derive_schedule(n, config.channel), k=0, stage2_phase_lengths=(m,))
-    tables = []
-    for simulated in (False, True):
-        if simulated:
-            monkeypatch.setattr("flipsim.protocols.unanimous_phase", lambda *args: None)
-        gen = derive_rng(16, "unanimous", simulated)
-        cells = {}
-        for _ in range(runs):
-            key = _unanimous_phase_run(config, schedule, gen)
-            cells[key] = cells.get(key, 0) + 1
-        tables.append(cells)
-    drawn, simulated = tables
-    assert sum(v for (succ, _), v in drawn.items() if succ < n) > 0.1 * runs
-    for key in set(drawn) | set(simulated):
-        a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
-        pooled = (a + b) / 2
-        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, a, b)
-    # and on both paths a successful agent turns wrong with probability w
-    w = majority_wrong_prob(m // 2, 1 - p)
-    for cells in tables:
-        successful = sum(succ * v for (succ, _), v in cells.items())
-        share = sum(wrong * v for (_, wrong), v in cells.items()) / successful
-        assert abs(share - w) < 4 * math.sqrt(w * (1 - w) / successful), (share, w)
+    fail = binomial_tail_geq(m, m - s + 1, (1 - 1 / (n - 1)) ** (n - 1))
+    for wrong in (0, 2, 5):
+        pi = _union_bound(n, m, wrong, p)
+        assert 0.2 < pi < 0.9
+        # agents ending wrong: a start-wrong one unless it succeeds on a right
+        # majority, a start-correct one only on a wrong majority
+        turn = [majority_wrong_prob(s, (1 - p) * (1 - w) + p * w)
+                for w in (wrong / (n - 1), (wrong - 1) / (n - 1))]
+        expected = (n - wrong) * (1 - fail) * turn[0] + wrong * (fail + (1 - fail) * turn[1])
+        tables = []
+        for simulated in (False, True):
+            events = []     # |F| of each drawn phase
+            branches = [0]  # phases that ran the Karp-Luby-Madras branch
+
+            def drawn_phase(n, m, wrong_at_open, *args):
+                out = stage2_phase(n, m, wrong_at_open, *args)
+                events.append(np.union1d(*out).size)
+                return out
+
+            def occupancy(*args):
+                branches[0] += 1
+                return _occupancy_given(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr("flipsim.protocols.stage2_phase",
+                              (lambda *args: None) if simulated else drawn_phase)
+                patch.setattr("flipsim.protocols._occupancy_given", occupancy)
+                gen = derive_rng(16, "unanimous", wrong, simulated)
+                keys = [_one_phase_run(config, schedule, gen, wrong) for _ in range(runs)]
+            tables.append(Counter(keys))
+            ends = np.array([a + b for _, a, b in keys], float)
+            sigma = max(ends.std(), math.sqrt(expected)) / math.sqrt(runs)
+            assert abs(ends.mean() - expected) < 4 * sigma, (wrong, ends.mean(), expected)
+            if not simulated:
+                assert len(events) == runs and branches[0] > 0.1 * runs, (wrong, branches)
+                events = np.array(events, float)
+                assert abs(events.mean() - pi) < 4 * events.std() / math.sqrt(runs), (wrong, events.mean(), pi)
+        drawn, simulated = tables
+        for key in set(drawn) | set(simulated):
+            a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
+            pooled = (a + b) / 2
+            assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (wrong, key, a, b)
+
+
+def _history_law(n, m, others_wrong, p):
+    """Exact law of (rounds heard, wrong senders picked) over an m-round
+    phase in which all n agents send, for an agent with ``others_wrong``
+    wrong agents among the n-1 others, given that it hears in fewer than
+    s = m/2 rounds or its majority of s heard samples is wrong.  Built
+    forward from the rounds: a heard round picks a wrong sender with
+    probability w and keeps its sample's class with probability 1-p."""
+    s = m // 2
+    h = 1 - (1 - 1 / (n - 1)) ** (n - 1)
+    w = others_wrong / (n - 1)
+
+    def binom(k, x):
+        return np.array([math.comb(k, j) * x ** j * (1 - x) ** (k - j) for j in range(k + 1)])
+
+    # (correct samples, wrong picks) over the s subset cells
+    cells = np.zeros((s + 1, s + 1))
+    cells[0, 0] = 1.0
+    for _ in range(s):
+        step = cells * (1 - w) * p
+        step[1:] += cells[:-1] * (1 - w) * (1 - p)
+        step[:, 1:] += cells[:, :-1] * w * (1 - p)
+        step[1:, 1:] += cells[:-1, :-1] * w * p
+        cells = step
+    wrong_majority = cells[:(s + 1) // 2].sum(0)
+    law = np.zeros((m + 1, m + 1))
+    for c, pc in enumerate(binom(m, h)):
+        picks = binom(c, w) if c < s else np.convolve(wrong_majority, binom(c - s, w))
+        law[c, :c + 1] = pc * picks
+    return law
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")
+def test_drawn_phase_history_exact_law(monkeypatch):
+    # The Karp-Luby-Madras branch of stage2_phase at n=20, eps=0.35, W=5
+    # (pi = 0.84): the agent I it conditions on, and the rounds it hears and
+    # the wrong senders it picks, which the conditioned rounds of everyone
+    # else depend on.  P(I starts wrong) and, for each start, the law of
+    # I's heard count and of its wrong picks must match the exact law built
+    # forward from the rounds, value by value within 4 sigma.
+    n, m, wrong, draws = 20, 54, 5, 20_000
+    channel = NoiseChannel.from_epsilon(0.35)
+    p = channel.flip_probability
+    start = np.arange(n) < wrong
+    seen = []
+
+    def occupancy(i, pick, *args):
+        seen.append((bool(start[i]), int((pick >= 0).sum()), int((pick == 1).sum())))
+        return np.zeros(n, np.int64), np.zeros(n, np.int64)     # everyone else: no samples
+
+    monkeypatch.setattr("flipsim.protocols._occupancy_given", occupancy)
+    gen = derive_rng(21, "history")
+    for _ in range(draws):
+        stage2_phase(n, m, start, channel, gen)
+    laws = {False: (n - wrong) * _history_law(n, m, wrong, p), True: wrong * _history_law(n, m, wrong - 1, p)}
+    pi = sum(law.sum() for law in laws.values())
+    assert abs(pi - _union_bound(n, m, wrong, p)) < 1e-9
+    share = sum(cls for cls, _, _ in seen) / len(seen)
+    expect = laws[True].sum() / pi
+    assert abs(share - expect) < 4 * math.sqrt(expect * (1 - expect) / len(seen)), (share, expect)
+    for cls, law in laws.items():
+        rows = np.array([(c, k) for starts, c, k in seen if starts == cls])
+        for axis, values in ((1, rows[:, 0]), (0, rows[:, 1])):
+            exact = law.sum(axis) / law.sum()
+            freq = np.bincount(values, minlength=m + 1) / values.size
+            sigma = np.sqrt(exact * (1 - exact) / values.size)
+            assert (np.abs(freq - exact) <= 4 * sigma + 1e-12).all(), (cls, axis, freq, exact)
 
 
 def test_truncated_binomial_exact_law():
@@ -335,13 +454,15 @@ def test_truncated_binomial_exact_law():
 def test_failure_set_matches_direct_occupancy(n, m):
     # The Karp-Luby-Madras draw of the failure set against the plain
     # occupancy of m rounds in which all n agents send: the law of |F|
-    # within 4 sigma size by size, and E|F| = pi.
+    # within 4 sigma size by size, and E|F| = pi.  A noiseless channel and
+    # a unanimous start leave failure as the only event.
     runs = 10_000
     s = m // 2
     pi = _union_bound(n, m)
     assert 0.2 < pi < 0.6
     gen = derive_rng(17, "klm", n, m)
-    klm = np.array([_failure_set(n, m, gen).size for _ in range(runs)])
+    channel = NoiseChannel(0.0)
+    klm = np.array([stage2_phase(n, m, np.zeros(n, bool), channel, gen)[0].size for _ in range(runs)])
     t = gen.integers(0, n - 1, size=(runs, m, n))
     t += t >= np.arange(n)
     heard = np.zeros((runs * m, n), bool)
@@ -355,26 +476,40 @@ def test_failure_set_matches_direct_occupancy(n, m):
         assert abs(sizes.mean() - pi) < 4 * sizes.std() / math.sqrt(runs), (sizes.mean(), pi)
 
 
-@pytest.mark.parametrize("hit", [True, False], ids=["hit", "missed"])
-def test_conditioned_round_exact_law(hit):
-    # one round in which all n=6 agents send, conditioned on agent 2 hearing
-    # (or not): the law of the whole heard pattern must match unconditioned
-    # rounds of the kernel's target rule, kept when agent 2's fate matches,
-    # pattern by pattern within 4 sigma
+@pytest.mark.parametrize("pick", [0, -1, 1], ids=["hit", "missed", "hit-wrong-pick"])
+def test_conditioned_round_exact_law(pick):
+    # one round in which all n=6 agents send, agents 1, 2 and 4 the wrong
+    # opinion, conditioned on agent 2 accepting from a correct sender, from
+    # a wrong one, or hearing nothing: the law of every other agent's
+    # (heard, sample correct) must match unconditioned rounds of the
+    # kernel's rule (uniform targets, a uniform accept, the channel), kept
+    # when agent 2's arrivals match, pattern by pattern within 4 sigma
     n, i, draws = 6, 2, 30_000
-    gen = derive_rng(20, "round", hit)
-    weights = 1 << np.arange(n)
-    drawn = np.bincount([int(_occupancy_given(i, np.array([hit]), n, gen) @ weights)
-                         for _ in range(draws)], minlength=1 << n) / draws
-    t = gen.integers(0, n - 1, size=(10 * draws, n))
+    wrong = np.isin(np.arange(n), (1, 2, 4))
+    channel = NoiseChannel(0.2)
+    gen = derive_rng(20, "round", pick + 1)
+    rest = np.delete(np.arange(n), i)
+    weights = 3 ** np.arange(n - 1)
+    drawn = np.zeros(3 ** (n - 1))
+    for _ in range(draws):
+        cnt, corr = _occupancy_given(i, np.array([pick], np.int8), wrong, channel, gen)
+        assert cnt[i] == corr[i] == 0
+        drawn[int((cnt + corr)[rest] @ weights)] += 1
+    drawn /= draws
+    rounds = 10 * draws
+    t = gen.integers(0, n - 1, size=(rounds, n))
     t += t >= np.arange(n)
-    heard = np.zeros(t.shape, bool)
-    heard[np.arange(t.shape[0])[:, None], t] = True
-    kept = heard[heard[:, i] == hit]
-    reference = np.bincount(kept @ weights, minlength=1 << n) / kept.shape[0]
-    assert drawn[[(p >> i) & 1 != hit for p in range(1 << n)]].sum() == 0
-    pooled = (drawn * draws + reference * kept.shape[0]) / (draws + kept.shape[0])
-    sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / kept.shape[0]))
+    order = gen.random((rounds, n))      # the earliest arrival is accepted
+    chosen = np.stack([np.where(t == r, order, 2.0).argmin(1) for r in range(n)], 1)
+    heard = np.stack([(t == r).any(1) for r in range(n)], 1)
+    sample = ~wrong[chosen] ^ (gen.random((rounds, n)) < channel.flip_probability)
+    keep = heard[:, i] if pick >= 0 else ~heard[:, i]
+    if pick >= 0:
+        keep &= wrong[chosen[:, i]] == pick
+    codes = (heard * (1 + sample))[keep][:, rest] @ weights
+    reference = np.bincount(codes, minlength=drawn.size) / codes.size
+    pooled = (drawn * draws + reference * codes.size) / (draws + codes.size)
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / codes.size))
     assert (np.abs(drawn - reference) <= 4 * sigma).all()
 
 
@@ -388,7 +523,7 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
     assert final == 150 and all(_union_bound(config.n, m) < 1 for m in boosts)
     assert _union_bound(config.n, final) > 1.4
     gen = derive_rng(18, "fallback")
-    assert unanimous_phase(config.n, final, config.channel, gen) is None
+    assert stage2_phase(config.n, final, np.zeros(config.n, bool), config.channel, gen) is None
     rounds = []
 
     def counting(carriers, others, span, *args):
@@ -406,9 +541,9 @@ def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
     # desync with staggered clocks (supplied or set by the preamble) never
     # calls the shortcut, so its runs are those of the full simulation
     def refuse(*args):
-        raise AssertionError("the unanimous-phase shortcut was called")
+        raise AssertionError("the drawn stage-2 phase was called")
 
-    monkeypatch.setattr("flipsim.protocols.unanimous_phase", refuse)
+    monkeypatch.setattr("flipsim.protocols.stage2_phase", refuse)
     config = cfg(512, 0.25, seed=6)
     d = clock_bound(512)
     clocks = None if preamble else ClockConfiguration(derive_rng(0, "off").integers(0, d, 512), d)
@@ -698,9 +833,9 @@ def _desync_clocks_from(config, correct):
                  False, id="desync-preamble"),
 ])
 def test_relabeling_symmetry_without_log(monkeypatch, engine, shortcut):
-    # the count path and the unanimous-phase shortcut read payloads only
+    # the count path and the drawn stage-2 phase read payloads only
     # through "carries the correct opinion", so relabeling complements the
-    # outcome and leaves every kernel call and every shortcut draw, and so
+    # outcome and leaves every kernel call and every drawn phase, and so
     # the recorded digest, unchanged
     runs = [run_recorded(monkeypatch, engine, cfg(256, 0.25, seed=3, correct=correct), correct)
             for correct in (1, 0)]
