@@ -15,7 +15,7 @@ int8 opinion vector (-1 until it holds one) and its clock group; it sends
 exactly when it holds an opinion and is inside one of its windows.  An
 agent only ever uses how many of the messages it accepted carry each
 opinion, so the engine also keeps two counters per agent, accepted
-messages and correct ones among them.  Four equivalences keep the hot path
+messages and correct ones among them.  Five equivalences keep the hot path
 fast without changing any distribution:
 
 * the uniform accept among a round's arrivals is drawn from the arrival
@@ -46,7 +46,18 @@ fast without changing any distribution:
   Karp-Luby-Madras union sampler, which simulates the phase's rounds only
   with probability pi, the union bound of those events; without any event
   every agent succeeds and ends correct.  When pi >= 1 the rounds are
-  simulated.
+  simulated;
+* under staggered clocks (desync with supplied offsets or the preamble),
+  once every agent holds the correct opinion and every clock group is in
+  stage 2, or past it, in a window that opened after the last opinion
+  change, the rest of the run is drawn (:func:`stage2_tail`): every sample
+  is then correct with probability 1-p whatever the occupancy, so each
+  remaining close's subset majority is a coin, drawn first.  With no wrong
+  coin no opinion changes again, and the remaining failures come from the
+  Karp-Luby-Madras sampler over the events "ends a window short of
+  samples", which simulates the rounds' heard counts only with probability
+  pi, their union bound; with a wrong coin the rounds are simulated up to
+  its close.  When pi >= 1 the rounds are simulated.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
@@ -54,18 +65,22 @@ randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
 0 <-> 1.  Tests that watch or replace the engine's draws patch its
 bindings ``flipsim.protocols.deliver_span_counts``, through which every
-simulated round passes, and ``flipsim.protocols.stage2_phase``.
+simulated round passes, ``flipsim.protocols.stage2_phase`` and
+``flipsim.protocols.stage2_tail``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import model
 from .model import (
     ConfigurationError,
     _block_rounds,
@@ -106,9 +121,9 @@ class Stage1Result:
 @dataclass(frozen=True)
 class Stage2PhaseRecord:
     phase_index: int
-    successful_count: int
-    correct_fraction: float          # measured after the phase
-    start_correct_fraction: float    # measured before the phase
+    successful_count: int            # summed over the clock groups' closes
+    correct_fraction: float          # measured after the phase (the last group's close)
+    start_correct_fraction: float    # measured before the phase (before the first group's close)
 
 
 @dataclass(frozen=True)
@@ -280,22 +295,25 @@ def stage2_phase(n, m, wrong, channel, gen):
     return failed, wrong_after
 
 
-def _occupancy_given(i, pick, wrong, channel, gen):
+def _occupancy_given(i, pick, wrong, channel, gen, sending=None):
     """How many samples each agent other than i accepts, and how many of them
-    are correct, over rounds in which all n agents send their opinions
-    (``wrong`` marks the wrong ones), conditioned on agent i's arrivals:
-    in round r, i hears nothing when ``pick[r]`` is -1, and otherwise
-    accepts from a sender that is wrong exactly when ``pick[r]`` is 1.
-    Rounds go in the kernel's blocks, and each heard cell keeps a correct
-    sample with the kernel's probability.  Returns int64 ``(cnt, corr)``
-    with zeros at i."""
+    are correct, over rounds in which the agents of the bool mask
+    ``sending`` (all n when None) send their opinions (``wrong`` marks the
+    wrong ones), conditioned on agent i's arrivals: in round r, i hears
+    nothing when ``pick[r]`` is -1, and otherwise accepts from a sender
+    that is wrong exactly when ``pick[r]`` is 1.  Rounds go in the kernel's
+    blocks, and each heard cell keeps a correct sample with the kernel's
+    probability.  Returns int64 ``(cnt, corr)`` with zeros at i."""
     n = wrong.size
     p = channel.flip_probability
-    others = np.delete(np.arange(n), i)
+    rest = np.arange(n) != i
+    if sending is not None:
+        rest &= sending
+    others = np.flatnonzero(rest)       # the senders besides i
     right = ~wrong[others]
     senders = np.concatenate((others[right], others[~right]))     # correct ones first
     k = int(right.sum())
-    pools = (np.arange(k), np.arange(k, n - 1))     # each class, as columns of senders
+    pools = (np.arange(k), np.arange(k, others.size))     # each class, as columns of senders
     lo = np.minimum(senders, i)
     hi = np.maximum(senders, i)
     cnt = np.zeros(n, np.int64)
@@ -306,29 +324,30 @@ def _occupancy_given(i, pick, wrong, channel, gen):
         b = cls.size
         # every other sender aims uniformly at the n-2 agents that are
         # neither itself nor I ...
-        t = gen.integers(0, n - 2, size=(b, n - 1))     # a row per round, a column per sender
+        t = gen.integers(0, n - 2, size=(b, others.size))     # a row per round, a column per sender
         t += t >= lo
         t += t >= hi
         for r in np.flatnonzero(cls >= 0):
             # ... except, in a round where I hears, K >= 1 of them, where K
-            # is Binomial(n-1, 1/(n-1)) conditioned on K >= 1: I's pick,
+            # is Binomial(senders, 1/(n-1)) conditioned on K >= 1: I's pick,
             # uniform in its class, and K-1 uniform among the rest
             arrivals = 0
             while not arrivals:
-                arrivals = gen.binomial(n - 1, 1.0 / (n - 1))
+                arrivals = gen.binomial(others.size, 1.0 / (n - 1))
             pool = pools[cls[r]]
             x = pool[gen.integers(pool.size)]
             t[r, x] = i
             if arrivals > 1:
-                rest = gen.choice(n - 2, arrivals - 1, replace=False)
-                t[r, rest + (rest >= x)] = i
+                aimed = gen.choice(others.size - 1, arrivals - 1, replace=False)
+                t[r, aimed + (aimed >= x)] = i
         rows = np.arange(0, b * n, n)
         t += rows[:, None]                  # cell keys: round * n + target
-        own = gen.integers(0, n - 1, size=b)
-        own += (own >= i) + rows            # I's own messages
         c = np.bincount(t[:, :k].ravel(), minlength=b * n).astype(np.float64)
         a = np.bincount(t[:, k:].ravel(), minlength=b * n).astype(np.float64)
-        (a if wrong[i] else c)[own] += 1.0   # one key per round: no repeats
+        if sending is None or sending[i]:
+            own = gen.integers(0, n - 1, size=b)
+            own += (own >= i) + rows        # I's own messages
+            (a if wrong[i] else c)[own] += 1.0   # one key per round: no repeats
         a += c
         a[i::n] = 0.0                       # I's arrivals are given
         c[i::n] = 0.0
@@ -341,6 +360,194 @@ def _occupancy_given(i, pick, wrong, channel, gen):
         cnt += (a > 0.0).reshape(b, n).sum(0)
         corr += (u < c).reshape(b, n).sum(0)
     return cnt, corr
+
+
+@lru_cache(maxsize=256)
+def _binomial_pmf(r, h, size):
+    """P(Binomial(r, h) = x) for x < ``size`` and x <= r, read-only: the
+    windows of a tail draw share most of their runs of rounds."""
+    if h == 0.0:
+        pmf = np.ones(1)
+    elif h == 1.0:
+        pmf = (np.arange(min(size, r + 1)) == r).astype(np.float64)
+    else:
+        x = np.arange(min(size, r + 1))
+        pmf = np.exp(gammaln(r + 1) - gammaln(x + 1) - gammaln(r - x + 1)
+                     + x * math.log(h) + (r - x) * math.log1p(-h))
+    pmf.flags.writeable = False
+    return pmf
+
+
+def _below(pmf, size):
+    """``c[y] = P(X < y)`` for y = 0..size, from the pmf of X (its values
+    below ``size`` at least)."""
+    pmf = pmf[:size]
+    c = np.zeros(size + 1)
+    c[1:pmf.size + 1] = np.cumsum(pmf)
+    c[pmf.size + 1:] = c[pmf.size]
+    return c
+
+
+def _heard_laws(runs, n, size):
+    """For rounds in ``runs`` of ``(rounds, m)``, m the senders besides the
+    listener in each of them, the law of the rounds it hears in each run,
+    Binomial(rounds, 1-(1-1/(n-1))^m), and of the sum over the runs from
+    each one on, all below ``size``."""
+    laws = [_binomial_pmf(r, 1.0 - ((n - 2) / (n - 1)) ** m, size) for r, m in runs]
+    suffix = [np.ones(1)]
+    for law in reversed(laws):
+        suffix.append(np.convolve(law, suffix[-1])[:size])
+    return laws, suffix[::-1]
+
+
+def _heard_given_below(runs, n, below, gen):
+    """One draw of a listener's rounds over ``runs`` (as :func:`_heard_laws`)
+    given that it hears in fewer than ``below`` of them: per round, -1 when
+    it hears nothing and 0 when it hears.  Each run's count is drawn given
+    the counts before it, and rounds within a run are exchangeable."""
+    laws, suffix = _heard_laws(runs, n, below)
+    pick = []
+    for law, rest, (r, _) in zip(laws, suffix[1:], runs):
+        # P(this run's count is x and the later runs' sum is below below - x)
+        x = np.arange(min(law.size, below))
+        w = law[:x.size] * _below(rest, below)[below - x]
+        heard = int(gen.choice(x.size, p=w / w.sum()))
+        below -= heard
+        run = np.full(r, -1, np.int8)
+        run[gen.permutation(r)[:heard]] = 0
+        pick.append(run)
+    return np.concatenate(pick)
+
+
+def stage2_tail(t, opens, lengths, gid, cnt, channel, gen):
+    """The rest of a run under staggered clocks, drawn from round ``t`` on
+    without simulating its rounds, when every agent holds the correct
+    opinion and every clock group is inside stage 2 (or past it) in a
+    window that opened after the last opinion change.
+
+    Clock group g's stage-2 phase j spans the global rounds before
+    ``opens[g] + sum(lengths[:j+1])``, and agent i is in group ``gid[i]``
+    with ``cnt[i]`` samples in its current window.  From here on every sample
+    an agent holds or will take is correct with probability 1-p, whatever
+    the occupancy, so a successful close's subset majority is wrong with
+    probability w_j = P(Binomial(s_j, 1-p) < s_j/2), a coin independent of
+    everything else.  Coins first: the number of wrong coins of phase j
+    is Binomial(N_j, w_j) over its N_j remaining (agent, close) pairs,
+    placed uniformly.  With any wrong coin, returns ``((j, g, agents),
+    None)``: the earliest close (in round, then code, then shift order)
+    that holds one, and its wrong-coin agents; the caller simulates on,
+    keeps every successful agent of the closes before it correct, turns the
+    successful ``agents`` there and discards the later coins.
+
+    Without one no opinion changes again, and only failures remain.  Let
+    F_ij be "agent i ends its phase-j window with fewer than s_j samples":
+    it hears in round u with probability h_u = 1-(1-1/(n-1))^(m_u-1), m_u
+    the senders of round u (every agent of a group still in stage 2), so
+    its count is ``cnt[i]`` (current window only) plus a Poisson-binomial
+    sum; pi is the sum of P(F_ij).  The Karp-Luby-Madras sampler, as in
+    :func:`stage2_phase`: with probability pi pick (I, J) with probability
+    P(F_IJ)/pi, draw I's heard rounds in window J given F_IJ, simulate
+    every remaining round's heard counts given them (the kernel's expected
+    mode, and :func:`_occupancy_given` over I's window), and keep the
+    failures with probability 1/|F|; in every other case every remaining
+    close succeeds.  Returns ``(None, successful)``, the successful
+    remaining closes per phase; every agent ends correct.  Returns None
+    when pi >= 1, before drawing anything, or at n = 2 (see
+    :func:`stage2_phase`); the caller then simulates the rounds.
+    """
+    n = gid.size
+    if n < 3:
+        return None
+    size = np.bincount(gid, minlength=opens.size)
+    members = [np.flatnonzero(gid == g) for g in range(opens.size)]
+    ends = opens[:, None] + np.cumsum(lengths)      # each group's closes
+    ahead = ends > t
+    leave = ends[:, -1]                             # a group sends before this round, ascending
+    steps = leave.tolist()
+    gone = [0, *accumulate(size.tolist())]          # the agents of the groups that left by each step
+
+    def runs(a, b):
+        """(rounds, senders besides the listener) over rounds [a, b)."""
+        cuts = [a, *(v for v in steps if a < v < b), b]
+        return tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, cuts[1:]))
+
+    # P(F_ij) for each group's windows ahead, by agent in the current one
+    cdfs = {}
+    blocks = []     # (g, j, runs, P(F_ij) per member or None when equal, weight)
+    for g, j in zip(*np.nonzero(ahead)):
+        s = lengths[j] // 2
+        opened = ends[g, j] - lengths[j]
+        key = (runs(max(opened, t), ends[g, j]), s)
+        if key not in cdfs:
+            cdfs[key] = _below(_heard_laws(key[0], n, s)[1][0], s)
+        cdf = cdfs[key]                             # cdf[y] = P(heard < y)
+        if opened < t:
+            prob = cdf[np.maximum(s - cnt[members[g]], 0)]
+            blocks.append((g, j, key[0], prob, float(prob.sum())))
+        else:
+            blocks.append((g, j, key[0], None, size[g] * cdf[s]))
+    weights = np.array([b[-1] for b in blocks])
+    pi = float(weights.sum())
+    if pi >= 1.0:
+        return None
+
+    pairs = size @ ahead                            # N_j
+    coins = []
+    for m, pairs_j, u in zip(lengths, pairs.tolist(), gen.random(len(lengths))):
+        s = m // 2
+        w = _binomial_pmf(s, 1.0 - channel.flip_probability, (s + 1) // 2).sum()     # w_j
+        # Binomial(N_j, w_j) wrong coins: none with probability (1-w_j)^N_j,
+        # else drawn given at least one
+        if u < math.exp(pairs_j * math.log1p(-w)):
+            coins.append(0)
+        else:
+            law = _binomial_pmf(pairs_j, w, pairs_j + 1)[1:]
+            coins.append(1 + int(gen.choice(pairs_j, p=law / law.sum())))
+    coins = np.array(coins)
+    if coins.any():
+        first = None
+        for j in np.flatnonzero(coins):
+            agents = np.concatenate([members[g] for g in np.flatnonzero(ahead[:, j])])
+            wrong = agents[gen.choice(pairs[j], coins[j], replace=False)]
+            g = int(gid[wrong].min())
+            if first is None or (ends[g, j], j) < (ends[first[1], first[0]], first[0]):
+                first = (int(j), g, np.sort(wrong[gid[wrong] == g]))
+        return first, None
+    if gen.random() >= pi:
+        return None, pairs
+
+    g, j, window, prob, weight = blocks[min(int(np.searchsorted(np.cumsum(weights), gen.random() * pi, "right")),
+                                            len(blocks) - 1)]
+    if prob is None:
+        i = members[g][gen.integers(size[g])]
+    else:
+        i = members[g][min(int(np.searchsorted(np.cumsum(prob), gen.random() * weight, "right")), prob.size - 1)]
+    b = ends[g, j]
+    a = max(t, b - lengths[j])
+    pick = _heard_given_below(window, n, lengths[j] // 2 - (cnt[i] if b - lengths[j] < t else 0), gen)
+    # everyone's heard rounds per window, given I's in window J
+    heard_in = np.zeros((n, len(lengths)), np.int64)
+    current = (ends <= t).sum(1)[gid]
+    live = np.flatnonzero(current < len(lengths))
+    heard_in[live, current[live]] = cnt[live]
+    buffers = delivery_buffers(n)
+    none = np.empty(0, np.int64)
+    spans = np.unique(np.append(ends[ahead], t))
+    for u, v in zip(spans[:-1].tolist(), spans[1:].tolist()):
+        sending = leave[gid] > u
+        if a <= u < b:
+            heard = _occupancy_given(i, pick[u - a:v - a], np.zeros(n, bool), channel, gen, sending)[0]
+        else:
+            # these rounds belong to the draw, not to the run: the model's
+            # binding, which tests that patch the engine's kernel do not see
+            heard = model.deliver_span_counts(np.flatnonzero(sending), none, v - u, n, channel, gen, buffers, True)[0]
+        live = np.flatnonzero(sending)
+        heard_in[live, (ends <= u).sum(1)[gid[live]]] += heard[live]
+    heard_in[i, j] += int((pick >= 0).sum())
+    failed = ahead[gid] & (heard_in < np.array(lengths) // 2)
+    if gen.random() * failed.sum() >= 1.0:
+        return None, pairs
+    return None, pairs - failed.sum(0)
 
 
 def _local_windows(schedule: ScheduleParams, d: int):
@@ -406,8 +613,16 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     next round.  With one clock group and no preamble, a stage-2 window that
     opens with every agent holding an opinion is drawn whole by
     :func:`stage2_phase` unless its union bound is 1 or more, and its rounds
-    are skipped.  The run ends when the last window of the latest group has
-    closed.
+    are skipped.  With more than one group, a span start at which every
+    agent is informed and correct and every group is in stage 2, or past it,
+    in a window that opened at or after the last round that followed an
+    opinion change (any close's) hands the rest of the run to
+    :func:`stage2_tail`, once per such change.  A drawn tail sets the
+    stage-2 records, the messages and the round and ends the run; a wrong
+    coin leaves the rounds simulated, with every successful agent of the
+    closes before the coin's close kept correct and that close turning its
+    successful wrong-coin agents; None simulates them as before.  The run
+    ends when the last window of the latest group has closed.
     """
     n = config.n
     channel = config.channel
@@ -415,6 +630,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     t1 = schedule.t_phases + 1                 # code of the last stage-1 window
     edges, codes = _local_windows(schedule, d)
     local_total = int(edges[-1])
+    open2 = local_total - sum(schedule.stage2_phase_lengths)    # local round at which stage 2 opens
     cnt = np.zeros(n, np.int32)     # messages accepted in the current window
     corr = np.zeros(n, np.float64)  # ... of them correct after the channel; in stage 1 expected
     buffers = delivery_buffers(n)
@@ -457,8 +673,14 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         listening = (inside & (code <= t1) & (opinion < 0)) | (code > t1)
         return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listening
 
+    coin = None     # the close that holds the earliest wrong coin of a tail draw
+    last_change = -math.inf     # the last round that follows a close that changed an opinion
+    tried = None    # last_change when the tail was last drawn
+
     def close(code_v, g):
-        """Close window ``code_v`` for clock group ``g``."""
+        """Close window ``code_v`` for clock group ``g``; returns whether
+        any opinion changed."""
+        nonlocal coin
         members = np.flatnonzero(gid == g)
         if code_v <= t1:
             new = members[(opinion[members] < 0) & (cnt[members] > 0)]
@@ -468,23 +690,50 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             z_acc[code_v] += int(right.sum())
             cnt[new] = 0     # stage 2 counts its samples from zero
             corr[new] = 0
-        else:
-            j = code_v - t1 - 1
-            subset = lengths[j] // 2
-            if start_frac[j] is None:
-                start_frac[j] = _correct_fraction(opinion, correct)
-            successful = members[cnt[members] >= subset]
+            return new.size > 0
+        j = code_v - t1 - 1
+        subset = lengths[j] // 2
+        if start_frac[j] is None:
+            start_frac[j] = _correct_fraction(opinion, correct)
+        successful = members[cnt[members] >= subset]
+        before = opinion[successful]
+        if coin is None:
             _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen)
-            succ_acc[j] += int(successful.size)
-            end_frac[j] = _correct_fraction(opinion, correct)   # last group's close wins
-            cnt[members] = 0
-            corr[members] = 0
+        elif coin[:2] == (j, g):
+            # the earliest wrong coin: its successful agents turn, and
+            # the later coins are discarded
+            opinion[np.intersect1d(successful, coin[2])] = complement(correct)
+            coin = None
+        # a close before that one keeps every successful agent correct
+        succ_acc[j] += int(successful.size)
+        end_frac[j] = _correct_fraction(opinion, correct)   # last group's close wins
+        cnt[members] = 0
+        corr[members] = 0
+        return bool((opinion[successful] != before).any())
 
     messages = 0
     t = 0
     while t < groups[-1] + local_total:
         seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
         gcode = codes[seg]
+        if (groups.size > 1 and t >= groups[-1] + open2 and tried != last_change and not uninformed
+                and (opinion == correct).all()
+                and (groups + edges[seg - 1] >= last_change)[gcode > t1].all()):
+            # every agent is correct and every group is in stage 2, or past
+            # it, in a window that opened after the last opinion change
+            tried = last_change
+            drawn = stage2_tail(t, groups + open2, lengths, gid, cnt, channel, gen)
+            if drawn is not None:
+                coin, successful = drawn
+                if coin is None:
+                    for j in range(int(gcode[-1]) - t1 - 1, n_st2):    # the latest group's phase on
+                        if start_frac[j] is None:
+                            start_frac[j] = 1.0
+                        end_frac[j] = 1.0
+                        succ_acc[j] += int(successful[j])
+                    messages += int(np.maximum(groups + local_total - t, 0) @ np.bincount(gid))
+                    t = int(groups[-1]) + local_total
+                    break
         if (one_clock and gcode[0] > t1 and edges[seg[0] - 1] == t - groups[0]
                 and (opinion >= 0).all()):
             # a stage-2 window opens now with every agent holding an opinion
@@ -531,7 +780,8 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             np.add(corr, match, out=corr)
         shut = np.flatnonzero((gcode >= 0) & (np.searchsorted(edges, end - groups, "right") != seg))
         for code_v, g in sorted(zip(gcode[shut].tolist(), shut.tolist())):
-            close(code_v, g)
+            if close(code_v, g):
+                last_change = end
         if fresh is not None and fresh.size:
             # the new group's windows all lie ahead, so it joins after the closes
             uninformed -= fresh.size
@@ -609,6 +859,10 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     4*ceil(log2 n) rounds after its first received message.  That keeps all
     clock differences within D = 2*ceil(log2 n) only with high probability;
     ROADMAP item 3 gives the law of the realized ``DesyncInfo.offset_spread``.
+    Either way the clock groups close their windows at different rounds, so
+    the single-clock draw of a stage-2 phase never applies; the all-correct
+    tail of stage 2 is drawn by :func:`stage2_tail` (see
+    :func:`_run_windows`).
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n

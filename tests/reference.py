@@ -4,7 +4,8 @@ The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
 end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
-(and the recorder also in place of ``flipsim.protocols.stage2_phase``).
+(and the recorder also in place of ``flipsim.protocols.stage2_phase`` and
+``flipsim.protocols.stage2_tail``).
 
 The lemma references state the paper's side claims that the package does not
 ship: the two-step process (fair coin, then corrective flip) with its exact
@@ -33,7 +34,7 @@ import numpy as np
 from flipsim import ConfigurationError, NoiseChannel, model
 from flipsim.model import deliver_round_arrays, deliver_span_counts
 from flipsim.oracle import binomial_tail_geq
-from flipsim.protocols import stage2_phase
+from flipsim.protocols import stage2_phase, stage2_tail
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -285,12 +286,17 @@ class KernelRecorder:
     messages sent.
     Its :meth:`phase` does the same for the drawn stage-2 phase: the phase
     length, the agents wrong at its open, the failed agents and the agents
-    wrong after every phase it draws, and that phase's messages."""
+    wrong after every phase it draws, and that phase's messages.  Its
+    :meth:`tail` hashes every drawn stage-2 tail under staggered clocks:
+    the round, the groups' stage-2 opens, the phase lengths, the groups and
+    the counts it starts from, and the close and agents of its earliest
+    wrong coin or the successful closes per phase; when the tail ends the
+    run, it counts the tail's messages."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
         self.messages = 0
-        self.shortcuts = 0      # phases drawn by the shortcut
+        self.shortcuts = 0      # phases and tails drawn instead of simulated
 
     def __call__(self, carriers, others, rounds, n, channel, rng, out, expected=False):
         heard, match = deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected)
@@ -311,16 +317,34 @@ class KernelRecorder:
             self.shortcuts += 1
         return drawn
 
+    def tail(self, t, opens, lengths, gid, cnt, channel, rng):
+        drawn = stage2_tail(t, opens, lengths, gid, cnt, channel, rng)
+        if drawn is not None:
+            coin, successful = drawn
+            self.sha.update(np.array([t, *lengths], np.int64).tobytes())
+            for arr in (opens, gid, cnt):
+                self.sha.update(arr.tobytes())
+            if coin is None:
+                self.sha.update(successful.tobytes())
+                # every agent sends until its group's last window closes
+                self.messages += int(np.maximum(opens[gid] + sum(lengths) - t, 0).sum())
+            else:
+                self.sha.update(np.array(coin[:2], np.int64).tobytes())
+                self.sha.update(coin[2].tobytes())
+            self.shortcuts += 1
+        return drawn
+
     def digest(self) -> str:
         return self.sha.hexdigest()
 
 
 def run_recorded(monkeypatch, engine, *args, **kwargs):
     """Run ``engine(*args, **kwargs)`` with a fresh :class:`KernelRecorder`
-    as the engine's count kernel and drawn stage-2 phase; returns
-    ``(outcome, recorder)``."""
+    as the engine's count kernel, drawn stage-2 phase and drawn stage-2
+    tail; returns ``(outcome, recorder)``."""
     recorder = KernelRecorder()
     with monkeypatch.context() as m:
         m.setattr("flipsim.protocols.deliver_span_counts", recorder)
         m.setattr("flipsim.protocols.stage2_phase", recorder.phase)
+        m.setattr("flipsim.protocols.stage2_tail", recorder.tail)
         return engine(*args, **kwargs), recorder

@@ -7,6 +7,7 @@ streams, so results are independent of scheduling.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from flipsim.oracle import (
     stirling_claim_grid,
 )
 from flipsim.params import clock_bound
-from reference import run_recorded
+from flipsim.protocols import stage2_tail
+from reference import push_spread, run_recorded
 
 SEED = 61803
 BATCH = 200
@@ -58,11 +60,29 @@ def _growth_run(seed: int):
 
 
 def _desync_run(seed: int):
+    """One supplied-clock desync run, and whether its stage-2 tail was drawn
+    (``stage2_tail`` returned something other than None)."""
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
     d = clock_bound(N_MAIN)
     offsets = derive_rng(SEED, "a-clocks", seed).integers(0, d, size=N_MAIN)
-    return run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
-                              rng=derive_rng(SEED, "a-desync", seed))
+    drawn = []
+
+    def tail(*args):
+        drawn.append(stage2_tail(*args))
+        return drawn[-1]
+
+    with mock.patch("flipsim.protocols.stage2_tail", tail):
+        out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
+                                 rng=derive_rng(SEED, "a-desync", seed))
+    return out, any(x is not None for x in drawn)
+
+
+def _preamble_run(seed: int):
+    """One desync run with the activation preamble: (all correct, realized
+    clock spread, stalled)."""
+    config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
+    out = run_desynchronized(config, rng=derive_rng(SEED, "a-preamble", seed))
+    return out.correct_fraction == 1.0, out.desync.offset_spread, out.desync.stalled
 
 
 def _consensus_run(seed: int):
@@ -314,15 +334,17 @@ def test_a8_stage2_exact_phase_law(broadcast_batch):
 def test_a9_desynchronization(broadcast_batch, desync_batch):
     sync_successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)
     lo, hi = wilson_interval(sync_successes, BATCH)
-    desync_rate = sum(out.correct_fraction == 1.0 for out in desync_batch) / BATCH
+    desync_rate = sum(out.correct_fraction == 1.0 for out, _ in desync_batch) / BATCH
     schedule = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_MAIN))
     d = clock_bound(N_MAIN)
     bound = (schedule.t_phases + 2) * d + 6 * math.ceil(math.log2(N_MAIN))
-    slack_ok = all(out.rounds_used - schedule.total_rounds <= bound for out in desync_batch)
+    slack_ok = all(out.rounds_used - schedule.total_rounds <= bound for out, _ in desync_batch)
     in_ci = lo <= desync_rate <= hi
-    ok = in_ci and slack_ok
+    drawn = sum(tail for _, tail in desync_batch)
+    ok = in_ci and slack_ok and drawn >= 0.95 * BATCH
     _report("A9", ok, f"desync success {desync_rate:.4f} within sync CI [{lo:.4f}, {hi:.4f}]; "
-                      f"round increase <= (T+2)D + 6 ceil(log2 n) = {bound} in every run")
+                      f"round increase <= (T+2)D + 6 ceil(log2 n) = {bound} in every run; "
+                      f"stage-2 tail drawn in {drawn}/{BATCH} runs (>= {math.ceil(0.95 * BATCH)})")
 
 
 def test_a10_baselines():
@@ -379,3 +401,34 @@ def test_a12_majority_consensus(consensus_batch):
     ok = rate >= 0.99 and lo >= 0.96 and law_ok
     _report("A12", ok, f"consensus n={N_MAIN} eps={EPS_MAIN} |A|={CONSENSUS_SET} bias={CONSENSUS_BIAS}: "
                        f"success {successes}/{BATCH} (rate {rate:.4f}, wilson [{lo:.4f}, {hi:.4f}]); {law}")
+
+
+def test_a13_preamble_at_scale(broadcast_batch):
+    # the clock-free variant with the activation preamble at acceptance
+    # scale: success within the broadcast batch's Wilson interval, no stall,
+    # and a realized clock spread with the law of push rumor spreading's
+    # completion time (ROADMAP item 3): the CDF and the rate of spread > D
+    # within 4 pooled sigma of 2000 reference samples at every value
+    rows = pool_map(_preamble_run, list(range(BATCH)))
+    sync_successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)
+    lo, hi = wilson_interval(sync_successes, BATCH)
+    successes = sum(ok for ok, _, _ in rows)
+    stalled = sum(stall for _, _, stall in rows)
+    d = clock_bound(N_MAIN)
+    spread = np.array([s for _, s, _ in rows])
+    gen = derive_rng(SEED, "a13-push-spread")
+    ref = np.array([push_spread(N_MAIN, d, gen) for _ in range(2000)])
+    worst = 0.0
+    values = range(min(spread.min(), ref.min()), max(spread.max(), ref.max()) + 1)
+    for a, b in [(spread <= v, ref <= v) for v in values] + [(spread > d, ref > d)]:
+        p = (a.sum() + b.sum()) / (a.size + b.size)
+        sigma = math.sqrt(p * (1 - p) * (1 / a.size + 1 / b.size))
+        worst = max(worst, abs(a.mean() - b.mean()) / sigma if sigma else 0.0)
+    over = spread > d
+    over_ok = sum(ok for (ok, _, _), late in zip(rows, over) if late)
+    ok = lo <= successes / BATCH <= hi and stalled == 0 and worst <= 4.0
+    _report("A13", ok, f"preamble n={N_MAIN} eps={EPS_MAIN}: success {successes}/{BATCH} within sync CI "
+                       f"[{lo:.4f}, {hi:.4f}]; stalled in {stalled}; spread CDF and P(spread > D={d}) "
+                       f"{over.mean():.4f} (reference {(ref > d).mean():.4f}) within {worst:.2f} <= 4 pooled "
+                       f"sigma of {ref.size} push-spreading samples; success {over_ok}/{int(over.sum())} "
+                       f"among runs with spread > D")

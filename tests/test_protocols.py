@@ -34,6 +34,7 @@ from flipsim.protocols import (
     _stage2_apply,
     _truncated_binomial,
     stage2_phase,
+    stage2_tail,
 )
 from reference import (
     ProtocolInvariantError,
@@ -539,7 +540,8 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
 @pytest.mark.parametrize("preamble", [False, True], ids=["clocks", "preamble"])
 def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
     # desync with staggered clocks (supplied or set by the preamble) never
-    # calls the shortcut, so its runs are those of the full simulation
+    # calls the single-clock shortcut; its stage-2 tail is drawn by
+    # stage2_tail instead, and its rounds still outnumber the schedule's
     def refuse(*args):
         raise AssertionError("the drawn stage-2 phase was called")
 
@@ -550,6 +552,227 @@ def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
     out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "bypass"))
     assert out.rounds_used > derive_schedule(512, config.channel).total_rounds
     assert out.messages_sent > 0
+
+
+# ---------------------------------------------------------------------------
+# stage 2 under staggered clocks: the drawn tail
+
+
+def _tail_union_bound(t, opens, lengths, gid, cnt):
+    """pi = the sum of P(F_ij) over every (agent, phase-j window) still to
+    close after round t, F_ij = "agent i ends its window with fewer than
+    s_j = m_j/2 samples", built round by round: agent i hears in round u
+    with probability 1-(1-1/(n-1))^(m_u-1), m_u the agents of the groups
+    still in stage 2, and starts from ``cnt[i]`` in a window that opened
+    before t."""
+    n = gid.size
+    ends = opens[:, None] + np.cumsum(lengths)
+    pi = 0.0
+    for g, j in zip(*np.nonzero(ends > t)):
+        m = lengths[j]
+        law = np.zeros(m + 1)
+        law[0] = 1.0
+        for u in range(max(t, ends[g, j] - m), ends[g, j]):
+            h = 1 - (1 - 1 / (n - 1)) ** ((ends[gid, -1] > u).sum() - 1)
+            law[1:] = law[1:] * (1 - h) + law[:-1] * h
+            law[0] *= 1 - h
+        for i in np.flatnonzero(gid == g):
+            start = cnt[i] if ends[g, j] - m < t else 0
+            pi += law[:max(m // 2 - start, 0)].sum()
+    return pi
+
+
+def _staggered_stage2(config, schedule, gen, opens, wrong):
+    """Stage 2 alone under clock groups: agent i's group opens stage 2 in
+    round ``opens[i]`` (until then it sends in the last stage-1 window), and
+    the first ``wrong`` agents start wrong, the rest correct.  Returns the
+    per-phase successful counts and, per phase, the number of agents wrong
+    after its last close."""
+    opinion = _unanimous_opinions(config)
+    opinion[:wrong] ^= 1
+    out = _run_windows(opinion, config, schedule, gen, opens - schedule.stage1_rounds)
+    assert round(config.n * out.correct_fraction) == (opinion == config.correct_opinion).sum()
+    return (*(r.successful_count for r in out.stage2),
+            *(round(config.n * (1 - r.correct_fraction)) for r in out.stage2))
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
+@pytest.mark.parametrize("n,eps,sizes,offsets,wrong,runs", [
+    (16, 0.2, (8, 8), (0, 6), 0, 4000),
+    (18, 0.2, (6, 6, 6), (0, 3, 7), 0, 4000),
+    # every agent of the early group starts wrong; the late group's window
+    # holds their samples until its own close, after the early group's
+    # close turned them
+    (16, 0.25, (4, 12), (0, 4), 4, 1500),
+], ids=["two-groups", "three-groups", "wrong-early-group"])
+def test_staggered_tail_matches_simulated_rounds(monkeypatch, n, eps, sizes, offsets, wrong, runs):
+    # Three 54-round stage-2 phases under staggered clocks.  The joint law of
+    # the per-phase successful counts and agents wrong after each phase,
+    # with the tail drawn by stage2_tail, must match the simulated rounds
+    # (the draw patched to None) cell by cell within 4 sigma, and so must
+    # the mean count wrong after each phase.  From an all-correct start the
+    # draw runs in every run, the median of the reference union bound at
+    # each run's first draw is in [0.2, 0.9], and the wrong-coin and failure
+    # branches each run in over 10% of the runs.
+    config = cfg(n, eps)
+    schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(54, 54, 54))
+    opens = np.repeat(offsets, sizes)
+    tables, wrong_after = [], []     # per path: the key table, the wrong counts per run and phase
+    for simulated in (False, True):
+        firsts = []             # the inputs of the first tail draw of each run, up to 200
+        seen = set()            # what the current run drew
+        branches = Counter()    # runs that drew each
+
+        def tail(*args):
+            if not seen and len(firsts) < 200:
+                firsts.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:5]))
+            out = stage2_tail(*args)
+            seen.add("tail")
+            if out is not None and out[0] is not None:
+                seen.add("coin")
+            return out
+
+        def occupancy(*args):
+            seen.add("failure")
+            return _occupancy_given(*args)
+
+        keys = []
+        with monkeypatch.context() as patch:
+            patch.setattr("flipsim.protocols.stage2_tail", (lambda *args: None) if simulated else tail)
+            patch.setattr("flipsim.protocols._occupancy_given", occupancy)
+            gen = derive_rng(22, "staggered", n, wrong, simulated)
+            for _ in range(runs):
+                seen.clear()
+                keys.append(_staggered_stage2(config, schedule, gen, opens, wrong))
+                branches.update(seen)
+        tables.append(Counter(keys))
+        wrong_after.append(np.array([k[3:] for k in keys], float))
+        if simulated:
+            continue
+        if wrong:
+            assert branches["tail"] > 0.1 * runs, branches
+        else:
+            assert branches["tail"] == runs, branches
+            assert branches["coin"] > 0.1 * runs and branches["failure"] > 0.1 * runs, branches
+            pi = np.median([_tail_union_bound(*first) for first in firsts])
+            assert 0.2 <= pi <= 0.9, pi
+    drawn, simulated = tables
+    for key in set(drawn) | set(simulated):
+        a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
+        pooled = (a + b) / 2
+        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, a, b)
+    a, b = wrong_after
+    assert (abs(a.mean(0) - b.mean(0)) <= 4 * np.sqrt((a.var(0) + b.var(0)) / runs)).all(), (a.mean(0), b.mean(0))
+
+
+def test_tail_failures_match_direct_occupancy():
+    # stage2_tail at n=12 from round 5, with three clock groups that opened
+    # stage 2 in rounds 0, 2 and 5, mid-window counts and a sender tail that
+    # shrinks as the groups leave: the law of |F| over its two phases must
+    # match the plain occupancy of the same rounds within 4 sigma size by
+    # size, and E|F| = pi.  A noiseless channel leaves no wrong coin.
+    n, runs, t = 12, 10_000, 5
+    lengths = (38, 46)
+    gid = np.repeat(np.arange(3), 4)
+    opens = np.array([0, 2, 5])
+    cnt = np.array([3, 4, 2, 5, 1, 2, 0, 2, 0, 0, 0, 0], np.int32)
+    pi = _tail_union_bound(t, opens, lengths, gid, cnt)
+    assert 0.2 < pi < 0.6
+    gen = derive_rng(23, "tail-klm")
+    klm = []
+    for _ in range(runs):
+        coin, successful = stage2_tail(t, opens, lengths, gid, cnt, NoiseChannel(0.0), gen)
+        assert coin is None
+        klm.append(2 * n - successful.sum())
+    klm = np.array(klm)
+    ends = opens[gid][:, None] + np.cumsum(lengths)     # each agent's closes
+    heard = np.zeros((runs, n, len(lengths)), np.int64)
+    heard[:, np.arange(n), (ends <= t).sum(1)] = cnt
+    for u in range(t, ends.max()):
+        senders = np.flatnonzero(ends[:, -1] > u)
+        aim = gen.integers(0, n - 1, size=(runs, senders.size))
+        aim += aim >= senders
+        hit = np.zeros((runs, n), bool)
+        hit[np.arange(runs)[:, None], aim] = True
+        heard[:, senders, (ends[senders] <= u).sum(1)] += hit[:, senders]
+    direct = (heard < np.array(lengths) // 2).sum((1, 2))
+    for size in range(max(klm.max(), direct.max()) + 1):
+        a, b = (klm == size).mean(), (direct == size).mean()
+        pooled = (a + b) / 2
+        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (size, a, b)
+    for sizes in (klm, direct):
+        assert abs(sizes.mean() - pi) < 4 * sizes.std() / math.sqrt(runs), (sizes.mean(), pi)
+
+
+@pytest.mark.parametrize("pick", [0, -1], ids=["hit", "missed"])
+@pytest.mark.parametrize("i_sends", [True, False], ids=["i-sends", "i-silent"])
+def test_conditioned_round_with_sender_subset(i_sends, pick):
+    # one round at n=6 in which agents 0, 3, 4 and 5 send, and agent I = 2
+    # too unless silent; agent 4 is wrong.  Conditioned on I accepting from
+    # a correct sender or hearing nothing, the law of every other agent's
+    # (heard, sample correct) must match unconditioned rounds of the
+    # kernel's rule (uniform targets, a uniform accept, the channel), kept
+    # when I's arrivals match, pattern by pattern within 4 sigma; patterns
+    # expected fewer than 10 times in the draws are pooled into one, where
+    # the normal approximation behind 4 sigma holds
+    n, i, draws = 6, 2, 30_000
+    sending = np.isin(np.arange(n), (0, 3, 4, 5) + ((i,) if i_sends else ()))
+    wrong = np.arange(n) == 4
+    channel = NoiseChannel(0.2)
+    gen = derive_rng(24, "subset-round", i_sends, pick + 1)
+    rest = np.delete(np.arange(n), i)
+    weights = 3 ** np.arange(n - 1)
+    drawn = np.zeros(3 ** (n - 1))
+    for _ in range(draws):
+        cnt, corr = _occupancy_given(i, np.array([pick], np.int8), wrong, channel, gen, sending)
+        assert cnt[i] == corr[i] == 0
+        drawn[int((cnt + corr)[rest] @ weights)] += 1
+    drawn /= draws
+    rounds = 10 * draws
+    t = gen.integers(0, n - 1, size=(rounds, n))
+    t += t >= np.arange(n)
+    t[:, ~sending] = -1                  # the silent agents send nothing
+    order = gen.random((rounds, n))      # the earliest arrival is accepted
+    chosen = np.stack([np.where(t == r, order, 2.0).argmin(1) for r in range(n)], 1)
+    heard = np.stack([(t == r).any(1) for r in range(n)], 1)
+    sample = ~wrong[chosen] ^ (gen.random((rounds, n)) < channel.flip_probability)
+    keep = heard[:, i] & ~wrong[chosen[:, i]] if pick >= 0 else ~heard[:, i]
+    codes = (heard * (1 + sample))[keep][:, rest] @ weights
+    reference = np.bincount(codes, minlength=drawn.size) / codes.size
+    pooled = (drawn * draws + reference * codes.size) / (draws + codes.size)
+    rare = pooled * draws < 10
+    drawn, reference, pooled = (np.append(x[~rare], x[rare].sum()) for x in (drawn, reference, pooled))
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / codes.size))
+    assert (np.abs(drawn - reference) <= 4 * sigma).all(), (drawn, reference)
+
+
+def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
+    # desync at n=4096, eps=0.4 with supplied clocks: the final 150-round
+    # phase alone has pi = 1.46, so the one tail draw returns None and the
+    # kernel delivers every round from there to the end of the run, the
+    # whole final phase among them
+    n = 4096
+    config = cfg(n, 0.4)
+    d = clock_bound(n)
+    offsets = derive_rng(0, "fallback-clocks").integers(0, d, n)
+    calls, rounds = [], [0]
+
+    def tail(t, *args):
+        calls.append((t, stage2_tail(t, *args)))
+        return calls[-1][1]
+
+    def counting(carriers, others, span, *args):
+        rounds[0] += span if calls else 0
+        return deliver_span_counts(carriers, others, span, *args)
+
+    monkeypatch.setattr("flipsim.protocols.stage2_tail", tail)
+    monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
+    out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d), rng=derive_rng(0, "fallback"))
+    assert [drawn for _, drawn in calls] == [None], calls
+    t = calls[0][0]
+    assert rounds[0] == out.rounds_used - t
+    final_open = out.desync.local_total - int(offsets.max()) - derive_schedule(n, config.channel).stage2_phase_lengths[-1]
+    assert t <= final_open, (t, final_open)
 
 
 # ---------------------------------------------------------------------------
@@ -828,15 +1051,15 @@ def _desync_clocks_from(config, correct):
     pytest.param(lambda config, correct: run_broadcast(config, rng=derive_rng(5, "relabel")),
                  True, id="broadcast"),
     pytest.param(_consensus_from, True, id="consensus"),
-    pytest.param(_desync_clocks_from, False, id="desync-clocks"),
+    pytest.param(_desync_clocks_from, True, id="desync-clocks"),
     pytest.param(lambda config, correct: run_desynchronized(config, rng=derive_rng(5, "relabel")),
-                 False, id="desync-preamble"),
+                 True, id="desync-preamble"),
 ])
 def test_relabeling_symmetry_without_log(monkeypatch, engine, shortcut):
-    # the count path and the drawn stage-2 phase read payloads only
-    # through "carries the correct opinion", so relabeling complements the
-    # outcome and leaves every kernel call and every drawn phase, and so
-    # the recorded digest, unchanged
+    # the count path, the drawn stage-2 phase and the drawn stage-2 tail
+    # read payloads only through "carries the correct opinion", so
+    # relabeling complements the outcome and leaves every kernel call and
+    # every drawn phase or tail, and so the recorded digest, unchanged
     runs = [run_recorded(monkeypatch, engine, cfg(256, 0.25, seed=3, correct=correct), correct)
             for correct in (1, 0)]
     (a, rec_a), (b, rec_b) = runs
