@@ -14,6 +14,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -30,15 +31,6 @@ def _check_unit(name, value, lo, hi):
 def _check_epsilon(epsilon):
     if not (0.0 < epsilon <= 0.5):
         raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-
-
-def sample_correct_prob(delta: float, epsilon: float) -> float:
-    """Probability that one noisy sample from a population with bias delta
-    shows the correct opinion: (1/2+delta)(1/2+eps) + (1/2-delta)(1/2-eps)
-    = 1/2 + 2*eps*delta."""
-    _check_unit("delta", delta, 0.0, 0.5)
-    _check_epsilon(epsilon)
-    return 0.5 + 2.0 * epsilon * delta
 
 
 def _binomial_tails(n: int, k: int, p: float):
@@ -84,6 +76,40 @@ def majority_wrong_prob(gamma: int, q: float) -> float:
     return _majority_tails(gamma, q)[0]
 
 
+class PhaseClass(NamedTuple):
+    fail: float     # P(fewer than s samples): the agent keeps its opinion
+    q: float        # P(a sample is correct)
+    event: float    # P(fails or ends on a wrong majority), the union-bound term
+    correct: float  # P(ends correct)
+
+
+def phase_law(n: int, m: int, wrong: int, p: float):
+    """The one-phase law of stage 2: ``(start correct, start wrong)``
+    :class:`PhaseClass` records for an m-round phase in which all n agents
+    send their frozen opinions, ``wrong`` of them wrong, through a channel
+    that flips a bit with probability p; a class with no members gets zeros.
+    An agent hears in a round with probability h = 1-(1-1/(n-1))^(n-1) from
+    a uniform other agent, fails with probability P(Bin(m, h) < s), s = m/2,
+    and otherwise takes the majority of s samples, each correct with
+    probability q = (1-p)(1-w) + p w, w the wrong share among the others.
+    """
+    if not (n >= 2 and 0 <= wrong <= n):
+        raise ConfigurationError(f"need n >= 2 and 0 <= wrong <= n, got n={n}, wrong={wrong}")
+    s = m // 2
+    miss = ((n - 2) / (n - 1)) ** (n - 1)           # P(an agent hears nothing in a round)
+    fail = binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
+    law = []
+    for c, agents in enumerate((n - wrong, wrong)):
+        if not agents:
+            law.append(PhaseClass(0.0, 0.0, 0.0, 0.0))
+            continue
+        w = (wrong - c) / (n - 1)
+        q = (1.0 - p) * (1.0 - w) + p * w
+        bad, good = _majority_tails(s, q)
+        law.append(PhaseClass(fail, q, fail + (1.0 - fail) * bad, (0.0 if c else fail) + (1.0 - fail) * good))
+    return tuple(law)
+
+
 @dataclass(frozen=True)
 class LemmaCheck:
     probability: float
@@ -113,7 +139,7 @@ def lemma_second_bound_check(epsilon: float, delta: float, r_scale: float = PAPE
             f"gamma = 2*ceil(r_scale/eps^2)+1 overflows at eps={epsilon}, r_scale={r_scale}")
     r = math.ceil(r_scale / eps2)
     gamma = 2 * r + 1
-    q = sample_correct_prob(delta, epsilon)
+    q = 0.5 + 2.0 * epsilon * delta     # (1/2+delta)(1/2+eps) + (1/2-delta)(1/2-eps)
     probability = majority_correct_prob(gamma, min(q, 1.0))
     bound = min(0.5 + 4.0 * delta, 0.5 + 0.01)
     return LemmaCheck(probability, bound, probability >= bound, r, gamma, q)
@@ -147,14 +173,6 @@ def stirling_claim_grid(r_max: int) -> np.ndarray:
     w = np.where(w ** 2 > rs, w - 1, w)          # exact floor(sqrt(r))
     r = rs.astype(np.float64)
     return _stirling_log_p(r, w.astype(np.float64)) > -np.log(10.0 * np.sqrt(r))
-
-
-def boost_map(delta: float, epsilon: float, gamma: int, success_rate: float) -> float:
-    """Expected next-phase correct fraction: successful agents follow the
-    subset majority, the rest keep their current opinion."""
-    _check_unit("success_rate", success_rate, 0.0, 1.0)
-    q = sample_correct_prob(delta, epsilon)
-    return success_rate * majority_correct_prob(gamma, q) + (1.0 - success_rate) * (0.5 + delta)
 
 
 def direct_sample_requirement(epsilon: float, n: int, target_exponent: float) -> int:

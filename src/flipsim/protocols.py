@@ -36,28 +36,15 @@ fast without changing any distribution:
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law;
-* when every agent shares one clock (broadcast, consensus, desync with
-  identical clocks), a stage-2 phase that opens with every agent holding an
-  opinion is drawn from its exact law instead of simulated
-  (:func:`stage2_phase`): opinions are frozen within the phase and every
-  agent sends, so an agent's accepted samples are independent, each correct
-  with a probability set by the share of wrong agents among the others.
-  The events "fails or ends on a wrong majority" come from the
-  Karp-Luby-Madras union sampler, which simulates the phase's rounds only
-  with probability pi, the union bound of those events; without any event
-  every agent succeeds and ends correct.  When pi >= 1 the rounds are
-  simulated;
-* under staggered clocks (desync with supplied offsets or the preamble),
-  once every agent holds the correct opinion and every clock group is in
-  stage 2, or past it, in a window that opened after the last opinion
-  change, the rest of the run is drawn (:func:`stage2_tail`): every sample
-  is then correct with probability 1-p whatever the occupancy, so each
-  remaining close's subset majority is a coin, drawn first.  With no wrong
-  coin no opinion changes again, and the remaining failures come from the
-  Karp-Luby-Madras sampler over the events "ends a window short of
-  samples", which simulates the rounds' heard counts only with probability
-  pi, their union bound; with a wrong coin the rounds are simulated up to
-  its close.  When pi >= 1 the rounds are simulated.
+* under one shared clock, a stage-2 phase that opens with every agent
+  holding an opinion is drawn from its exact law
+  (:func:`~flipsim.oracle.phase_law`) by a Karp-Luby-Madras union sampler
+  (:func:`stage2_phase`) unless its union bound is 1 or more;
+* under staggered clocks, once every agent holds the correct opinion and
+  every clock group is in stage 2, or past it, in a window that opened
+  after the last opinion change, the rest of the run is drawn by the same
+  sampler, with its subset majorities as coins drawn first
+  (:func:`stage2_tail`).
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
@@ -91,7 +78,7 @@ from .model import (
     delivery_buffers,
     derive_rng,
 )
-from .oracle import binomial_tail_geq, majority_wrong_prob
+from .oracle import phase_law
 from .params import ScheduleParams, SimConfig, _ceil_log2, clock_bound, derive_schedule, majority_entry_phase
 
 # ---------------------------------------------------------------------------
@@ -228,38 +215,28 @@ def stage2_phase(n, m, wrong, channel, gen):
     Returns ``(failed, wrong_after)``: the agents with fewer than s = m/2
     samples, who keep their opinions, and the agents wrong after the phase.
     Opinions are frozen within the phase and all n agents send every round,
-    so agent i hears in a round with probability h = 1-(1-1/(n-1))^(n-1),
-    and the arrival it accepts comes from a uniform other agent: its samples
-    are independent, each correct with probability
-    q_i = (1-p)(1-w_i) + p w_i, where w_i is the share of wrong agents among
-    the other n-1.  Let B_i be "i fails or ends on a wrong majority":
-    P(B_i) = P(Bin(m, h) < s) + P(Bin(m, h) >= s) ``majority_wrong_prob(s, q_i)``,
-    and pi is their sum.  Without any B_i every agent succeeds and ends
-    correct.  The Karp-Luby-Madras sampler: with probability pi pick I with
-    probability P(B_I)/pi, draw I's count, its subset majority and the class
-    of each sender it picked given B_I, simulate everyone else's rounds given
-    I's arrivals (:func:`_occupancy_given`), close them as
-    :func:`_stage2_apply` does, and keep the outcome with probability 1/|F|,
-    F = {j : B_j}; in every other case no B_j happens.  A given outcome with
-    a nonempty F is reached through each of its |F| agents with probability
-    P(outcome)/|F|, so it is drawn with its own probability.  Returns None
-    when pi >= 1, or at n = 2, where each agent hears in every round and no
-    sender can aim past I; the caller then simulates the rounds.
+    so each agent's samples are independent, with the law of
+    :func:`oracle.phase_law`.  Let B_i be "i fails or ends on a wrong
+    majority", its ``event`` there, and pi the sum of the P(B_i).  Without
+    any B_i every agent succeeds and ends correct.  The Karp-Luby-Madras
+    sampler: with probability pi pick I with probability P(B_I)/pi, draw I's
+    count, its subset majority and the class of each sender it picked given
+    B_I, simulate everyone else's rounds given I's arrivals
+    (:func:`_occupancy_given`), close them as :func:`_stage2_apply` does,
+    and keep the outcome with probability 1/|F|, F = {j : B_j}; in every
+    other case no B_j happens.  A given outcome with a nonempty F is reached
+    through each of its |F| agents with probability P(outcome)/|F|, so it is
+    drawn with its own probability.  Returns None when pi >= 1, or at n = 2,
+    where each agent hears in every round and no sender can aim past I; the
+    caller then simulates the rounds.
     """
     if n < 3:
         return None
     s = m // 2
     p = channel.flip_probability
     members = (np.flatnonzero(~wrong), np.flatnonzero(wrong))    # start correct, start wrong
-    miss = ((n - 2) / (n - 1)) ** (n - 1)           # P(an agent hears nothing in a round)
-    fail = binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
-    omega, q, event = [], [], []
-    for c, agents in enumerate(members):
-        w = (members[1].size - c) / (n - 1)         # wrong share among the other n-1
-        omega.append(w)
-        q.append((1.0 - p) * (1.0 - w) + p * w)
-        event.append(fail + (1.0 - fail) * majority_wrong_prob(s, q[c]) if agents.size else 0.0)
-    weight = [agents.size * e for agents, e in zip(members, event)]
+    law = phase_law(n, m, members[1].size, p)
+    weight = [agents.size * cls.event for agents, cls in zip(members, law)]
     pi = sum(weight)
     if pi >= 1.0:
         return None
@@ -268,16 +245,18 @@ def stage2_phase(n, m, wrong, channel, gen):
         return none, none
     c = int(gen.random() * pi >= weight[0])
     i = int(members[c][gen.integers(members[c].size)])
-    w = omega[c]
-    if gen.random() * event[c] < fail:
+    fail, q, event, _ = law[c]
+    w = (members[1].size - c) / (n - 1)     # wrong share among the other n-1
+    miss = ((n - 2) / (n - 1)) ** (n - 1)   # P(an agent hears nothing in a round)
+    if gen.random() * event < fail:
         heard = _truncated_binomial(m, 1.0 - miss, s, gen)      # I fails
         cell = np.full(heard, w)
     else:
         heard = m - _truncated_binomial(m, miss, m - s + 1, gen)
-        good = _truncated_binomial(s, q[c], (s + 1) // 2, gen)    # I's subset majority is wrong
+        good = _truncated_binomial(s, q, (s + 1) // 2, gen)    # I's subset majority is wrong
         # a picked sender is wrong-class with probability w, updated on the
         # sample it gave when that sample lies in the subset
-        cell = np.concatenate((np.full(good, w * p / q[c]), np.full(s - good, w * (1.0 - p) / (1.0 - q[c])),
+        cell = np.concatenate((np.full(good, w * p / q), np.full(s - good, w * (1.0 - p) / (1.0 - q)),
                                np.full(heard - s, w)))
     pick = np.full(m, -1, np.int8)      # per round: -1 I hears nothing, else its pick is wrong-class
     pick[gen.permutation(m)[:heard]] = gen.random(heard) < cell
@@ -858,7 +837,8 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     bit for 2*ceil(log2 n) rounds and resets its clock to zero exactly
     4*ceil(log2 n) rounds after its first received message.  That keeps all
     clock differences within D = 2*ceil(log2 n) only with high probability;
-    ROADMAP item 3 gives the law of the realized ``DesyncInfo.offset_spread``.
+    the realized ``DesyncInfo.offset_spread`` has the law of push rumor
+    spreading's completion time (A13 in ``tests/test_acceptance.py``).
     Either way the clock groups close their windows at different rounds, so
     the single-clock draw of a stage-2 phase never applies; the all-correct
     tail of stage 2 is drawn by :func:`stage2_tail` (see

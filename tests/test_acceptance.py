@@ -26,9 +26,9 @@ from flipsim import (
 )
 from flipsim.harness import _consensus_initial, pool_map, wilson_interval
 from flipsim.oracle import (
-    binomial_tail_geq,
     lemma_second_bound_check,
     majority_correct_prob,
+    phase_law,
     stirling_claim_grid,
 )
 from flipsim.params import clock_bound
@@ -274,26 +274,16 @@ def test_a8_stage2_boost(broadcast_batch):
 
 def _phase_law_z(batch, eps):
     """z-scores of the stage-2 phases' end-correct counts against the exact
-    one-phase law, for the phases whose independent-agent variance is at
-    least 1; also returns the number of runs skipped because stage 1 left an
-    agent without an opinion (it would not send in stage 2).
-
-    In a phase of m rounds that opens with C of n agents correct, all n send
-    and opinions are frozen, so an agent hears in fewer than s = m/2 rounds
-    with probability f = P(Bin(m, h) < s), h = 1-(1-1/(n-1))^(n-1), and each
-    sample is correct with probability q = x/(n-1) (1-p) + (1-x/(n-1)) p,
-    where x = C-1 for a correct agent and C for a wrong one.  A start-correct
-    agent ends correct with probability f + (1-f) ``majority_correct_prob(s,
-    q)`` and a start-wrong one with probability (1-f) ``majority_correct_prob(s,
-    q)``.  Agents of one phase are slightly negatively correlated (two
-    cannot accept the same message), so the sum of the agents' Bernoulli
-    variances bounds the variance of the count from above.
+    one-phase law (``oracle.phase_law``), for the phases whose
+    independent-agent variance is at least 1; also returns the number of
+    runs skipped because stage 1 left an agent without an opinion (it would
+    not send in stage 2).  Agents of one phase are slightly negatively
+    correlated (two cannot accept the same message), so the sum of the
+    agents' Bernoulli variances bounds the variance of the count from above.
     """
     n = N_MAIN
     channel = NoiseChannel.from_epsilon(eps)
-    p = channel.flip_probability
     lengths = derive_schedule(n, channel).stage2_phase_lengths
-    miss = (1 - 1 / (n - 1)) ** (n - 1)
     zs = []
     skipped = 0
     for out in batch:
@@ -301,19 +291,32 @@ def _phase_law_z(batch, eps):
             skipped += 1
             continue
         for rec, m in zip(out.stage2, lengths):
-            s = m // 2
-            fail = binomial_tail_geq(m, m - s + 1, miss)
-            start = round(rec.start_correct_fraction * n)
+            wrong = n - round(rec.start_correct_fraction * n)
+            law = phase_law(n, m, wrong, channel.flip_probability)
             mean = var = 0.0
-            for agents, x, stays in ((start, start - 1, fail), (n - start, start, 0.0)):
-                if agents:
-                    w = x / (n - 1)
-                    right = stays + (1 - fail) * majority_correct_prob(s, w * (1 - p) + (1 - w) * p)
-                    mean += agents * right
-                    var += agents * right * (1 - right)
+            for agents, cls in zip((n - wrong, wrong), law):
+                mean += agents * cls.correct
+                var += agents * cls.correct * (1 - cls.correct)
             if var >= 1.0:
                 zs.append((round(rec.correct_fraction * n) - mean) / math.sqrt(var))
     return zs, skipped
+
+
+def _failure_z(batch, eps, phases):
+    """z-score of the stage-2 failures (agents with fewer than s samples,
+    n - ``successful_count``) pooled over the all-activated runs' phases at
+    the indexes ``phases``, against the sum of n ``fail`` from
+    ``oracle.phase_law``.  Failure indicators are negatively associated, so
+    the summed Bernoulli variance n fail (1 - fail) bounds the variance."""
+    n = N_MAIN
+    channel = NoiseChannel.from_epsilon(eps)
+    fail = [phase_law(n, m, 0, channel.flip_probability)[0].fail
+            for m in derive_schedule(n, channel).stage2_phase_lengths]
+    runs = [out for out in batch if out.stage1.all_activated]
+    observed = sum(n - out.stage2[j].successful_count for out in runs for j in phases)
+    mean = len(runs) * sum(n * fail[j] for j in phases)
+    var = len(runs) * sum(n * fail[j] * (1 - fail[j]) for j in phases)
+    return (observed - mean) / math.sqrt(var), observed, mean
 
 
 def _law_detail(zs, skipped):
@@ -326,9 +329,19 @@ def _law_detail(zs, skipped):
                 f"(bound {4.0 / math.sqrt(max(count, 1)):.3f}; {skipped} runs not all activated)")
 
 
-def test_a8_stage2_exact_phase_law(broadcast_batch):
+def test_a8_stage2_exact_phase_law(broadcast_batch, growth_batch):
     ok, detail = _law_detail(*_phase_law_z(broadcast_batch, EPS_MAIN))
-    _report("A8-law", ok, f"broadcast n={N_MAIN} eps={EPS_MAIN}: {detail}")
+    # pooled failures at eps=0.4: phases 2..k open unanimous and are drawn
+    # by stage2_phase (union bound 0.20 each); the final one (union bound
+    # 1.46) is simulated
+    k = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_GROWTH)).k
+    fails = []
+    for name, phases in (("phases 2..k", range(1, k)), ("all phases", range(k + 1))):
+        z, observed, mean = _failure_z(growth_batch, EPS_GROWTH, phases)
+        ok &= abs(z) <= 4.0
+        fails.append(f"{name} {observed:.0f} against {mean:.1f} (z {z:+.2f})")
+    _report("A8-law", ok, f"broadcast n={N_MAIN} eps={EPS_MAIN}: {detail}; eps={EPS_GROWTH} stage-2 failures "
+                          f"{', '.join(fails)}, each |z| <= 4")
 
 
 def test_a9_desynchronization(broadcast_batch, desync_batch):
@@ -407,7 +420,7 @@ def test_a13_preamble_at_scale(broadcast_batch):
     # the clock-free variant with the activation preamble at acceptance
     # scale: success within the broadcast batch's Wilson interval, no stall,
     # and a realized clock spread with the law of push rumor spreading's
-    # completion time (ROADMAP item 3): the CDF and the rate of spread > D
+    # completion time: the CDF and the rate of spread > D
     # within 4 pooled sigma of 2000 reference samples at every value
     rows = pool_map(_preamble_run, list(range(BATCH)))
     sync_successes = sum(out.correct_fraction == 1.0 for out in broadcast_batch)

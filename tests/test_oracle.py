@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,12 +9,11 @@ import pytest
 from flipsim import ConfigurationError
 from flipsim.oracle import (
     binomial_tail_geq,
-    boost_map,
     direct_sample_requirement,
     lemma_second_bound_check,
     majority_correct_prob,
     majority_wrong_prob,
-    sample_correct_prob,
+    phase_law,
     stirling_claim_grid,
 )
 from flipsim.oracle import _stirling_log_p
@@ -36,16 +37,6 @@ def brute_force_majority(gamma, q):
     for k in range((gamma + 1) // 2, gamma + 1):
         total += ones[k] * (q ** k) * ((1 - q) ** (gamma - k))
     return total
-
-
-def test_sample_correct_prob():
-    assert sample_correct_prob(0.0, 0.25) == 0.5
-    assert sample_correct_prob(0.5, 0.5) == 1.0
-    assert sample_correct_prob(0.1, 0.25) == pytest.approx(0.55, abs=1e-15)
-    with pytest.raises(ConfigurationError):
-        sample_correct_prob(0.6, 0.25)
-    with pytest.raises(ConfigurationError):
-        sample_correct_prob(0.1, 0.0)
 
 
 def test_majority_single_sample_is_q():
@@ -118,6 +109,8 @@ def test_lemma_bound_holds_at_literal_scale():
         assert res.holds
         assert res.r == math.ceil(2 ** 22 / 0.0625)
         assert res.probability >= res.bound - 1e-9
+    # a noisy sample from a 0.1-biased population at eps 0.25: 1/2 + 2 eps delta
+    assert lemma_second_bound_check(0.25, 0.1).q == pytest.approx(0.55, abs=1e-15)
 
 
 def test_lemma_reports_violation_when_underscaled():
@@ -193,14 +186,6 @@ def test_flip_count_case2():
     assert res.case2_probability >= 1 / 3
 
 
-def test_boost_map():
-    assert boost_map(0.0, 0.25, 21, 0.9) == 0.5
-    assert boost_map(0.5, 0.5, 3, 1.0) == pytest.approx(1.0, abs=1e-12)
-    # frozen fixture: exact-rational tail sum at the float-rounded q gives
-    # 0.9 * 0.5917377688241049 + 0.1 * 0.55
-    assert boost_map(0.05, 0.25, 21, 0.9) == pytest.approx(0.5875639919416944, abs=1e-12)
-
-
 def test_direct_sample_requirement():
     assert direct_sample_requirement(0.5, 1024, 2) == 1
     # frozen fixture: independent exact-rational scan gives m = 79
@@ -234,3 +219,67 @@ def test_binomial_tail_edges():
     for n, p in ((-1, 0.3), (10, -0.1), (10, 1.5), (10, math.nan)):
         with pytest.raises(ConfigurationError):
             binomial_tail_geq(n, 5, p)
+
+
+def _round_law(a, c, p):
+    """Exact (h, q) of one agent in one round, as Fractions, from its
+    arrivals ``a`` and correct arrivals ``c`` over equally likely target
+    patterns: it hears when a > 0, keeps a uniform arrival, and the
+    channel flips it with probability p."""
+    rows = Counter(zip(a, c))
+    total = sum(rows.values())
+    h = Fraction(sum(k for (x, _), k in rows.items() if x), total)
+    hit = sum(k * (y * (1 - p) + (x - y) * p) / x for (x, y), k in rows.items() if x) / total
+    return h, hit / h
+
+
+def _exact_phase_class(h, q, m, starts_wrong):
+    """Exact (fail, q, event, correct) of one agent over an m-round phase of
+    iid rounds, each heard with probability h and each heard sample correct
+    with probability q: it fails with fewer than s = m/2 heard rounds and
+    otherwise takes the majority of a uniform subset of s of its heard
+    samples (hypergeometric)."""
+    s = m // 2
+    fail = bad = good = Fraction(0)
+    for heard in range(m + 1):
+        rounds = math.comb(m, heard) * h ** heard * (1 - h) ** (m - heard)
+        if heard < s:
+            fail += rounds
+            continue
+        for k in range(heard + 1):      # correct samples among the heard
+            mass = rounds * math.comb(heard, k) * q ** k * (1 - q) ** (heard - k)
+            for j in range(max(0, s - heard + k), min(k, s) + 1):    # correct in the subset
+                sub = mass * Fraction(math.comb(k, j) * math.comb(heard - k, s - j), math.comb(heard, s))
+                if 2 * j > s:
+                    good += sub
+                else:
+                    bad += sub
+    return fail, q, fail + bad, (0 if starts_wrong else fail) + good
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_phase_law_exact_enumeration(n):
+    # every target pattern of one round in which all n agents send, the
+    # first W of them wrong: (n-1)^n equally likely patterns.  With the
+    # uniform accept and the channel they give each agent's exact h and q,
+    # the same for every member of a start class, composed exactly over m
+    # rounds and the subset majority; every field of phase_law must match
+    # within 1e-12.  W = 0 and W = n leave one class empty, which gets zeros.
+    p = Fraction(0.15)
+    t = np.array(list(product(range(n - 1), repeat=n)))
+    t += t >= np.arange(n)          # sender j aims at a uniform other agent
+    aimed = t[:, :, None] == np.arange(n)       # (pattern, sender, receiver)
+    arrivals = aimed.sum(1)
+    for wrong in (0, 2, n):
+        start_wrong = np.arange(n) < wrong
+        correct = (aimed & ~start_wrong[None, :, None]).sum(1)
+        for cls, agents in enumerate((np.flatnonzero(~start_wrong), np.flatnonzero(start_wrong))):
+            laws = {_round_law(arrivals[:, r].tolist(), correct[:, r].tolist(), p) for r in agents}
+            assert len(laws) == (1 if agents.size else 0), (wrong, cls, laws)
+            for m in (6, 15):
+                got = phase_law(n, m, wrong, float(p))[cls]
+                want = _exact_phase_class(*next(iter(laws)), m, cls) if laws else (0, 0, 0, 0)
+                assert all(abs(x - float(y)) <= 1e-12 for x, y in zip(got, want)), (wrong, cls, m, got, want)
+    for bad in (-1, n + 1):
+        with pytest.raises(ConfigurationError):
+            phase_law(n, 6, bad, float(p))

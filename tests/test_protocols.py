@@ -24,7 +24,7 @@ from flipsim import (
     run_majority_consensus,
 )
 from flipsim.model import deliver_span_counts
-from flipsim.oracle import binomial_tail_geq, majority_wrong_prob
+from flipsim.oracle import phase_law
 from flipsim.params import _ceil_log2, clock_bound
 from flipsim.protocols import (
     _local_windows,
@@ -278,20 +278,9 @@ def test_stage2_relabeling_symmetry():
 
 
 def _union_bound(n, m, wrong=0, p=0.0):
-    """pi = sum over agents of P(B_i), B_i = "i hears in fewer than s = m/2
-    of m rounds, or in s or more and its subset majority of s is wrong",
-    each of its samples correct with probability (1-p)(1-w_i) + p w_i, w_i
-    the share of the ``wrong`` agents among the n-1 others; each agent
-    hears in a round with probability h = 1-(1-1/(n-1))^(n-1)."""
-    s = m // 2
-    miss = (1 - 1 / (n - 1)) ** (n - 1)
-    fail = binomial_tail_geq(m, m - s + 1, miss)
-    pi = 0.0
-    for agents, others_wrong in ((n - wrong, wrong), (wrong, wrong - 1)):
-        if agents:
-            w = others_wrong / (n - 1)
-            pi += agents * (fail + (1 - fail) * majority_wrong_prob(s, (1 - p) * (1 - w) + p * w))
-    return pi
+    """pi = sum over agents of P(B_i), B_i = "i fails or ends on a wrong
+    majority" in an m-round phase that opens with ``wrong`` agents wrong."""
+    return sum(agents * cls.event for agents, cls in zip((n - wrong, wrong), phase_law(n, m, wrong, p)))
 
 
 def _unanimous_opinions(config):
@@ -322,19 +311,14 @@ def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
     # must match its exact law, and on the drawn path E|F| = pi, F the
     # agents that fail or end on a wrong majority.
     n, m, runs = 20, 54, 4000
-    s = m // 2
     config = cfg(n, 0.35)
     p = config.channel.flip_probability
     schedule = replace(derive_schedule(n, config.channel), k=0, stage2_phase_lengths=(m,))
-    fail = binomial_tail_geq(m, m - s + 1, (1 - 1 / (n - 1)) ** (n - 1))
     for wrong in (0, 2, 5):
         pi = _union_bound(n, m, wrong, p)
         assert 0.2 < pi < 0.9
-        # agents ending wrong: a start-wrong one unless it succeeds on a right
-        # majority, a start-correct one only on a wrong majority
-        turn = [majority_wrong_prob(s, (1 - p) * (1 - w) + p * w)
-                for w in (wrong / (n - 1), (wrong - 1) / (n - 1))]
-        expected = (n - wrong) * (1 - fail) * turn[0] + wrong * (fail + (1 - fail) * turn[1])
+        expected = sum(agents * (1 - cls.correct)
+                       for agents, cls in zip((n - wrong, wrong), phase_law(n, m, wrong, p)))
         tables = []
         for simulated in (False, True):
             events = []     # |F| of each drawn phase
@@ -425,7 +409,9 @@ def test_drawn_phase_history_exact_law(monkeypatch):
         stage2_phase(n, m, start, channel, gen)
     laws = {False: (n - wrong) * _history_law(n, m, wrong, p), True: wrong * _history_law(n, m, wrong - 1, p)}
     pi = sum(law.sum() for law in laws.values())
-    assert abs(pi - _union_bound(n, m, wrong, p)) < 1e-9
+    for (starts, law), agents, cls in zip(laws.items(), (n - wrong, wrong), phase_law(n, m, wrong, p)):
+        assert abs(law.sum() - agents * cls.event) < 1e-12, (starts, law.sum(), agents * cls.event)
+        assert abs(law[:m // 2].sum() - agents * cls.fail) < 1e-12, (starts, law[:m // 2].sum(), agents * cls.fail)
     share = sum(cls for cls, _, _ in seen) / len(seen)
     expect = laws[True].sum() / pi
     assert abs(share - expect) < 4 * math.sqrt(expect * (1 - expect) / len(seen)), (share, expect)
@@ -477,41 +463,49 @@ def test_failure_set_matches_direct_occupancy(n, m):
         assert abs(sizes.mean() - pi) < 4 * sizes.std() / math.sqrt(runs), (sizes.mean(), pi)
 
 
-@pytest.mark.parametrize("pick", [0, -1, 1], ids=["hit", "missed", "hit-wrong-pick"])
-def test_conditioned_round_exact_law(pick):
-    # one round in which all n=6 agents send, agents 1, 2 and 4 the wrong
-    # opinion, conditioned on agent 2 accepting from a correct sender, from
-    # a wrong one, or hearing nothing: the law of every other agent's
-    # (heard, sample correct) must match unconditioned rounds of the
-    # kernel's rule (uniform targets, a uniform accept, the channel), kept
-    # when agent 2's arrivals match, pattern by pattern within 4 sigma
+def _check_conditioned_round(sending, wrong, pick, gen):
+    """One round at n=6 in which the agents of the bool mask ``sending``
+    send, ``wrong`` marking the wrong ones, conditioned on agent I = 2
+    accepting from a correct sender (``pick`` 0), a wrong one (1) or hearing
+    nothing (-1): the law of every other agent's (heard, sample correct)
+    drawn by :func:`_occupancy_given` must match unconditioned rounds of the
+    kernel's rule (uniform targets, a uniform accept, the channel), kept
+    when I's arrivals match, pattern by pattern within 4 sigma.  Patterns
+    expected fewer than 10 times in the draws are pooled into one, where
+    the normal approximation behind 4 sigma holds."""
     n, i, draws = 6, 2, 30_000
-    wrong = np.isin(np.arange(n), (1, 2, 4))
     channel = NoiseChannel(0.2)
-    gen = derive_rng(20, "round", pick + 1)
     rest = np.delete(np.arange(n), i)
     weights = 3 ** np.arange(n - 1)
     drawn = np.zeros(3 ** (n - 1))
     for _ in range(draws):
-        cnt, corr = _occupancy_given(i, np.array([pick], np.int8), wrong, channel, gen)
+        cnt, corr = _occupancy_given(i, np.array([pick], np.int8), wrong, channel, gen, sending)
         assert cnt[i] == corr[i] == 0
         drawn[int((cnt + corr)[rest] @ weights)] += 1
     drawn /= draws
     rounds = 10 * draws
     t = gen.integers(0, n - 1, size=(rounds, n))
     t += t >= np.arange(n)
+    t[:, ~sending] = -1                  # the silent agents send nothing
     order = gen.random((rounds, n))      # the earliest arrival is accepted
     chosen = np.stack([np.where(t == r, order, 2.0).argmin(1) for r in range(n)], 1)
     heard = np.stack([(t == r).any(1) for r in range(n)], 1)
     sample = ~wrong[chosen] ^ (gen.random((rounds, n)) < channel.flip_probability)
-    keep = heard[:, i] if pick >= 0 else ~heard[:, i]
-    if pick >= 0:
-        keep &= wrong[chosen[:, i]] == pick
+    keep = heard[:, i] & (wrong[chosen[:, i]] == pick) if pick >= 0 else ~heard[:, i]
     codes = (heard * (1 + sample))[keep][:, rest] @ weights
     reference = np.bincount(codes, minlength=drawn.size) / codes.size
     pooled = (drawn * draws + reference * codes.size) / (draws + codes.size)
+    rare = pooled * draws < 10
+    drawn, reference, pooled = (np.append(x[~rare], x[rare].sum()) for x in (drawn, reference, pooled))
     sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / codes.size))
-    assert (np.abs(drawn - reference) <= 4 * sigma).all()
+    assert (np.abs(drawn - reference) <= 4 * sigma).all(), (drawn, reference)
+
+
+@pytest.mark.parametrize("pick", [0, -1, 1], ids=["hit", "missed", "hit-wrong-pick"])
+def test_conditioned_round_exact_law(pick):
+    # all n=6 agents send, agents 1, 2 and 4 the wrong opinion
+    _check_conditioned_round(np.ones(6, bool), np.isin(np.arange(6), (1, 2, 4)), pick,
+                             derive_rng(20, "round", pick + 1))
 
 
 def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
@@ -707,43 +701,10 @@ def test_tail_failures_match_direct_occupancy():
 @pytest.mark.parametrize("pick", [0, -1], ids=["hit", "missed"])
 @pytest.mark.parametrize("i_sends", [True, False], ids=["i-sends", "i-silent"])
 def test_conditioned_round_with_sender_subset(i_sends, pick):
-    # one round at n=6 in which agents 0, 3, 4 and 5 send, and agent I = 2
-    # too unless silent; agent 4 is wrong.  Conditioned on I accepting from
-    # a correct sender or hearing nothing, the law of every other agent's
-    # (heard, sample correct) must match unconditioned rounds of the
-    # kernel's rule (uniform targets, a uniform accept, the channel), kept
-    # when I's arrivals match, pattern by pattern within 4 sigma; patterns
-    # expected fewer than 10 times in the draws are pooled into one, where
-    # the normal approximation behind 4 sigma holds
-    n, i, draws = 6, 2, 30_000
-    sending = np.isin(np.arange(n), (0, 3, 4, 5) + ((i,) if i_sends else ()))
-    wrong = np.arange(n) == 4
-    channel = NoiseChannel(0.2)
-    gen = derive_rng(24, "subset-round", i_sends, pick + 1)
-    rest = np.delete(np.arange(n), i)
-    weights = 3 ** np.arange(n - 1)
-    drawn = np.zeros(3 ** (n - 1))
-    for _ in range(draws):
-        cnt, corr = _occupancy_given(i, np.array([pick], np.int8), wrong, channel, gen, sending)
-        assert cnt[i] == corr[i] == 0
-        drawn[int((cnt + corr)[rest] @ weights)] += 1
-    drawn /= draws
-    rounds = 10 * draws
-    t = gen.integers(0, n - 1, size=(rounds, n))
-    t += t >= np.arange(n)
-    t[:, ~sending] = -1                  # the silent agents send nothing
-    order = gen.random((rounds, n))      # the earliest arrival is accepted
-    chosen = np.stack([np.where(t == r, order, 2.0).argmin(1) for r in range(n)], 1)
-    heard = np.stack([(t == r).any(1) for r in range(n)], 1)
-    sample = ~wrong[chosen] ^ (gen.random((rounds, n)) < channel.flip_probability)
-    keep = heard[:, i] & ~wrong[chosen[:, i]] if pick >= 0 else ~heard[:, i]
-    codes = (heard * (1 + sample))[keep][:, rest] @ weights
-    reference = np.bincount(codes, minlength=drawn.size) / codes.size
-    pooled = (drawn * draws + reference * codes.size) / (draws + codes.size)
-    rare = pooled * draws < 10
-    drawn, reference, pooled = (np.append(x[~rare], x[rare].sum()) for x in (drawn, reference, pooled))
-    sigma = np.sqrt(pooled * (1 - pooled) * (1 / draws + 1 / codes.size))
-    assert (np.abs(drawn - reference) <= 4 * sigma).all(), (drawn, reference)
+    # agents 0, 3, 4 and 5 send, and agent I = 2 too unless silent; agent 4
+    # is wrong
+    sending = np.isin(np.arange(6), (0, 3, 4, 5) + ((2,) if i_sends else ()))
+    _check_conditioned_round(sending, np.arange(6) == 4, pick, derive_rng(24, "subset-round", i_sends, pick + 1))
 
 
 def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
