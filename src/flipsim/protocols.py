@@ -36,15 +36,15 @@ fast without changing any distribution:
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law;
-* under one shared clock, a stage-2 phase that opens with every agent
-  holding an opinion is drawn from its exact law
-  (:func:`~flipsim.oracle.phase_law`) by a Karp-Luby-Madras union sampler
-  (:func:`stage2_phase`) unless its union bound is 1 or more;
-* under staggered clocks, once every agent holds the correct opinion and
-  every clock group is in stage 2, or past it, in a window that opened
-  after the last opinion change, the rest of the run is drawn by the same
-  sampler, with its subset majorities as coins drawn first
-  (:func:`stage2_tail`).
+* once every clock group is in stage 2, stage-2 closes are drawn from
+  their exact law, without simulating their rounds, by one
+  Karp-Luby-Madras union sampler over the events "an agent fails in a
+  window, or ends it on a wrong majority" (:func:`stage2_draw`), unless
+  its union bound is ``KLM_CUTOFF`` or more: under one clock each window
+  that opens with every agent holding an opinion (its law is
+  :func:`~flipsim.oracle.phase_law`), under staggered clocks the rest of
+  the run from right after the last opinion change, when every agent is
+  correct, up to the first close that changes an opinion again.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
@@ -52,8 +52,7 @@ randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
 0 <-> 1.  Tests that watch or replace the engine's draws patch its
 bindings ``flipsim.protocols.deliver_span_counts``, through which every
-simulated round passes, ``flipsim.protocols.stage2_phase`` and
-``flipsim.protocols.stage2_tail``.
+simulated round passes, and ``flipsim.protocols.stage2_draw``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, rel_entr
 
 from . import model
 from .model import (
@@ -78,7 +77,7 @@ from .model import (
     delivery_buffers,
     derive_rng,
 )
-from .oracle import phase_law
+from .oracle import majority_wrong_prob
 from .params import ScheduleParams, SimConfig, _ceil_log2, clock_bound, derive_schedule, majority_entry_phase
 
 # ---------------------------------------------------------------------------
@@ -199,79 +198,216 @@ def _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen):
     opinion[successful] = np.where(2 * h > subset, correct, complement(correct)).astype(np.int8)
 
 
+# A drawn stage-2 path whose union bound pi is KLM_CUTOFF or more is refused
+# and its rounds simulated.  Its conditioned branch, run with probability pi,
+# costs more than those rounds: on 2 vCPUs (medians of 5) the conditioned
+# rounds of one window at 20% wrong took 159 against the kernel's 105 us per
+# round at n = 4096 and 2424 against 1637 us at n = 2^16 (ratios 0.660 and
+# 0.675), and a desync draw at n = 4096 forced into it 0.304 against 0.221 s
+# (0.727).  So a draw pays while pi is below the smallest ratio.  No stage-2
+# phase of the golden grids or the benchmark workloads has pi in [0.56, 1).
+KLM_CUTOFF = 0.66
+
+
 def _truncated_binomial(m, q, s, gen):
-    """One draw of Binomial(m, q) conditioned on being below ``s``."""
-    k = np.arange(s)
-    logp = k * math.log(q) + (m - k) * math.log1p(-q) - gammaln(k + 1) - gammaln(m - k + 1)
-    w = np.exp(logp - logp.max())
-    return int(gen.choice(s, p=w / w.sum()))
+    """One draw of Binomial(m, q) conditioned on being below ``s`` <= m + 1."""
+    pmf = _binomial_pmf(m, q, s)
+    return int(gen.choice(pmf.size, p=pmf / pmf.sum()))
 
 
-def stage2_phase(n, m, wrong, channel, gen):
-    """Outcome of an m-round stage-2 phase in which all n agents hold an
-    opinion and every counter starts at zero, drawn without simulating its
-    rounds; ``wrong`` marks the agents whose opinion is wrong at the open.
+def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen):
+    """The stage-2 closes from round ``t`` through round ``horizon``, drawn
+    without simulating their rounds.  Clock group g's stage-2 phase j is the
+    window of rounds before ``opens[g] + sum(lengths[:j+1])``; agent i, in
+    group ``gid[i]``, holds ``cnt[i]`` samples in its current window,
+    ``corr[i]`` of them correct, and its opinion is wrong where ``wrong`` is
+    set; an agent sends while its group is in stage 2.  Either one group
+    opens a window at t that closes at ``horizon``, with any number W of
+    wrong agents, or no agent is wrong (W = 0).
 
-    Returns ``(failed, wrong_after)``: the agents with fewer than s = m/2
-    samples, who keep their opinions, and the agents wrong after the phase.
-    Opinions are frozen within the phase and all n agents send every round,
-    so each agent's samples are independent, with the law of
-    :func:`oracle.phase_law`.  Let B_i be "i fails or ends on a wrong
-    majority", its ``event`` there, and pi the sum of the P(B_i).  Without
-    any B_i every agent succeeds and ends correct.  The Karp-Luby-Madras
-    sampler: with probability pi pick I with probability P(B_I)/pi, draw I's
-    count, its subset majority and the class of each sender it picked given
-    B_I, simulate everyone else's rounds given I's arrivals
-    (:func:`_occupancy_given`), close them as :func:`_stage2_apply` does,
-    and keep the outcome with probability 1/|F|, F = {j : B_j}; in every
-    other case no B_j happens.  A given outcome with a nonempty F is reached
-    through each of its |F| agents with probability P(outcome)/|F|, so it is
-    drawn with its own probability.  Returns None when pi >= 1, or at n = 2,
-    where each agent hears in every round and no sender can aim past I; the
-    caller then simulates the rounds.
+    The frozen path runs the rounds with every opinion held as it is at t,
+    and closes windows as the engine does.  Let B_ij be "agent i fails in
+    window j (fewer than s = m_j/2 samples), or ends it on a wrong
+    majority".  The rounds i hears in the rest of window j are a
+    Poisson-binomial sum (:func:`_heard_law`), and each new sample is
+    correct with probability q = (1-p)(1-w) + p w, w the wrong share among
+    the other agents, independently.  So in a window that opens at t or
+    later the wrong majority is a coin (:func:`oracle.majority_wrong_prob`),
+    and beta_ij = P(B_ij) = fail + (1-fail) coin, for one group
+    :func:`oracle.phase_law`.  In a window that opened before t, beta_ij =
+    fail + (1-fail) b bounds P(B_ij), b from :func:`_wrong_bound`.
+
+    The Karp-Luby-Madras sampler: with probability pi = sum of beta_ij pick
+    (I, J) with probability beta_IJ/pi; with probability P(B_IJ)/beta_IJ
+    draw I's rounds in window J given B_IJ (its count, its subset's
+    composition (:func:`_wrong_weights`), and the class of each sender it
+    picked), run the frozen path given them (:func:`_occupancy_given` in
+    window J, the kernel elsewhere), close every window, and keep the path
+    with probability 1/|F|, F the pairs whose B holds.  In every other case
+    no B_ij happens: every close succeeds and ends correct.  A path X with
+    a nonempty F is drawn with probability sum over F of beta_ij P(B_ij) /
+    beta_ij P(X | B_ij) / |F| = P(X), its own.
+
+    The real path uses the same rounds as the frozen one as long as no
+    opinion differs, opinions change only at closes, and the closes of one
+    round read the counters of the rounds before it.  So the two paths agree
+    through the first round e at which a close changes an opinion (a
+    stopping time), and the real state there (opinions and counters) has
+    the frozen state's law; past it the engine simulates the rounds.  That
+    prefix is what makes the draw exact.  Returns ``(end, closes, cnt,
+    corr)``: the round the engine resumes at, e or ``horizon``, the closes
+    through it in the engine's order as ``(j, g, failed, turned)`` (the
+    agents that fail, and those whose majority is wrong), and every agent's
+    counters there.  Returns None when pi >= KLM_CUTOFF, before drawing
+    anything, or at n = 2, where each agent hears in every round and no
+    sender can aim past I; the caller then simulates the rounds.
     """
+    n = gid.size
     if n < 3:
         return None
-    s = m // 2
     p = channel.flip_probability
-    members = (np.flatnonzero(~wrong), np.flatnonzero(wrong))    # start correct, start wrong
-    law = phase_law(n, m, members[1].size, p)
-    weight = [agents.size * cls.event for agents, cls in zip(members, law)]
-    pi = sum(weight)
-    if pi >= 1.0:
+    ends = opens[:, None] + np.cumsum(lengths)      # each group's closes
+    leave = ends[:, -1]                             # a group sends before this round, ascending
+    steps, gone = leave.tolist(), [0, *accumulate(np.bincount(gid, minlength=opens.size).tolist())]   # who left by each
+    members = [np.flatnonzero(gid == g) for g in range(opens.size)]
+    g_at, j_at = np.nonzero((ends > t) & (ends <= horizon))
+    shut = sorted(zip(ends[g_at, j_at].tolist(), j_at.tolist(), g_at.tolist()))     # the engine's close order
+    laws = {}
+
+    def heard_law(a, b):
+        """The runs of rounds [a, b) with a fixed count of senders besides a
+        listener, and :func:`_heard_law` over them."""
+        cuts = [a, *(v for v in steps if a < v < b), b]
+        runs = tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, cuts[1:]))
+        if runs not in laws:
+            laws[runs] = (runs, *_heard_law(runs, n))
+        return laws[runs]
+
+    n_wrong = int(wrong.sum())
+    blocks = []     # (close, agents, P(B) or beta per agent, q)
+    for k, (e, j, g) in enumerate(shut):
+        s = lengths[j] // 2
+        below = heard_law(max(t, e - lengths[j]), e)[3]     # below[y] = P(heard < y)
+        for c in range(1 + (n_wrong > 0)):
+            agents = members[g][wrong[members[g]] == c] if n_wrong else members[g]
+            if agents.size:
+                w = (n_wrong - c) / (n - 1)
+                q = (1.0 - p) * (1.0 - w) + p * w
+                if e - lengths[j] >= t:
+                    fail = below[min(s, below.size - 1)]
+                    event = fail + (1.0 - fail) * majority_wrong_prob(s, q)
+                else:
+                    fail = below[np.clip(s - cnt[agents], 0, below.size - 1)]
+                    event = fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - q)
+                blocks.append((k, agents, event, q))
+    weights = np.cumsum([event.sum() if np.ndim(event) else agents.size * event for _, agents, event, _ in blocks])
+    pi = float(weights[-1])
+    if pi >= KLM_CUTOFF:
         return None
     none = np.empty(0, np.int64)
+    zero = np.zeros(n)
+    quiet = horizon, [(j, g, none, none) for _, j, g in shut], zero, zero
     if gen.random() >= pi:
-        return none, none
-    c = int(gen.random() * pi >= weight[0])
-    i = int(members[c][gen.integers(members[c].size)])
-    fail, q, event, _ = law[c]
-    w = (members[1].size - c) / (n - 1)     # wrong share among the other n-1
-    miss = ((n - 2) / (n - 1)) ** (n - 1)   # P(an agent hears nothing in a round)
-    if gen.random() * event < fail:
-        heard = _truncated_binomial(m, 1.0 - miss, s, gen)      # I fails
-        cell = np.full(heard, w)
+        return quiet
+    k, agents, event, q = blocks[min(int(np.searchsorted(weights, gen.random() * pi, "right")), len(blocks) - 1)]
+    if np.ndim(event):
+        x = min(int(np.searchsorted(np.cumsum(event), gen.random() * event.sum(), "right")), agents.size - 1)
+        i, event = int(agents[x]), event[x]
     else:
-        heard = m - _truncated_binomial(m, miss, m - s + 1, gen)
-        good = _truncated_binomial(s, q, (s + 1) // 2, gen)    # I's subset majority is wrong
-        # a picked sender is wrong-class with probability w, updated on the
-        # sample it gave when that sample lies in the subset
-        cell = np.concatenate((np.full(good, w * p / q), np.full(s - good, w * (1.0 - p) / (1.0 - q)),
-                               np.full(heard - s, w)))
-    pick = np.full(m, -1, np.int8)      # per round: -1 I hears nothing, else its pick is wrong-class
-    pick[gen.permutation(m)[:heard]] = gen.random(heard) < cell
-    cnt, corr = _occupancy_given(i, pick, wrong, channel, gen)
-    opinion = (~wrong).astype(np.int8)     # 1: correct
-    successful = np.flatnonzero(cnt >= s)
-    _stage2_apply(opinion, 1, successful[successful != i], cnt, corr, s, gen)
-    cnt[i] = heard
-    if heard >= s:
-        opinion[i] = 0
-    failed = np.flatnonzero(cnt < s)
-    wrong_after = np.flatnonzero(opinion == 0)
-    if gen.random() * np.union1d(failed, wrong_after).size >= 1.0:
-        return none, none
-    return failed, wrong_after
+        i = int(agents[gen.integers(agents.size)])
+    e, j, g = shut[k]
+    s = lengths[j] // 2
+    a = max(t, e - lengths[j])
+    runs, per, suffix, below = heard_law(a, e)
+    held, good = (int(cnt[i]), int(corr[i])) if a > e - lengths[j] else (0, 0)
+    need = min(max(s - held, 0), below.size - 1)    # I fails hearing fewer rounds
+    fail = below[need]
+    u = gen.random() * event
+    lost = u >= fail        # I succeeds, on a wrong majority
+    if not lost:
+        law = suffix[0][:need]
+        h = int(gen.choice(need, p=law / law.sum()))
+        sub = z = 0
+    else:
+        hx, xv = _wrong_weights(held, good, suffix[0], s, q)
+        if held and u >= fail + hx.sum():
+            return quiet        # the slack of beta_IJ over P(B_IJ)
+        by_h = hx.sum(1)[need:][::-1]       # by rounds missed, ascending
+        h = hx.shape[0] - 1 - int(gen.choice(by_h.size, p=by_h / by_h.sum()))
+        x = v = 0
+        if held:
+            x = int(gen.choice(hx.shape[1], p=hx[h] / hx[h].sum()))
+            v = int(gen.choice(xv.shape[1], p=xv[x] / xv[x].sum()))
+        sub = s - x     # new samples in the subset, of which z are correct
+        z = _truncated_binomial(sub, q, s // 2 - x + v + 1, gen)
+    w = (n_wrong - wrong[i]) / (n - 1)
+    # a picked sender is wrong-class with probability w, updated on the
+    # sample it gave when that sample lies in the subset
+    cell = np.concatenate((np.full(z, w * p / q), np.full(sub - z, w * (1.0 - p) / (1.0 - q)),
+                           np.full(h - sub, w))) if w else 0.0
+    classes = gen.random(h) < cell
+    counts, left = [], h    # I's heard rounds per run, given their sum
+    for law, rest in zip(per[:-1], suffix[1:]):
+        y = left - np.arange(min(law.size, left + 1))
+        w = law[:y.size] * np.where(y < rest.size, rest[np.minimum(y, rest.size - 1)], 0.0)
+        counts.append(int(gen.choice(y.size, p=w / w.sum())))
+        left -= counts[-1]
+    counts.append(left)
+    starts = np.cumsum([0, *(r for r, _ in runs)])
+    at = np.concatenate([o + gen.permutation(r)[:c] for (r, _), o, c in zip(runs, starts, counts)])   # by sample
+    pick = np.full(e - a, -1, np.int8)      # per round: -1 I hears nothing, else its pick is wrong-class
+    pick[at] = classes
+
+    cnt = cnt.astype(np.int64)      # the frozen path's counters
+    corr = corr.astype(np.float64)
+    vote = np.empty(n, np.int8)
+    buffers = delivery_buffers(n)
+    closes, found, stop, pos = [], 0, None, 0
+    cuts = sorted({t, *(c[0] for c in shut)})
+    for u, v in zip(cuts, cuts[1:]):
+        sending = leave[gid] > u
+        if a <= u < e:
+            heard, match = _occupancy_given(i, pick[u - a:v - a], wrong, channel, gen, sending)
+        else:
+            # these rounds belong to the draw, not to the run: the model's
+            # binding, which tests that patch the engine's kernel do not see
+            heard, match = model.deliver_span_counts(np.flatnonzero(sending & ~wrong), np.flatnonzero(sending & wrong),
+                                                     v - u, n, channel, gen, buffers)
+        cnt += heard * sending
+        corr += match * sending
+        first = len(closes)
+        while pos < len(shut) and shut[pos][0] == v:
+            _, jv, gv = shut[pos]
+            pos += 1
+            mem = members[gv]
+            ok = cnt[mem] >= lengths[jv] // 2
+            mine = (jv, gv) == (j, g)
+            if mine:
+                ok[mem == i] = lost
+            successful = mem[ok]
+            others = successful[successful != i] if mine else successful
+            _stage2_apply(vote, 1, others, cnt, corr, lengths[jv] // 2, gen)
+            turned = others[vote[others] == 0]
+            if mine and lost:
+                turned = np.sort(np.append(turned, i))
+            closes.append((jv, gv, mem[~ok], turned))
+            found += (~ok).sum() + turned.size
+            cnt[mem] = 0
+            corr[mem] = 0
+        if stop is None and any(c[3].size for c in closes[first:]):
+            stop = v, len(closes), cnt.copy(), corr.copy()
+    if gen.random() * found >= 1.0:
+        return quiet
+    if stop is None:
+        return horizon, closes, zero, zero
+    v, upto, cnt, corr = stop
+    if a < v < e:
+        # I's window J is still open at v: its rounds before v, and the
+        # correct samples among them
+        early = at < v - a
+        cnt[i] += early.sum()
+        corr[i] += early[:z].sum() + gen.binomial(early[sub:].sum(), q)
+    return v, closes[:upto], cnt, corr
 
 
 def _occupancy_given(i, pick, wrong, channel, gen, sending=None):
@@ -344,7 +480,7 @@ def _occupancy_given(i, pick, wrong, channel, gen, sending=None):
 @lru_cache(maxsize=256)
 def _binomial_pmf(r, h, size):
     """P(Binomial(r, h) = x) for x < ``size`` and x <= r, read-only: the
-    windows of a tail draw share most of their runs of rounds."""
+    windows of a staggered draw share most of their runs of rounds."""
     if h == 0.0:
         pmf = np.ones(1)
     elif h == 1.0:
@@ -357,176 +493,61 @@ def _binomial_pmf(r, h, size):
     return pmf
 
 
-def _below(pmf, size):
-    """``c[y] = P(X < y)`` for y = 0..size, from the pmf of X (its values
-    below ``size`` at least)."""
-    pmf = pmf[:size]
-    c = np.zeros(size + 1)
-    c[1:pmf.size + 1] = np.cumsum(pmf)
-    c[pmf.size + 1:] = c[pmf.size]
-    return c
-
-
-def _heard_laws(runs, n, size):
-    """For rounds in ``runs`` of ``(rounds, m)``, m the senders besides the
-    listener in each of them, the law of the rounds it hears in each run,
-    Binomial(rounds, 1-(1-1/(n-1))^m), and of the sum over the runs from
-    each one on, all below ``size``."""
-    laws = [_binomial_pmf(r, 1.0 - ((n - 2) / (n - 1)) ** m, size) for r, m in runs]
+def _heard_law(runs, n):
+    """For rounds in ``runs`` of ``(rounds, m)``, m the senders besides a
+    listener in each of them: the law of the rounds it hears in each run,
+    Binomial(rounds, 1-(1-1/(n-1))^m), the law of the sum over the runs from
+    each one on, and ``below[y]`` = P(the whole sum is below y)."""
+    laws = [_binomial_pmf(r, 1.0 - ((n - 2) / (n - 1)) ** m, r + 1) for r, m in runs]
     suffix = [np.ones(1)]
     for law in reversed(laws):
-        suffix.append(np.convolve(law, suffix[-1])[:size])
-    return laws, suffix[::-1]
+        suffix.insert(0, np.convolve(law, suffix[0]))
+    return laws, suffix, np.concatenate(([0.0], np.cumsum(suffix[0])))
 
 
-def _heard_given_below(runs, n, below, gen):
-    """One draw of a listener's rounds over ``runs`` (as :func:`_heard_laws`)
-    given that it hears in fewer than ``below`` of them: per round, -1 when
-    it hears nothing and 0 when it hears.  Each run's count is drawn given
-    the counts before it, and rounds within a run are exchangeable."""
-    laws, suffix = _heard_laws(runs, n, below)
-    pick = []
-    for law, rest, (r, _) in zip(laws, suffix[1:], runs):
-        # P(this run's count is x and the later runs' sum is below below - x)
-        x = np.arange(min(law.size, below))
-        w = law[:x.size] * _below(rest, below)[below - x]
-        heard = int(gen.choice(x.size, p=w / w.sum()))
-        below -= heard
-        run = np.full(r, -1, np.int8)
-        run[gen.permutation(r)[:heard]] = 0
-        pick.append(run)
-    return np.concatenate(pick)
+def _log_comb(a, b):
+    """log C(a, b), elementwise; -inf unless 0 <= b <= a."""
+    ok = (b >= 0) & (b <= a)
+    b = np.where(ok, b, 0)
+    return np.where(ok, gammaln(a + 1) - gammaln(b + 1) - gammaln(np.where(ok, a - b, 0) + 1), -np.inf)
 
 
-def stage2_tail(t, opens, lengths, gid, cnt, channel, gen):
-    """The rest of a run under staggered clocks, drawn from round ``t`` on
-    without simulating its rounds, when every agent holds the correct
-    opinion and every clock group is inside stage 2 (or past it) in a
-    window that opened after the last opinion change.
+def _tail_geq(size, k, r):
+    """P(Binomial(size, r) >= k), elementwise, as an incomplete-beta tail."""
+    k = np.asarray(k, np.float64)
+    tail = betainc(np.clip(k, 1.0, None), np.clip(size - k + 1.0, 1.0, None), r)
+    return np.where(k <= 0, 1.0, np.where(k > size, 0.0, tail))
 
-    Clock group g's stage-2 phase j spans the global rounds before
-    ``opens[g] + sum(lengths[:j+1])``, and agent i is in group ``gid[i]``
-    with ``cnt[i]`` samples in its current window.  From here on every sample
-    an agent holds or will take is correct with probability 1-p, whatever
-    the occupancy, so a successful close's subset majority is wrong with
-    probability w_j = P(Binomial(s_j, 1-p) < s_j/2), a coin independent of
-    everything else.  Coins first: the number of wrong coins of phase j
-    is Binomial(N_j, w_j) over its N_j remaining (agent, close) pairs,
-    placed uniformly.  With any wrong coin, returns ``((j, g, agents),
-    None)``: the earliest close (in round, then code, then shift order)
-    that holds one, and its wrong-coin agents; the caller simulates on,
-    keeps every successful agent of the closes before it correct, turns the
-    successful ``agents`` there and discards the later coins.
 
-    Without one no opinion changes again, and only failures remain.  Let
-    F_ij be "agent i ends its phase-j window with fewer than s_j samples":
-    it hears in round u with probability h_u = 1-(1-1/(n-1))^(m_u-1), m_u
-    the senders of round u (every agent of a group still in stage 2), so
-    its count is ``cnt[i]`` (current window only) plus a Poisson-binomial
-    sum; pi is the sum of P(F_ij).  The Karp-Luby-Madras sampler, as in
-    :func:`stage2_phase`: with probability pi pick (I, J) with probability
-    P(F_IJ)/pi, draw I's heard rounds in window J given F_IJ, simulate
-    every remaining round's heard counts given them (the kernel's expected
-    mode, and :func:`_occupancy_given` over I's window), and keep the
-    failures with probability 1/|F|; in every other case every remaining
-    close succeeds.  Returns ``(None, successful)``, the successful
-    remaining closes per phase; every agent ends correct.  Returns None
-    when pi >= 1, before drawing anything, or at n = 2 (see
-    :func:`stage2_phase`); the caller then simulates the rounds.
-    """
-    n = gid.size
-    if n < 3:
-        return None
-    size = np.bincount(gid, minlength=opens.size)
-    members = [np.flatnonzero(gid == g) for g in range(opens.size)]
-    ends = opens[:, None] + np.cumsum(lengths)      # each group's closes
-    ahead = ends > t
-    leave = ends[:, -1]                             # a group sends before this round, ascending
-    steps = leave.tolist()
-    gone = [0, *accumulate(size.tolist())]          # the agents of the groups that left by each step
+def _wrong_bound(s, held, bad, r):
+    """An upper bound on P(a uniform subset of s samples has a wrong
+    majority) for listeners that hold ``held`` samples, ``bad`` of them
+    wrong, and take any number of new ones, each wrong with probability r.
+    The subset's wrong samples are at most ``bad`` plus Binomial(s, r); and
+    since drawing without replacement is dominated in convex order by
+    drawing with it (Hoeffding, 1963), their Chernoff bound is that of
+    Binomial(s, max(bad/held, r))."""
+    k = (s + 1) // 2
+    f = np.maximum(bad / np.maximum(held, 1), r)
+    chernoff = np.exp(-s * (rel_entr(k / s, f) + rel_entr(1.0 - k / s, 1.0 - f)))
+    return np.minimum(_tail_geq(s, k - bad, r), np.where(f < k / s, chernoff, 1.0))
 
-    def runs(a, b):
-        """(rounds, senders besides the listener) over rounds [a, b)."""
-        cuts = [a, *(v for v in steps if a < v < b), b]
-        return tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, cuts[1:]))
 
-    # P(F_ij) for each group's windows ahead, by agent in the current one
-    cdfs = {}
-    blocks = []     # (g, j, runs, P(F_ij) per member or None when equal, weight)
-    for g, j in zip(*np.nonzero(ahead)):
-        s = lengths[j] // 2
-        opened = ends[g, j] - lengths[j]
-        key = (runs(max(opened, t), ends[g, j]), s)
-        if key not in cdfs:
-            cdfs[key] = _below(_heard_laws(key[0], n, s)[1][0], s)
-        cdf = cdfs[key]                             # cdf[y] = P(heard < y)
-        if opened < t:
-            prob = cdf[np.maximum(s - cnt[members[g]], 0)]
-            blocks.append((g, j, key[0], prob, float(prob.sum())))
-        else:
-            blocks.append((g, j, key[0], None, size[g] * cdf[s]))
-    weights = np.array([b[-1] for b in blocks])
-    pi = float(weights.sum())
-    if pi >= 1.0:
-        return None
-
-    pairs = size @ ahead                            # N_j
-    coins = []
-    for m, pairs_j, u in zip(lengths, pairs.tolist(), gen.random(len(lengths))):
-        s = m // 2
-        w = _binomial_pmf(s, 1.0 - channel.flip_probability, (s + 1) // 2).sum()     # w_j
-        # Binomial(N_j, w_j) wrong coins: none with probability (1-w_j)^N_j,
-        # else drawn given at least one
-        if u < math.exp(pairs_j * math.log1p(-w)):
-            coins.append(0)
-        else:
-            law = _binomial_pmf(pairs_j, w, pairs_j + 1)[1:]
-            coins.append(1 + int(gen.choice(pairs_j, p=law / law.sum())))
-    coins = np.array(coins)
-    if coins.any():
-        first = None
-        for j in np.flatnonzero(coins):
-            agents = np.concatenate([members[g] for g in np.flatnonzero(ahead[:, j])])
-            wrong = agents[gen.choice(pairs[j], coins[j], replace=False)]
-            g = int(gid[wrong].min())
-            if first is None or (ends[g, j], j) < (ends[first[1], first[0]], first[0]):
-                first = (int(j), g, np.sort(wrong[gid[wrong] == g]))
-        return first, None
-    if gen.random() >= pi:
-        return None, pairs
-
-    g, j, window, prob, weight = blocks[min(int(np.searchsorted(np.cumsum(weights), gen.random() * pi, "right")),
-                                            len(blocks) - 1)]
-    if prob is None:
-        i = members[g][gen.integers(size[g])]
-    else:
-        i = members[g][min(int(np.searchsorted(np.cumsum(prob), gen.random() * weight, "right")), prob.size - 1)]
-    b = ends[g, j]
-    a = max(t, b - lengths[j])
-    pick = _heard_given_below(window, n, lengths[j] // 2 - (cnt[i] if b - lengths[j] < t else 0), gen)
-    # everyone's heard rounds per window, given I's in window J
-    heard_in = np.zeros((n, len(lengths)), np.int64)
-    current = (ends <= t).sum(1)[gid]
-    live = np.flatnonzero(current < len(lengths))
-    heard_in[live, current[live]] = cnt[live]
-    buffers = delivery_buffers(n)
-    none = np.empty(0, np.int64)
-    spans = np.unique(np.append(ends[ahead], t))
-    for u, v in zip(spans[:-1].tolist(), spans[1:].tolist()):
-        sending = leave[gid] > u
-        if a <= u < b:
-            heard = _occupancy_given(i, pick[u - a:v - a], np.zeros(n, bool), channel, gen, sending)[0]
-        else:
-            # these rounds belong to the draw, not to the run: the model's
-            # binding, which tests that patch the engine's kernel do not see
-            heard = model.deliver_span_counts(np.flatnonzero(sending), none, v - u, n, channel, gen, buffers, True)[0]
-        live = np.flatnonzero(sending)
-        heard_in[live, (ends <= u).sum(1)[gid[live]]] += heard[live]
-    heard_in[i, j] += int((pick >= 0).sum())
-    failed = ahead[gid] & (heard_in < np.array(lengths) // 2)
-    if gen.random() * failed.sum() >= 1.0:
-        return None, pairs
-    return None, pairs - failed.sum(0)
+def _wrong_weights(held, good, law, s, q):
+    """For a listener that holds ``held`` samples, ``good`` of them
+    correct, hears h more (pmf ``law``), each correct with probability q,
+    and takes a uniform subset of s samples: ``hx[h, x]`` = P(h, x of the
+    held samples in the subset, and a wrong majority), and ``xv[x, v]`` =
+    P(v of those x wrong, and a wrong majority | x): at least (s+1)/2 - v
+    of the s - x new samples in the subset are wrong."""
+    h = np.arange(law.size)[:, None]
+    x = np.arange(min(held, s) + 1)[:, None]
+    v = np.arange(held - good + 1)
+    xv = (np.exp(_log_comb(held - good, v) + _log_comb(good, x - v) - _log_comb(held, x))
+          * _tail_geq(s - x, (s + 1) // 2 - v, 1.0 - q))
+    with np.errstate(invalid="ignore"):
+        mix = _log_comb(held, x.T) + _log_comb(h, s - x.T) - _log_comb(held + h, s)
+    return law[:, None] * np.exp(np.where(held + h >= s, mix, -np.inf)) * xv.sum(1), xv
 
 
 def _local_windows(schedule: ScheduleParams, d: int):
@@ -589,19 +610,14 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     groups whose code changes at a span's end close their windows there, in
     (code, shift) order.  While the preamble is still informing agents a
     span is one round, because an agent that hears starts sending in the
-    next round.  With one clock group and no preamble, a stage-2 window that
-    opens with every agent holding an opinion is drawn whole by
-    :func:`stage2_phase` unless its union bound is 1 or more, and its rounds
-    are skipped.  With more than one group, a span start at which every
-    agent is informed and correct and every group is in stage 2, or past it,
-    in a window that opened at or after the last round that followed an
-    opinion change (any close's) hands the rest of the run to
-    :func:`stage2_tail`, once per such change.  A drawn tail sets the
-    stage-2 records, the messages and the round and ends the run; a wrong
-    coin leaves the rounds simulated, with every successful agent of the
-    closes before the coin's close kept correct and that close turning its
-    successful wrong-coin agents; None simulates them as before.  The run
-    ends when the last window of the latest group has closed.
+    next round.  Once every group is in stage 2, one branch hands rounds to
+    :func:`stage2_draw`: with one group, every window that opens with every
+    agent holding an opinion; with several, the rest of the run, at the
+    first span start at which every agent is correct after each opinion
+    change (any close's).  A draw returns the closes it covers, which
+    ``close`` applies, and the round and counters the loop resumes from;
+    None leaves the rounds simulated.  The run ends when the last window of
+    the latest group has closed.
     """
     n = config.n
     channel = config.channel
@@ -623,7 +639,6 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     else:
         groups, gid = np.unique(shift, return_inverse=True)
     uninformed = int((gid < 0).sum())   # agents the preamble has not reached
-    one_clock = groups.size == 1 and not preamble   # see stage2_phase
 
     y_acc = [0] * (t1 + 1)
     z_acc = [0] * (t1 + 1)
@@ -652,14 +667,14 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         listening = (inside & (code <= t1) & (opinion < 0)) | (code > t1)
         return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listening
 
-    coin = None     # the close that holds the earliest wrong coin of a tail draw
     last_change = -math.inf     # the last round that follows a close that changed an opinion
-    tried = None    # last_change when the tail was last drawn
+    tried = None    # last_change when a staggered draw was last tried
 
-    def close(code_v, g):
-        """Close window ``code_v`` for clock group ``g``; returns whether
-        any opinion changed."""
-        nonlocal coin
+    def close(code_v, g, drawn=None):
+        """Close window ``code_v`` for clock group ``g``, drawing its subset
+        majorities, or with ``drawn = (failed, turned)`` from a drawn path:
+        its failed agents, and the successful ones whose majority is wrong.
+        Returns whether any opinion changed."""
         members = np.flatnonzero(gid == g)
         if code_v <= t1:
             new = members[(opinion[members] < 0) & (cnt[members] > 0)]
@@ -674,16 +689,15 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         subset = lengths[j] // 2
         if start_frac[j] is None:
             start_frac[j] = _correct_fraction(opinion, correct)
-        successful = members[cnt[members] >= subset]
-        before = opinion[successful]
-        if coin is None:
+        if drawn is None:
+            successful = members[cnt[members] >= subset]
+            before = opinion[successful]
             _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen)
-        elif coin[:2] == (j, g):
-            # the earliest wrong coin: its successful agents turn, and
-            # the later coins are discarded
-            opinion[np.intersect1d(successful, coin[2])] = complement(correct)
-            coin = None
-        # a close before that one keeps every successful agent correct
+        else:
+            successful = np.setdiff1d(members, drawn[0], assume_unique=True) if drawn[0].size else members
+            before = opinion[successful]
+            opinion[successful] = correct
+            opinion[drawn[1]] = complement(correct)
         succ_acc[j] += int(successful.size)
         end_frac[j] = _correct_fraction(opinion, correct)   # last group's close wins
         cnt[members] = 0
@@ -695,40 +709,25 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     while t < groups[-1] + local_total:
         seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
         gcode = codes[seg]
-        if (groups.size > 1 and t >= groups[-1] + open2 and tried != last_change and not uninformed
-                and (opinion == correct).all()
-                and (groups + edges[seg - 1] >= last_change)[gcode > t1].all()):
-            # every agent is correct and every group is in stage 2, or past
-            # it, in a window that opened after the last opinion change
-            tried = last_change
-            drawn = stage2_tail(t, groups + open2, lengths, gid, cnt, channel, gen)
+        horizon = None
+        if not uninformed and t >= groups[-1] + open2:
+            if groups.size == 1:
+                if (opinion >= 0).all():    # a window opens now: spans end at window edges
+                    horizon = t + lengths[int(gcode[0]) - t1 - 1]
+            elif tried != last_change and (opinion == correct).all():
+                tried = last_change
+                horizon = int(groups[-1]) + local_total
+        if horizon is not None:
+            drawn = stage2_draw(t, groups + open2, lengths, horizon, gid, cnt, corr, opinion != correct, channel, gen)
             if drawn is not None:
-                coin, successful = drawn
-                if coin is None:
-                    for j in range(int(gcode[-1]) - t1 - 1, n_st2):    # the latest group's phase on
-                        if start_frac[j] is None:
-                            start_frac[j] = 1.0
-                        end_frac[j] = 1.0
-                        succ_acc[j] += int(successful[j])
-                    messages += int(np.maximum(groups + local_total - t, 0) @ np.bincount(gid))
-                    t = int(groups[-1]) + local_total
-                    break
-        if (one_clock and gcode[0] > t1 and edges[seg[0] - 1] == t - groups[0]
-                and (opinion >= 0).all()):
-            # a stage-2 window opens now with every agent holding an opinion
-            assert not (cnt.any() or corr.any())
-            j = int(gcode[0]) - t1 - 1
-            m = lengths[j]
-            drawn = stage2_phase(n, m, opinion != correct, channel, gen)
-            if drawn is not None:
-                failed, wrong = drawn
-                start_frac[j] = _correct_fraction(opinion, correct)
-                opinion.fill(correct)
-                opinion[wrong] = complement(correct)
-                succ_acc[j] = n - failed.size
-                end_frac[j] = _correct_fraction(opinion, correct)
-                messages += n * m
-                t += m
+                end, shut, held, good = drawn
+                messages += int((np.clip(groups + local_total, t, end) - t) @ np.bincount(gid))
+                for j, g, failed, turned in shut:
+                    if close(t1 + 1 + j, g, (failed, turned)):
+                        last_change = end
+                cnt[:] = held
+                corr[:] = good
+                t = end
                 continue
         carriers, others, listening = round_setup(t)
         sent = carriers.size + others.size
@@ -839,10 +838,9 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     clock differences within D = 2*ceil(log2 n) only with high probability;
     the realized ``DesyncInfo.offset_spread`` has the law of push rumor
     spreading's completion time (A13 in ``tests/test_acceptance.py``).
-    Either way the clock groups close their windows at different rounds, so
-    the single-clock draw of a stage-2 phase never applies; the all-correct
-    tail of stage 2 is drawn by :func:`stage2_tail` (see
-    :func:`_run_windows`).
+    Either way the clock groups close their windows at different rounds, and
+    the rest of stage 2 from the last opinion change on is drawn by
+    :func:`stage2_draw` (see :func:`_run_windows`).
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n

@@ -4,8 +4,9 @@ The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
 end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
-(and the recorder also in place of ``flipsim.protocols.stage2_phase`` and
-``flipsim.protocols.stage2_tail``).
+(and the recorder also in place of ``flipsim.protocols.stage2_draw``), and
+:func:`phase_draw` calls that drawn stage-2 path for one window under one
+clock.
 
 The lemma references state the paper's side claims that the package does not
 ship: the two-step process (fair coin, then corrective flip) with its exact
@@ -34,7 +35,7 @@ import numpy as np
 from flipsim import ConfigurationError, NoiseChannel, model
 from flipsim.model import deliver_round_arrays, deliver_span_counts
 from flipsim.oracle import binomial_tail_geq
-from flipsim.protocols import stage2_phase, stage2_tail
+from flipsim.protocols import stage2_draw
 
 
 class ProtocolInvariantError(RuntimeError):
@@ -284,14 +285,11 @@ class KernelRecorder:
     """Count kernel that feeds every call's carriers, other senders, round
     count, mode, ``heard`` and ``match`` into one sha256, and counts the
     messages sent.
-    Its :meth:`phase` does the same for the drawn stage-2 phase: the phase
-    length, the agents wrong at its open, the failed agents and the agents
-    wrong after every phase it draws, and that phase's messages.  Its
-    :meth:`tail` hashes every drawn stage-2 tail under staggered clocks:
-    the round, the groups' stage-2 opens, the phase lengths, the groups and
-    the counts it starts from, and the close and agents of its earliest
-    wrong coin or the successful closes per phase; when the tail ends the
-    run, it counts the tail's messages."""
+    Its :meth:`draw` does the same for every drawn stage-2 path: the rounds
+    it covers, the agents wrong at its start, the agents that fail in it and
+    the agents wrong after it, with more than one close each close's phase,
+    group and failure count, and the counters it hands back when it stops
+    before its horizon; it counts the messages of the rounds it covers."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -306,31 +304,21 @@ class KernelRecorder:
         self.messages += rounds * (carriers.size + others.size)
         return heard, match
 
-    def phase(self, n, m, wrong, channel, rng):
-        drawn = stage2_phase(n, m, wrong, channel, rng)
+    def draw(self, t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, rng):
+        drawn = stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, rng)
         if drawn is not None:
-            failed, wrong_after = drawn
-            self.sha.update(np.array([m, failed.size, wrong_after.size], np.int64).tobytes())
+            end, closes, held, good = drawn
+            failed = np.concatenate([c[2] for c in closes])
+            wrong_after = np.union1d(failed[wrong[failed]], np.concatenate([c[3] for c in closes]))
+            self.sha.update(np.array([end - t, failed.size, wrong_after.size], np.int64).tobytes())
             for arr in (wrong, failed, wrong_after):
                 self.sha.update(arr.tobytes())
-            self.messages += n * m
-            self.shortcuts += 1
-        return drawn
-
-    def tail(self, t, opens, lengths, gid, cnt, channel, rng):
-        drawn = stage2_tail(t, opens, lengths, gid, cnt, channel, rng)
-        if drawn is not None:
-            coin, successful = drawn
-            self.sha.update(np.array([t, *lengths], np.int64).tobytes())
-            for arr in (opens, gid, cnt):
-                self.sha.update(arr.tobytes())
-            if coin is None:
-                self.sha.update(successful.tobytes())
-                # every agent sends until its group's last window closes
-                self.messages += int(np.maximum(opens[gid] + sum(lengths) - t, 0).sum())
-            else:
-                self.sha.update(np.array(coin[:2], np.int64).tobytes())
-                self.sha.update(coin[2].tobytes())
+            if len(closes) > 1:
+                self.sha.update(np.array([(j, g, f.size) for j, g, f, _ in closes], np.int64).tobytes())
+            if end < horizon:
+                self.sha.update(np.asarray(held, np.int64).tobytes() + np.asarray(good, np.int64).tobytes())
+            # every agent sends until its group's last window closes
+            self.messages += int((np.clip(opens[gid] + sum(lengths), t, end) - t).sum())
             self.shortcuts += 1
         return drawn
 
@@ -340,11 +328,25 @@ class KernelRecorder:
 
 def run_recorded(monkeypatch, engine, *args, **kwargs):
     """Run ``engine(*args, **kwargs)`` with a fresh :class:`KernelRecorder`
-    as the engine's count kernel, drawn stage-2 phase and drawn stage-2
-    tail; returns ``(outcome, recorder)``."""
+    as the engine's count kernel and drawn stage-2 path; returns
+    ``(outcome, recorder)``."""
     recorder = KernelRecorder()
     with monkeypatch.context() as m:
         m.setattr("flipsim.protocols.deliver_span_counts", recorder)
-        m.setattr("flipsim.protocols.stage2_phase", recorder.phase)
-        m.setattr("flipsim.protocols.stage2_tail", recorder.tail)
+        m.setattr("flipsim.protocols.stage2_draw", recorder.draw)
         return engine(*args, **kwargs), recorder
+
+
+def phase_draw(n, m, wrong, channel, rng, t=0):
+    """:func:`~flipsim.protocols.stage2_draw` for one clock group whose
+    m-round stage-2 window opens in round t with every counter at zero,
+    ``wrong`` marking the agents wrong then: None when it refuses, else
+    ``(failed, wrong_after)``, the agents that fail and keep their
+    opinions, and the agents wrong after the window."""
+    drawn = stage2_draw(t, np.array([t], np.int64), (m,), t + m, np.zeros(n, np.intp),
+                        np.zeros(n, np.int32), np.zeros(n), wrong, channel, rng)
+    if drawn is None:
+        return None
+    end, ((_, _, failed, turned),), _, _ = drawn
+    assert end == t + m
+    return failed, np.union1d(failed[wrong[failed]], turned)

@@ -32,7 +32,7 @@ from flipsim.oracle import (
     stirling_claim_grid,
 )
 from flipsim.params import clock_bound
-from flipsim.protocols import stage2_tail
+from flipsim.protocols import stage2_draw
 from reference import push_spread, run_recorded
 
 SEED = 61803
@@ -60,18 +60,18 @@ def _growth_run(seed: int):
 
 
 def _desync_run(seed: int):
-    """One supplied-clock desync run, and whether its stage-2 tail was drawn
-    (``stage2_tail`` returned something other than None)."""
+    """One supplied-clock desync run, and whether the rest of its stage 2
+    was drawn (``stage2_draw`` returned something other than None)."""
     config = SimConfig(n=N_MAIN, channel=NoiseChannel.from_epsilon(EPS_MAIN), master_seed=SEED)
     d = clock_bound(N_MAIN)
     offsets = derive_rng(SEED, "a-clocks", seed).integers(0, d, size=N_MAIN)
     drawn = []
 
-    def tail(*args):
-        drawn.append(stage2_tail(*args))
+    def draw(*args):
+        drawn.append(stage2_draw(*args))
         return drawn[-1]
 
-    with mock.patch("flipsim.protocols.stage2_tail", tail):
+    with mock.patch("flipsim.protocols.stage2_draw", draw):
         out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d),
                                  rng=derive_rng(SEED, "a-desync", seed))
     return out, any(x is not None for x in drawn)
@@ -332,7 +332,7 @@ def _law_detail(zs, skipped):
 def test_a8_stage2_exact_phase_law(broadcast_batch, growth_batch):
     ok, detail = _law_detail(*_phase_law_z(broadcast_batch, EPS_MAIN))
     # pooled failures at eps=0.4: phases 2..k open unanimous and are drawn
-    # by stage2_phase (union bound 0.20 each); the final one (union bound
+    # by stage2_draw (union bound 0.20 each); the final one (union bound
     # 1.46) is simulated
     k = derive_schedule(N_MAIN, NoiseChannel.from_epsilon(EPS_GROWTH)).k
     fails = []
@@ -353,11 +353,11 @@ def test_a9_desynchronization(broadcast_batch, desync_batch):
     bound = (schedule.t_phases + 2) * d + 6 * math.ceil(math.log2(N_MAIN))
     slack_ok = all(out.rounds_used - schedule.total_rounds <= bound for out, _ in desync_batch)
     in_ci = lo <= desync_rate <= hi
-    drawn = sum(tail for _, tail in desync_batch)
+    drawn = sum(rest for _, rest in desync_batch)
     ok = in_ci and slack_ok and drawn >= 0.95 * BATCH
     _report("A9", ok, f"desync success {desync_rate:.4f} within sync CI [{lo:.4f}, {hi:.4f}]; "
                       f"round increase <= (T+2)D + 6 ceil(log2 n) = {bound} in every run; "
-                      f"stage-2 tail drawn in {drawn}/{BATCH} runs (>= {math.ceil(0.95 * BATCH)})")
+                      f"rest of stage 2 drawn in {drawn}/{BATCH} runs (>= {math.ceil(0.95 * BATCH)})")
 
 
 def test_a10_baselines():

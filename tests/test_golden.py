@@ -6,6 +6,12 @@ the first-threshold round of every run in the grid; the preamble's
 overlap entry runs its own two seeds.  A change that moves any
 RNG stream or any simulated outcome changes a digest; such a change must
 update the digest here and say so in CHANGES.md.
+
+Outcomes can hide a moved stream: a drawn stage-2 path that ends all
+correct looks the same whatever it drew.  So the two-stage engines also
+pin the streams themselves: ``RECORDED`` hashes the
+:class:`~reference.KernelRecorder` digest of every run in the grid, which
+covers every kernel call and every drawn stage-2 path.
 """
 
 import hashlib
@@ -26,6 +32,7 @@ from flipsim import (
     run_majority_consensus,
 )
 from flipsim.params import InitialSetTooSmallError, _ceil_log2, clock_bound
+from reference import run_recorded
 
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
 # preamble runs whose realized clock spread exceeds D (19 and 20 against
@@ -80,6 +87,13 @@ GOLDEN = {
     "baseline-silent": "71ed5148a0b3dc8c",
 }
 
+RECORDED = {
+    "broadcast": "d62ccb793679b5b2",
+    "consensus": "673df4c674e2e090",
+    "desync-clocks": "d8ff70d59becfe84",
+    "desync-preamble": "ce06165577dab74a",
+}
+
 
 def _fields(out):
     """Every observable of an Outcome, as plain Python values."""
@@ -101,10 +115,14 @@ def _fields(out):
     return fields
 
 
+def _configs(engine):
+    for n, eps, seed in GRIDS.get(engine, GRID):
+        yield SimConfig(n=n, channel=NoiseChannel.from_epsilon(eps), master_seed=seed)
+
+
 def fingerprint(engine) -> str:
     h = hashlib.sha256()
-    for n, eps, seed in GRIDS.get(engine, GRID):
-        config = SimConfig(n=n, channel=NoiseChannel.from_epsilon(eps), master_seed=seed)
+    for config in _configs(engine):
         out = ENGINES[engine](config)
         if out is not None:
             h.update(np.asarray(out.final_opinions, np.int8).tobytes())
@@ -112,6 +130,18 @@ def fingerprint(engine) -> str:
     return h.hexdigest()[:16]
 
 
+def recorded(monkeypatch, engine) -> str:
+    h = hashlib.sha256()
+    for config in _configs(engine):
+        h.update(run_recorded(monkeypatch, ENGINES[engine], config)[1].digest().encode())
+    return h.hexdigest()[:16]
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_golden_fingerprint(engine):
     assert fingerprint(engine) == GOLDEN[engine]
+
+
+@pytest.mark.parametrize("engine", sorted(RECORDED))
+def test_recorded_stream(monkeypatch, engine):
+    assert recorded(monkeypatch, engine) == RECORDED[engine]

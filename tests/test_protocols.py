@@ -1,8 +1,11 @@
 import math
+import multiprocessing
+import traceback
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,19 +30,22 @@ from flipsim.model import deliver_span_counts
 from flipsim.oracle import phase_law
 from flipsim.params import _ceil_log2, clock_bound
 from flipsim.protocols import (
+    KLM_CUTOFF,
     _local_windows,
     _occupancy_given,
     _run_windows,
     _stage1_pick,
     _stage2_apply,
     _truncated_binomial,
-    stage2_phase,
-    stage2_tail,
+    _wrong_bound,
+    _wrong_weights,
+    stage2_draw,
 )
 from reference import (
     ProtocolInvariantError,
     majority_update,
     permutation_counts,
+    phase_draw,
     push_spread,
     run_recorded,
     select_initial_opinion,
@@ -127,10 +133,10 @@ def test_stage1_two_agents_noiseless():
 @pytest.mark.filterwarnings("ignore:epsilon")  # n=2 sits outside the regime by design
 def test_two_agents_noisy_broadcast_runs():
     # at n=2 each agent hears the other in every round, so the drawn
-    # stage-2 phase cannot condition on an agent missing a round and
+    # stage-2 path cannot condition on an agent missing a round and
     # leaves those phases to the simulated rounds
     config = cfg(2, 0.25)
-    assert stage2_phase(2, 38, np.zeros(2, bool), config.channel, derive_rng(0, "two")) is None
+    assert phase_draw(2, 38, np.zeros(2, bool), config.channel, derive_rng(0, "two")) is None
     total = derive_schedule(2, config.channel).total_rounds
     for seed in range(20):
         out = run_broadcast(config, rng=derive_rng(seed, "two"))
@@ -179,8 +185,8 @@ def test_count_path_matches_permutation_path(monkeypatch):
     # kernel, installed here in the engine through an adapter, at the SMALL
     # constants; mean per-phase y and z and the first stage-2 start fraction
     # must agree within 4 sigma.  Every round the engine simulates must
-    # reach the adapter: with the rounds of the phases drawn by the
-    # drawn stage-2 phase, they make up the whole run.
+    # reach the adapter: with the rounds covered by the drawn stage-2
+    # path, they make up the whole run.
     runs = 1500
     config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
     assert derive_schedule(64, config.channel, SMALL).t_phases == 1
@@ -190,16 +196,16 @@ def test_count_path_matches_permutation_path(monkeypatch):
         seen[0] += rounds
         return permutation_counts(carriers, others, rounds, *args)
 
-    def shortcut(n, m, *args):
-        drawn = stage2_phase(n, m, *args)
-        seen[1] += m if drawn is not None else 0
+    def shortcut(t, *args):
+        drawn = stage2_draw(t, *args)
+        seen[1] += drawn[0] - t if drawn is not None else 0
         return drawn
 
     samples = []
     for reference in (False, True):
         if reference:
             monkeypatch.setattr("flipsim.protocols.deliver_span_counts", adapter)
-            monkeypatch.setattr("flipsim.protocols.stage2_phase", shortcut)
+            monkeypatch.setattr("flipsim.protocols.stage2_draw", shortcut)
         rows = []
         for seed in range(runs):
             seen[:] = [0, 0]
@@ -303,9 +309,11 @@ def _one_phase_run(config, schedule, gen, wrong):
 def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
     # One 54-round phase at n=20 and eps=0.35 that opens with W in {0, 2, 5}
     # agents wrong: pi = 0.23, 0.24 and 0.84, with failures and wrong
-    # majorities both in it.  The joint law of (successful count, wrong
-    # among start-correct, wrong among start-wrong) drawn by stage2_phase
-    # must match the simulated rounds (the draw patched out) cell by cell,
+    # majorities both in it; the cutoff is lifted to 1 so that the draw
+    # also runs at pi = 0.84, where it is exact but dearer than the rounds.
+    # The joint law of (successful count, wrong among start-correct, wrong
+    # among start-wrong) drawn by stage2_draw must match the simulated
+    # rounds (the draw patched out) cell by cell,
     # 4 sigma, and the Karp-Luby-Madras branch must run in over 10% of the
     # drawn phases.  On both paths the mean number of agents ending wrong
     # must match its exact law, and on the drawn path E|F| = pi, F the
@@ -324,9 +332,10 @@ def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
             events = []     # |F| of each drawn phase
             branches = [0]  # phases that ran the Karp-Luby-Madras branch
 
-            def drawn_phase(n, m, wrong_at_open, *args):
-                out = stage2_phase(n, m, wrong_at_open, *args)
-                events.append(np.union1d(*out).size)
+            def drawn_phase(*args):
+                out = stage2_draw(*args)
+                ((_, _, failed, turned),) = out[1]
+                events.append(failed.size + turned.size)
                 return out
 
             def occupancy(*args):
@@ -334,9 +343,10 @@ def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
                 return _occupancy_given(*args)
 
             with monkeypatch.context() as patch:
-                patch.setattr("flipsim.protocols.stage2_phase",
+                patch.setattr("flipsim.protocols.stage2_draw",
                               (lambda *args: None) if simulated else drawn_phase)
                 patch.setattr("flipsim.protocols._occupancy_given", occupancy)
+                patch.setattr("flipsim.protocols.KLM_CUTOFF", 1.0)
                 gen = derive_rng(16, "unanimous", wrong, simulated)
                 keys = [_one_phase_run(config, schedule, gen, wrong) for _ in range(runs)]
             tables.append(Counter(keys))
@@ -387,8 +397,9 @@ def _history_law(n, m, others_wrong, p):
 
 @pytest.mark.filterwarnings("ignore:epsilon")
 def test_drawn_phase_history_exact_law(monkeypatch):
-    # The Karp-Luby-Madras branch of stage2_phase at n=20, eps=0.35, W=5
-    # (pi = 0.84): the agent I it conditions on, and the rounds it hears and
+    # The Karp-Luby-Madras branch of stage2_draw for one window at n=20,
+    # eps=0.35, W=5 (pi = 0.84, the cutoff lifted to 1 as in the test
+    # above): the agent I it conditions on, and the rounds it hears and
     # the wrong senders it picks, which the conditioned rounds of everyone
     # else depend on.  P(I starts wrong) and, for each start, the law of
     # I's heard count and of its wrong picks must match the exact law built
@@ -404,9 +415,10 @@ def test_drawn_phase_history_exact_law(monkeypatch):
         return np.zeros(n, np.int64), np.zeros(n, np.int64)     # everyone else: no samples
 
     monkeypatch.setattr("flipsim.protocols._occupancy_given", occupancy)
+    monkeypatch.setattr("flipsim.protocols.KLM_CUTOFF", 1.0)
     gen = derive_rng(21, "history")
     for _ in range(draws):
-        stage2_phase(n, m, start, channel, gen)
+        phase_draw(n, m, start, channel, gen)
     laws = {False: (n - wrong) * _history_law(n, m, wrong, p), True: wrong * _history_law(n, m, wrong - 1, p)}
     pi = sum(law.sum() for law in laws.values())
     for (starts, law), agents, cls in zip(laws.items(), (n - wrong, wrong), phase_law(n, m, wrong, p)):
@@ -449,7 +461,7 @@ def test_failure_set_matches_direct_occupancy(n, m):
     assert 0.2 < pi < 0.6
     gen = derive_rng(17, "klm", n, m)
     channel = NoiseChannel(0.0)
-    klm = np.array([stage2_phase(n, m, np.zeros(n, bool), channel, gen)[0].size for _ in range(runs)])
+    klm = np.array([phase_draw(n, m, np.zeros(n, bool), channel, gen)[0].size for _ in range(runs)])
     t = gen.integers(0, n - 1, size=(runs, m, n))
     t += t >= np.arange(n)
     heard = np.zeros((runs * m, n), bool)
@@ -518,7 +530,7 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
     assert final == 150 and all(_union_bound(config.n, m) < 1 for m in boosts)
     assert _union_bound(config.n, final) > 1.4
     gen = derive_rng(18, "fallback")
-    assert stage2_phase(config.n, final, np.zeros(config.n, bool), config.channel, gen) is None
+    assert phase_draw(config.n, final, np.zeros(config.n, bool), config.channel, gen) is None
     rounds = []
 
     def counting(carriers, others, span, *args):
@@ -533,36 +545,43 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
 
 @pytest.mark.parametrize("preamble", [False, True], ids=["clocks", "preamble"])
 def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
-    # desync with staggered clocks (supplied or set by the preamble) never
-    # calls the single-clock shortcut; its stage-2 tail is drawn by
-    # stage2_tail instead, and its rounds still outnumber the schedule's
-    def refuse(*args):
-        raise AssertionError("the drawn stage-2 phase was called")
+    # under staggered clocks (supplied or set by the preamble) the drawn
+    # stage-2 path never draws one window of one clock: every draw starts
+    # with every agent correct and runs to the end of the run, and the
+    # rounds still outnumber the schedule's
+    calls = []
 
-    monkeypatch.setattr("flipsim.protocols.stage2_phase", refuse)
+    def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
+        assert opens.size > 1 and not wrong.any() and horizon == opens.max() + sum(lengths)
+        calls.append(t)
+        return stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
+
+    monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
     config = cfg(512, 0.25, seed=6)
     d = clock_bound(512)
     clocks = None if preamble else ClockConfiguration(derive_rng(0, "off").integers(0, d, 512), d)
     out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "bypass"))
-    assert out.rounds_used > derive_schedule(512, config.channel).total_rounds
+    assert calls and out.rounds_used > derive_schedule(512, config.channel).total_rounds
     assert out.messages_sent > 0
 
 
 # ---------------------------------------------------------------------------
-# stage 2 under staggered clocks: the drawn tail
+# stage 2 under staggered clocks: the drawn path to the end of the run
 
 
-def _tail_union_bound(t, opens, lengths, gid, cnt):
-    """pi = the sum of P(F_ij) over every (agent, phase-j window) still to
-    close after round t, F_ij = "agent i ends its window with fewer than
-    s_j = m_j/2 samples", built round by round: agent i hears in round u
-    with probability 1-(1-1/(n-1))^(m_u-1), m_u the agents of the groups
-    still in stage 2, and starts from ``cnt[i]`` in a window that opened
-    before t."""
-    n = gid.size
+def _staggered_union_bound(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel):
+    """pi = the sum of beta_ij over every (agent, phase-j window) that closes
+    after round t, every agent correct: beta_ij = f + (1-f) b, f = P(agent
+    i ends its window with fewer than s_j = m_j/2 samples), built round by
+    round (agent i hears in round u with probability 1-(1-1/(n-1))^(m_u-1),
+    m_u the agents of the groups still in stage 2, and starts from
+    ``cnt[i]`` in a window that opened before t), and b the chance of a
+    wrong majority: P(Binomial(s_j, p) > s_j/2), or its bound
+    :func:`_wrong_bound` in a window that opened before t."""
+    n, p = gid.size, channel.flip_probability
     ends = opens[:, None] + np.cumsum(lengths)
     pi = 0.0
-    for g, j in zip(*np.nonzero(ends > t)):
+    for g, j in zip(*np.nonzero((ends > t) & (ends <= horizon))):
         m = lengths[j]
         law = np.zeros(m + 1)
         law[0] = 1.0
@@ -571,8 +590,12 @@ def _tail_union_bound(t, opens, lengths, gid, cnt):
             law[1:] = law[1:] * (1 - h) + law[:-1] * h
             law[0] *= 1 - h
         for i in np.flatnonzero(gid == g):
-            start = cnt[i] if ends[g, j] - m < t else 0
-            pi += law[:max(m // 2 - start, 0)].sum()
+            held = cnt[i] if ends[g, j] - m < t else 0
+            f = law[:max(m // 2 - held, 0)].sum()
+            s = m // 2
+            b = (_wrong_bound(s, held, held - corr[i], p) if held
+                 else sum(math.comb(s, k) * p ** k * (1 - p) ** (s - k) for k in range(s // 2 + 1, s + 1)))
+            pi += f + (1 - f) * b
     return pi
 
 
@@ -590,94 +613,202 @@ def _staggered_stage2(config, schedule, gen, opens, wrong):
             *(round(config.n * (1 - r.correct_fraction)) for r in out.stage2))
 
 
+def _staggered_path(config, schedule, opens, wrong, runs, simulated):
+    """``runs`` stage-2 runs under staggered clocks on one path, the drawn
+    stage-2 path patched out when ``simulated``: the key table, the agents
+    wrong after each phase per run, the inputs of the first draw of each
+    run (up to 200), and how many runs called the draw ("called"), took one
+    ("taken"), ran its conditioned branch ("branch") and resumed the
+    simulated rounds before its horizon ("handoff")."""
+    firsts, seen, branches, keys = [], set(), Counter(), []
+
+    def draw(*args):
+        if "called" not in seen and len(firsts) < 200:
+            firsts.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:9]))
+        seen.add("called")
+        out = stage2_draw(*args)
+        seen.update(() if out is None else ("taken", "handoff") if out[0] < args[3] else ("taken",))
+        return out
+
+    def occupancy(*args):
+        seen.add("branch")
+        return _occupancy_given(*args)
+
+    with mock.patch("flipsim.protocols.stage2_draw", (lambda *args: None) if simulated else draw), \
+            mock.patch("flipsim.protocols._occupancy_given", occupancy):
+        gen = derive_rng(22, "staggered", config.n, wrong, simulated)
+        for _ in range(runs):
+            seen.clear()
+            keys.append(_staggered_stage2(config, schedule, gen, opens, wrong))
+            branches.update(seen)
+    return Counter(keys), np.array([k[3:] for k in keys], float), firsts, branches
+
+
+def _forked(*calls):
+    """``[fn(*args) for fn, *args in calls]``, each call run at once in its
+    own forked process where the platform forks."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*args) for fn, *args in calls]
+    ctx = multiprocessing.get_context("fork")
+
+    def child(fn, args, send):
+        try:
+            send.send((True, fn(*args)))
+        except BaseException:
+            send.send((False, traceback.format_exc()))
+
+    procs = []
+    for fn, *args in calls:
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(fn, args, send))
+        proc.start()
+        send.close()
+        procs.append((proc, recv))
+    results = []
+    for proc, recv in procs:
+        ok, value = recv.recv()
+        proc.join()
+        assert ok, value
+        results.append(value)
+    return results
+
+
 @pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
-@pytest.mark.parametrize("n,eps,sizes,offsets,wrong,runs", [
-    (16, 0.2, (8, 8), (0, 6), 0, 4000),
-    (18, 0.2, (6, 6, 6), (0, 3, 7), 0, 4000),
+@pytest.mark.parametrize("n,eps,sizes,offsets,wrong,m,runs", [
+    (16, 0.2, (8, 8), (0, 6), 0, 78, 4000),
+    (18, 0.2, (6, 6, 6), (0, 3, 7), 0, 86, 4000),
     # every agent of the early group starts wrong; the late group's window
     # holds their samples until its own close, after the early group's
     # close turned them
-    (16, 0.25, (4, 12), (0, 4), 4, 1500),
-], ids=["two-groups", "three-groups", "wrong-early-group"])
-def test_staggered_tail_matches_simulated_rounds(monkeypatch, n, eps, sizes, offsets, wrong, runs):
-    # Three 54-round stage-2 phases under staggered clocks.  The joint law of
-    # the per-phase successful counts and agents wrong after each phase,
-    # with the tail drawn by stage2_tail, must match the simulated rounds
-    # (the draw patched to None) cell by cell within 4 sigma, and so must
-    # the mean count wrong after each phase.  From an all-correct start the
-    # draw runs in every run, the median of the reference union bound at
-    # each run's first draw is in [0.2, 0.9], and the wrong-coin and failure
-    # branches each run in over 10% of the runs.
+    (16, 0.25, (4, 12), (0, 4), 4, 54, 1500),
+    # one wrong agent in the early group: the first draw comes right after
+    # the early group's close turns it, while the late group's window,
+    # which holds samples from it, is still open
+    (16, 0.35, (2, 14), (0, 4), 1, 70, 1500),
+], ids=["two-groups", "three-groups", "wrong-early-group", "open-window"])
+def test_staggered_tail_matches_simulated_rounds(n, eps, sizes, offsets, wrong, m, runs):
+    # Three m-round stage-2 phases under staggered clocks.  The joint law
+    # of the per-phase successful counts and agents wrong after each phase,
+    # with the rest of the run drawn by stage2_draw, must match the
+    # simulated rounds (the draw patched to None) cell by cell within 4
+    # sigma, and so must the mean count wrong after each phase.  The two
+    # paths run in two forked processes.  From an all-correct start the
+    # draw is called in every run and taken in over 90% of them, the median
+    # of the reference union bound at each run's first draw is in
+    # [0.2, KLM_CUTOFF), and the conditioned branch and the hand-off to the
+    # simulated rounds each run in over 10% of the runs.  From a start with
+    # wrong agents the draw is taken in over 10% of the runs, and most
+    # first draws come while the late group's first window, open since
+    # before the last opinion change, is still open.
     config = cfg(n, eps)
-    schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(54, 54, 54))
+    schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(m, m, m))
     opens = np.repeat(offsets, sizes)
-    tables, wrong_after = [], []     # per path: the key table, the wrong counts per run and phase
-    for simulated in (False, True):
-        firsts = []             # the inputs of the first tail draw of each run, up to 200
-        seen = set()            # what the current run drew
-        branches = Counter()    # runs that drew each
-
-        def tail(*args):
-            if not seen and len(firsts) < 200:
-                firsts.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:5]))
-            out = stage2_tail(*args)
-            seen.add("tail")
-            if out is not None and out[0] is not None:
-                seen.add("coin")
-            return out
-
-        def occupancy(*args):
-            seen.add("failure")
-            return _occupancy_given(*args)
-
-        keys = []
-        with monkeypatch.context() as patch:
-            patch.setattr("flipsim.protocols.stage2_tail", (lambda *args: None) if simulated else tail)
-            patch.setattr("flipsim.protocols._occupancy_given", occupancy)
-            gen = derive_rng(22, "staggered", n, wrong, simulated)
-            for _ in range(runs):
-                seen.clear()
-                keys.append(_staggered_stage2(config, schedule, gen, opens, wrong))
-                branches.update(seen)
-        tables.append(Counter(keys))
-        wrong_after.append(np.array([k[3:] for k in keys], float))
-        if simulated:
-            continue
-        if wrong:
-            assert branches["tail"] > 0.1 * runs, branches
-        else:
-            assert branches["tail"] == runs, branches
-            assert branches["coin"] > 0.1 * runs and branches["failure"] > 0.1 * runs, branches
-            pi = np.median([_tail_union_bound(*first) for first in firsts])
-            assert 0.2 <= pi <= 0.9, pi
-    drawn, simulated = tables
+    (drawn, a, firsts, branches), (simulated, b, _, _) = _forked(
+        *((_staggered_path, config, schedule, opens, wrong, runs, path) for path in (False, True)))
+    if wrong:
+        assert branches["taken"] > 0.1 * runs, branches
+        inside = np.mean([offsets[-1] < t < offsets[-1] + m for t, *_ in firsts])
+        assert inside > 0.5, (inside, [f[0] for f in firsts])
+    else:
+        assert branches["called"] == runs and branches["taken"] > 0.9 * runs, branches
+        assert branches["branch"] > 0.1 * runs and branches["handoff"] > 0.1 * runs, branches
+        pi = np.median([_staggered_union_bound(*first) for first in firsts])
+        assert 0.2 <= pi < KLM_CUTOFF, pi
     for key in set(drawn) | set(simulated):
-        a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
-        pooled = (a + b) / 2
-        assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, a, b)
-    a, b = wrong_after
+        x, y = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
+        pooled = (x + y) / 2
+        assert abs(x - y) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, x, y)
     assert (abs(a.mean(0) - b.mean(0)) <= 4 * np.sqrt((a.var(0) + b.var(0)) / runs)).all(), (a.mean(0), b.mean(0))
 
 
+def test_wrong_weights_exact_enumeration():
+    # a listener that holds 7 samples, 4 of them correct, and hears up to 5
+    # more (h ~ Binomial(5, 0.6)), each correct with probability 0.7, takes
+    # a subset of 9: P(h, x held in the subset, and a wrong majority) from
+    # _wrong_weights must match the sum over every new correct count and
+    # subset composition to 1e-12, and so must P(v wrong | x, wrong
+    # majority); _wrong_bound must bound P(wrong majority | h) at every h
+    held, good, s, q = 7, 4, 9, 0.7
+    law = np.array([math.comb(5, h) * 0.6 ** h * 0.4 ** (5 - h) for h in range(6)])
+    hx, xv = _wrong_weights(held, good, law, s, q)
+    exact_hx = np.zeros_like(hx)
+    exact_xv = np.zeros_like(xv)
+    for h in range(6):
+        for new in range(h + 1):       # correct new samples
+            pf = math.comb(h, new) * q ** new * (1 - q) ** (h - new)
+            for x in range(min(held, s) + 1):
+                for v in range(held - good + 1):
+                    for y in range(h + 1):      # correct new samples in the subset
+                        ways = (math.comb(held - good, v) * math.comb(good, x - v) if 0 <= x - v <= good else 0) \
+                            * math.comb(new, y) * math.comb(h - new, s - x - y) if 0 <= s - x - y <= h - new else 0
+                        if ways and (x - v) + y <= s // 2 and held + h >= s:
+                            w = law[h] * pf * ways / math.comb(held + h, s)
+                            exact_hx[h, x] += w
+    for x in range(min(held, s) + 1):
+        for v in range(held - good + 1):
+            if 0 <= x - v <= good:
+                pv = math.comb(held - good, v) * math.comb(good, x - v) / math.comb(held, x)
+                k = (s + 1) // 2 - v        # wrong new samples the subset needs
+                exact_xv[x, v] = pv * sum(math.comb(s - x, j) * (1 - q) ** j * q ** (s - x - j)
+                                          for j in range(max(k, 0), s - x + 1))
+    assert np.allclose(hx, exact_hx, rtol=1e-12, atol=1e-15), (hx, exact_hx)
+    assert np.allclose(xv, exact_xv, rtol=1e-12, atol=1e-15), (xv, exact_xv)
+    wrong_given_h = exact_hx.sum(1)[2:] / law[2:]
+    assert (wrong_given_h <= _wrong_bound(s, held, held - good, 1 - q) + 1e-15).all()
+
+
+def test_stage2_rounds_end_at_the_last_opinion_change(monkeypatch):
+    # A supplied-clock desync run at n=1024 whose stage-2 phase 2 ends all
+    # correct: the drawn stage-2 path takes over right after the last
+    # opinion change, so no round that draws its counts (a stage-2 round)
+    # reaches the kernel after that change.
+    config = cfg(1024, 0.25)
+    d = clock_bound(1024)
+    clocks = ClockConfiguration(derive_rng(0, "phase-3-clocks").integers(0, d, 1024), d)
+    log = []
+
+    def counting(carriers, others, rounds, n, channel, rng, out, expected=False):
+        log.append(("stage 2", rounds) if not expected else ("stage 1", rounds))
+        return deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected)
+
+    def stage2(opinion, *args):
+        before = opinion.copy()
+        _stage2_apply(opinion, *args)
+        if (opinion != before).any():
+            log.append(("change", 0))
+
+    monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
+    monkeypatch.setattr("flipsim.protocols._stage2_apply", stage2)
+    out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "phase-3"))
+    assert out.stage2[1].correct_fraction == 1.0 and out.correct_fraction == 1.0
+    last = max(k for k, (what, _) in enumerate(log) if what == "change")
+    simulated = sum(r for what, r in log if what == "stage 2")
+    assert not [r for what, r in log[last:] if what == "stage 2"], log[last:]
+    assert 0 < simulated < out.rounds_used - sum(derive_schedule(1024, config.channel).stage2_phase_lengths[2:])
+
+
 def test_tail_failures_match_direct_occupancy():
-    # stage2_tail at n=12 from round 5, with three clock groups that opened
-    # stage 2 in rounds 0, 2 and 5, mid-window counts and a sender tail that
-    # shrinks as the groups leave: the law of |F| over its two phases must
-    # match the plain occupancy of the same rounds within 4 sigma size by
-    # size, and E|F| = pi.  A noiseless channel leaves no wrong coin.
+    # stage2_draw at n=12 from round 5 to the end of the run, with three
+    # clock groups that opened stage 2 in rounds 0, 2 and 5, mid-window
+    # counts and a sender tail that shrinks as the groups leave: the law of
+    # |F| over its two phases must match the plain occupancy of the same
+    # rounds within 4 sigma size by size, and E|F| = pi.  A noiseless
+    # channel and an all-correct start leave failure as the only event.
     n, runs, t = 12, 10_000, 5
     lengths = (38, 46)
     gid = np.repeat(np.arange(3), 4)
     opens = np.array([0, 2, 5])
     cnt = np.array([3, 4, 2, 5, 1, 2, 0, 2, 0, 0, 0, 0], np.int32)
-    pi = _tail_union_bound(t, opens, lengths, gid, cnt)
+    channel, horizon = NoiseChannel(0.0), int(opens.max()) + sum(lengths)
+    args = (t, opens, lengths, horizon, gid, cnt, cnt.astype(float), np.zeros(n, bool), channel)
+    pi = _staggered_union_bound(*args)
     assert 0.2 < pi < 0.6
     gen = derive_rng(23, "tail-klm")
     klm = []
     for _ in range(runs):
-        coin, successful = stage2_tail(t, opens, lengths, gid, cnt, NoiseChannel(0.0), gen)
-        assert coin is None
-        klm.append(2 * n - successful.sum())
+        end, closes, _, _ = stage2_draw(*args, gen)
+        assert end == horizon and not any(turned.size for *_, turned in closes)
+        klm.append(sum(failed.size for _, _, failed, _ in closes))
     klm = np.array(klm)
     ends = opens[gid][:, None] + np.cumsum(lengths)     # each agent's closes
     heard = np.zeros((runs, n, len(lengths)), np.int64)
@@ -709,7 +840,7 @@ def test_conditioned_round_with_sender_subset(i_sends, pick):
 
 def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
     # desync at n=4096, eps=0.4 with supplied clocks: the final 150-round
-    # phase alone has pi = 1.46, so the one tail draw returns None and the
+    # phase alone has pi = 1.46, so the one draw returns None and the
     # kernel delivers every round from there to the end of the run, the
     # whole final phase among them
     n = 4096
@@ -718,15 +849,15 @@ def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
     offsets = derive_rng(0, "fallback-clocks").integers(0, d, n)
     calls, rounds = [], [0]
 
-    def tail(t, *args):
-        calls.append((t, stage2_tail(t, *args)))
+    def draw(t, *args):
+        calls.append((t, stage2_draw(t, *args)))
         return calls[-1][1]
 
     def counting(carriers, others, span, *args):
         rounds[0] += span if calls else 0
         return deliver_span_counts(carriers, others, span, *args)
 
-    monkeypatch.setattr("flipsim.protocols.stage2_tail", tail)
+    monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
     monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
     out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d), rng=derive_rng(0, "fallback"))
     assert [drawn for _, drawn in calls] == [None], calls
@@ -1017,10 +1148,10 @@ def _desync_clocks_from(config, correct):
                  True, id="desync-preamble"),
 ])
 def test_relabeling_symmetry_without_log(monkeypatch, engine, shortcut):
-    # the count path, the drawn stage-2 phase and the drawn stage-2 tail
-    # read payloads only through "carries the correct opinion", so
-    # relabeling complements the outcome and leaves every kernel call and
-    # every drawn phase or tail, and so the recorded digest, unchanged
+    # the count path and the drawn stage-2 path read payloads only
+    # through "carries the correct opinion", so relabeling complements the
+    # outcome and leaves every kernel call and every drawn path, and so
+    # the recorded digest, unchanged
     runs = [run_recorded(monkeypatch, engine, cfg(256, 0.25, seed=3, correct=correct), correct)
             for correct in (1, 0)]
     (a, rec_a), (b, rec_b) = runs
