@@ -161,7 +161,7 @@ class ClockConfiguration:
 
 
 def _correct_fraction(opinion, correct) -> float:
-    return float((opinion == correct).mean())
+    return float(np.count_nonzero(opinion == correct) / opinion.size)
 
 
 def _source_opinions(config: SimConfig) -> np.ndarray:
