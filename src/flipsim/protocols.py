@@ -361,7 +361,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     cnt = cnt.astype(np.int64)      # the frozen path's counters
     corr = corr.astype(np.float64)
     vote = np.empty(n, np.int8)
-    buffers = delivery_buffers(n)
+    buffers = None
     closes, found, stop, pos = [], 0, None, 0
     cuts = sorted({t, *(c[0] for c in shut)})
     for u, v in zip(cuts, cuts[1:]):
@@ -371,6 +371,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         else:
             # these rounds belong to the draw, not to the run: the model's
             # binding, which tests that patch the engine's kernel do not see
+            buffers = buffers or delivery_buffers(n)
             heard, match = model.deliver_span_counts(np.flatnonzero(sending & ~wrong), np.flatnonzero(sending & wrong),
                                                      v - u, n, channel, gen, buffers)
         cnt += heard * sending
