@@ -664,13 +664,15 @@ def _forked(*calls):
         proc.start()
         send.close()
         procs.append((proc, recv))
-    results = []
-    for proc, recv in procs:
-        ok, value = recv.recv()
-        proc.join()
+    try:
+        results = [recv.recv() for _, recv in procs]
+    finally:        # a child that failed or died leaves no other blocked
+        for proc, _ in procs:
+            proc.terminate()
+            proc.join()
+    for ok, value in results:
         assert ok, value
-        results.append(value)
-    return results
+    return [value for _, value in results]
 
 
 @pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
