@@ -33,16 +33,15 @@ def _check_epsilon(epsilon):
         raise ConfigurationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
 
 
-def _binomial_tails(n: int, k: int, p: float):
-    """(P(Binomial(n, p) < k), P(Binomial(n, p) >= k)), each computed as its
-    own incomplete-beta tail."""
-    if k <= 0:
-        return 0.0, 1.0
-    if k > n or p == 0.0:
-        return 1.0, 0.0
-    if p == 1.0:
-        return 0.0, 1.0
-    return float(betainc(n - k + 1, k, 1.0 - p)), float(betainc(k, n - k + 1, p))
+def binomial_tails(n, k, p: float):
+    """(P(Binomial(n, p) < k), P(Binomial(n, p) >= k)), elementwise over n
+    and k, each computed as its own incomplete-beta tail."""
+    n = np.asarray(n, np.float64)
+    k = np.asarray(k, np.float64)
+    a, b = np.clip(k, 1.0, None), np.clip(n - k + 1.0, 1.0, None)
+    inside = (k > 0) & (k <= n)
+    low = np.where(k > n, 1.0, 0.0)     # the lower tail outside 0 < k <= n
+    return np.where(inside, betainc(b, a, 1.0 - p), low), np.where(inside, betainc(a, b, p), 1.0 - low)
 
 
 def binomial_tail_geq(n: int, k: int, p: float) -> float:
@@ -50,7 +49,7 @@ def binomial_tail_geq(n: int, k: int, p: float) -> float:
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
     _check_unit("p", p, 0.0, 1.0)
-    return _binomial_tails(n, k, p)[1]
+    return float(binomial_tails(n, k, p)[1])
 
 
 def _majority_tails(gamma: int, q: float):
@@ -61,7 +60,7 @@ def _majority_tails(gamma: int, q: float):
     _check_unit("q", q, 0.0, 1.0)
     if q == 0.5:
         return 0.5, 0.5   # exact by symmetry of an odd-sample majority
-    return _binomial_tails(gamma, (gamma + 1) // 2, q)
+    return tuple(map(float, binomial_tails(gamma, (gamma + 1) // 2, q)))
 
 
 def majority_correct_prob(gamma: int, q: float) -> float:
@@ -83,6 +82,17 @@ class PhaseClass(NamedTuple):
     correct: float  # P(ends correct)
 
 
+def phase_class(fail, s: int, w: float, p: float, start_correct: bool = True) -> PhaseClass:
+    """The stage-2 law of an agent that fails with probability ``fail`` (a
+    float, or an array over agents) and otherwise takes the majority of s
+    samples, each from a uniform other agent, a share w of them wrong,
+    through a channel that flips a bit with probability p: each sample is
+    correct with probability q = (1-p)(1-w) + p w."""
+    q = (1.0 - p) * (1.0 - w) + p * w
+    bad, good = _majority_tails(s, q)
+    return PhaseClass(fail, q, fail + (1.0 - fail) * bad, fail * start_correct + (1.0 - fail) * good)
+
+
 def phase_law(n: int, m: int, wrong: int, p: float):
     """The one-phase law of stage 2: ``(start correct, start wrong)``
     :class:`PhaseClass` records for an m-round phase in which all n agents
@@ -90,24 +100,17 @@ def phase_law(n: int, m: int, wrong: int, p: float):
     that flips a bit with probability p; a class with no members gets zeros.
     An agent hears in a round with probability h = 1-(1-1/(n-1))^(n-1) from
     a uniform other agent, fails with probability P(Bin(m, h) < s), s = m/2,
-    and otherwise takes the majority of s samples, each correct with
-    probability q = (1-p)(1-w) + p w, w the wrong share among the others.
+    and otherwise takes the majority of s samples, a share w = (wrong - c) /
+    (n-1) of them from wrong agents, c = 1 for an agent that starts wrong
+    (:func:`phase_class`).
     """
     if not (n >= 2 and 0 <= wrong <= n):
         raise ConfigurationError(f"need n >= 2 and 0 <= wrong <= n, got n={n}, wrong={wrong}")
     s = m // 2
     miss = ((n - 2) / (n - 1)) ** (n - 1)           # P(an agent hears nothing in a round)
     fail = binomial_tail_geq(m, m - s + 1, miss)    # P(Bin(m, h) < s), as its own tail
-    law = []
-    for c, agents in enumerate((n - wrong, wrong)):
-        if not agents:
-            law.append(PhaseClass(0.0, 0.0, 0.0, 0.0))
-            continue
-        w = (wrong - c) / (n - 1)
-        q = (1.0 - p) * (1.0 - w) + p * w
-        bad, good = _majority_tails(s, q)
-        law.append(PhaseClass(fail, q, fail + (1.0 - fail) * bad, (0.0 if c else fail) + (1.0 - fail) * good))
-    return tuple(law)
+    return tuple(phase_class(fail, s, (wrong - c) / (n - 1), p, not c) if agents else PhaseClass(0.0, 0.0, 0.0, 0.0)
+                 for c, agents in enumerate((n - wrong, wrong)))
 
 
 @dataclass(frozen=True)

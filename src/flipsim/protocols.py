@@ -64,7 +64,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import betainc, gammaln, rel_entr
+from scipy.special import gammaln, rel_entr
 
 from . import model
 from .model import (
@@ -77,7 +77,7 @@ from .model import (
     delivery_buffers,
     derive_rng,
 )
-from .oracle import majority_wrong_prob
+from .oracle import binomial_tails, phase_class
 from .params import ScheduleParams, SimConfig, _ceil_log2, clock_bound, derive_schedule, majority_entry_phase
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,9 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     Poisson-binomial sum (:func:`_heard_law`), and each new sample is
     correct with probability q = (1-p)(1-w) + p w, w the wrong share among
     the other agents, independently.  So in a window that opens at t or
-    later the wrong majority is a coin (:func:`oracle.majority_wrong_prob`),
-    and beta_ij = P(B_ij) = fail + (1-fail) coin, for one group
-    :func:`oracle.phase_law`.  In a window that opened before t, beta_ij =
+    later the wrong majority is a coin, and beta_ij = P(B_ij) = fail +
+    (1-fail) coin (:func:`oracle.phase_class`; for one group
+    :func:`oracle.phase_law`).  In a window that opened before t, beta_ij =
     fail + (1-fail) b bounds P(B_ij), b from :func:`_wrong_bound`.
 
     The Karp-Luby-Madras sampler: with probability pi = sum of beta_ij pick
@@ -291,15 +291,12 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         for c in range(1 + (n_wrong > 0)):
             agents = members[g][wrong[members[g]] == c] if n_wrong else members[g]
             if agents.size:
-                w = (n_wrong - c) / (n - 1)
-                q = (1.0 - p) * (1.0 - w) + p * w
-                if e - lengths[j] >= t:
-                    fail = below[min(s, below.size - 1)]
-                    event = fail + (1.0 - fail) * majority_wrong_prob(s, q)
-                else:
-                    fail = below[np.clip(s - cnt[agents], 0, below.size - 1)]
-                    event = fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - q)
-                blocks.append((k, agents, event, q))
+                fresh = e - lengths[j] >= t
+                fail = below[np.clip(s - (0 if fresh else cnt[agents]), 0, below.size - 1)]
+                law = phase_class(fail, s, (n_wrong - c) / (n - 1), p)
+                event = law.event if fresh else \
+                    fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - law.q)
+                blocks.append((k, agents, event, law.q))
     weights = np.cumsum([event.sum() if np.ndim(event) else agents.size * event for _, agents, event, _ in blocks])
     pi = float(weights[-1])
     if pi >= KLM_CUTOFF:
@@ -403,11 +400,15 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         return horizon, closes, zero, zero
     v, upto, cnt, corr = stop
     if a < v < e:
-        # I's window J is still open at v: its rounds before v, and the
-        # correct samples among them
-        early = at < v - a
-        cnt[i] += early.sum()
-        corr[i] += early[:z].sum() + gen.binomial(early[sub:].sum(), q)
+        # I's window J is still open at v, which needs several groups and so
+        # W = 0: I's samples are exchangeable over its heard rounds, and the
+        # k heard before v hold a uniform k of its h samples (z correct and
+        # sub - z wrong ones in the subset, h - sub outside it), whichever
+        # runs ``at`` gave each type
+        k = int((at < v - a).sum())
+        inside, _, outside = gen.multivariate_hypergeometric([z, sub - z, h - sub], k)
+        cnt[i] += k
+        corr[i] += inside + gen.binomial(outside, q)
     return v, closes[:upto], cnt, corr
 
 
@@ -513,13 +514,6 @@ def _log_comb(a, b):
     return np.where(ok, gammaln(a + 1) - gammaln(b + 1) - gammaln(np.where(ok, a - b, 0) + 1), -np.inf)
 
 
-def _tail_geq(size, k, r):
-    """P(Binomial(size, r) >= k), elementwise, as an incomplete-beta tail."""
-    k = np.asarray(k, np.float64)
-    tail = betainc(np.clip(k, 1.0, None), np.clip(size - k + 1.0, 1.0, None), r)
-    return np.where(k <= 0, 1.0, np.where(k > size, 0.0, tail))
-
-
 def _wrong_bound(s, held, bad, r):
     """An upper bound on P(a uniform subset of s samples has a wrong
     majority) for listeners that hold ``held`` samples, ``bad`` of them
@@ -531,7 +525,7 @@ def _wrong_bound(s, held, bad, r):
     k = (s + 1) // 2
     f = np.maximum(bad / np.maximum(held, 1), r)
     chernoff = np.exp(-s * (rel_entr(k / s, f) + rel_entr(1.0 - k / s, 1.0 - f)))
-    return np.minimum(_tail_geq(s, k - bad, r), np.where(f < k / s, chernoff, 1.0))
+    return np.minimum(binomial_tails(s, k - bad, r)[1], np.where(f < k / s, chernoff, 1.0))
 
 
 def _wrong_weights(held, good, law, s, q):
@@ -545,7 +539,7 @@ def _wrong_weights(held, good, law, s, q):
     x = np.arange(min(held, s) + 1)[:, None]
     v = np.arange(held - good + 1)
     xv = (np.exp(_log_comb(held - good, v) + _log_comb(good, x - v) - _log_comb(held, x))
-          * _tail_geq(s - x, (s + 1) // 2 - v, 1.0 - q))
+          * binomial_tails(s - x, (s + 1) // 2 - v, 1.0 - q)[1])
     with np.errstate(invalid="ignore"):
         mix = _log_comb(held, x.T) + _log_comb(h, s - x.T) - _log_comb(held + h, s)
     return law[:, None] * np.exp(np.where(held + h >= s, mix, -np.inf)) * xv.sum(1), xv

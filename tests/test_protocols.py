@@ -723,6 +723,22 @@ def test_staggered_tail_matches_simulated_rounds(n, eps, sizes, offsets, wrong, 
     assert (abs(a.mean(0) - b.mean(0)) <= 4 * np.sqrt((a.var(0) + b.var(0)) / runs)).all(), (a.mean(0), b.mean(0))
 
 
+@pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
+@pytest.mark.parametrize("n,sizes,offsets", [(16, (8, 8), (0, 6)), (18, (6, 6, 6), (0, 3, 7))],
+                         ids=["two-groups", "three-groups"])
+def test_staggered_draw_refused_with_short_phases(n, sizes, offsets):
+    # The two-groups and three-groups settings above with 54-round phases,
+    # where the union bound counts failures and wrong majorities alike: at
+    # every run's first draw it is KLM_CUTOFF or more (about 1.6 and 1.9),
+    # so the draw refuses every call before drawing anything and the
+    # rounds are simulated.
+    config = cfg(n, 0.2)
+    schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(54, 54, 54))
+    keys, _, firsts, branches = _staggered_path(config, schedule, np.repeat(offsets, sizes), 0, 20, False)
+    assert sum(keys.values()) == 20 and branches["called"] == 20 and not branches["taken"], branches
+    assert min(_staggered_union_bound(*first) for first in firsts) >= KLM_CUTOFF
+
+
 def test_wrong_weights_exact_enumeration():
     # a listener that holds 7 samples, 4 of them correct, and hears up to 5
     # more (h ~ Binomial(5, 0.6)), each correct with probability 0.7, takes
@@ -829,6 +845,70 @@ def test_tail_failures_match_direct_occupancy():
         assert abs(a - b) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (size, a, b)
     for sizes in (klm, direct):
         assert abs(sizes.mean() - pi) < 4 * sizes.std() / math.sqrt(runs), (sizes.mean(), pi)
+
+
+def test_handoff_inside_the_conditioned_window(monkeypatch):
+    # stage2_draw at n=3 from round 13 with two clock groups and 10-round
+    # windows: agent 0 (group 0) is 3 rounds from the close of its last
+    # window, holding 6 wrong samples, so its close at round 16 often turns
+    # it; agents 1 and 2 (group 1) opened a window at 13 that runs on past
+    # 16, with two senders besides each of them before 16 and one after.
+    # With the cutoff lifted (pi > 1) a returned path has the frozen path's
+    # law given some event, so a hand-off at 16 must hand back group 1's
+    # counters with their law given that agent 0 turns at 16, also for the
+    # conditioned agent I of a pick in group 1, whose heard rounds span
+    # both runs.  Against rounds 13-15 simulated directly (each agent aims
+    # at a uniform other one, and agent 0 takes 5 of its 6 + new samples),
+    # the joint law of (count, correct) must match cell by cell within 4
+    # sigma; given the count the correct samples are Binomial(count, 1-p),
+    # cell by cell and in the mean.  The pick lands in group 1 in over 20%
+    # of the hand-offs.
+    n, p, draws, t, v = 3, 0.4, 3000, 13, 16
+    lengths = (6, 10)
+    opens = np.array([0, 7])
+    gid = np.array([0, 1, 1], np.intp)
+    cnt = np.array([6, 0, 0], np.int32)
+    picked = []
+
+    def occupancy(i, *args):
+        picked.append(i)
+        return _occupancy_given(i, *args)
+
+    monkeypatch.setattr("flipsim.protocols.KLM_CUTOFF", math.inf)
+    monkeypatch.setattr("flipsim.protocols._occupancy_given", occupancy)
+    gen = derive_rng(25, "handoff")
+    seen, mine = Counter(), 0
+    for _ in range(draws):
+        picked.clear()
+        end, _, held, good = stage2_draw(t, opens, lengths, 23, gid, cnt, np.zeros(n), np.zeros(n, bool),
+                                         NoiseChannel(p), gen)
+        if end == v:
+            mine += bool(picked) and gid[picked[0]] == 1
+            seen.update(zip(held[1:].astype(int).tolist(), good[1:].astype(int).tolist()))
+    handoffs = sum(seen.values()) // 2
+    assert handoffs > 0.3 * draws and mine > 0.2 * handoffs, (handoffs, mine)
+    sims = 20 * draws
+    aim = gen.integers(0, n - 1, size=(sims, v - t, n))
+    aim += aim >= np.arange(n)
+    heard = (aim[..., None] == np.arange(n)).any(2).sum(1)     # rounds each agent hears in
+    right = gen.binomial(heard, 1 - p)
+    kept = gen.hypergeometric(right[:, 0], cnt[0] + heard[:, 0] - right[:, 0], 5)
+    turned = kept < 3
+    ref = Counter(zip(heard[turned, 1:].ravel().tolist(), right[turned, 1:].ravel().tolist()))
+    scale = sum(seen.values()) / sum(ref.values())
+    for key in set(seen) | set(ref):
+        x, y = seen[key], ref[key] * scale
+        assert abs(x - y) <= 4 * math.sqrt(x + y * scale + 1), (key, x, y)
+    total = Counter()
+    for (c, _), k in seen.items():
+        total[c] += k
+    for c, size in total.items():
+        for x in range(c + 1):
+            expected = size * math.comb(c, x) * (1 - p) ** x * p ** (c - x)
+            if expected >= 10:
+                assert abs(seen[c, x] - expected) <= 4 * math.sqrt(expected), (c, x, seen[c, x], expected)
+    excess = sum(k * (x - (1 - p) * c) for (c, x), k in seen.items())
+    assert abs(excess) <= 4 * math.sqrt(sum(k * c * p * (1 - p) for (c, _), k in seen.items())), excess
 
 
 @pytest.mark.parametrize("pick", [0, -1], ids=["hit", "missed"])
