@@ -38,7 +38,7 @@ def binomial_tails(n, k, p: float):
     and k, each computed as its own incomplete-beta tail."""
     n = np.asarray(n, np.float64)
     k = np.asarray(k, np.float64)
-    a, b = np.clip(k, 1.0, None), np.clip(n - k + 1.0, 1.0, None)
+    a, b = np.maximum(k, 1.0), np.maximum(n - k + 1.0, 1.0)
     inside = (k > 0) & (k <= n)
     low = np.where(k > n, 1.0, 0.0)     # the lower tail outside 0 < k <= n
     return np.where(inside, betainc(b, a, 1.0 - p), low), np.where(inside, betainc(a, b, p), 1.0 - low)

@@ -268,31 +268,29 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     p = channel.flip_probability
     ends = opens[:, None] + np.cumsum(lengths)      # each group's closes
     leave = ends[:, -1]                             # a group sends before this round, ascending
-    steps, gone = leave.tolist(), [0, *accumulate(np.bincount(gid, minlength=opens.size).tolist())]   # who left by each
     members = [np.flatnonzero(gid == g) for g in range(opens.size)]
+    steps, gone = leave.tolist(), [0, *accumulate(m.size for m in members)]     # who left by each
     g_at, j_at = np.nonzero((ends > t) & (ends <= horizon))
     shut = sorted(zip(ends[g_at, j_at].tolist(), j_at.tolist(), g_at.tolist()))     # the engine's close order
-    laws = {}
 
     def heard_law(a, b):
         """The runs of rounds [a, b) with a fixed count of senders besides a
         listener, and :func:`_heard_law` over them."""
         cuts = [a, *(v for v in steps if a < v < b), b]
         runs = tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, cuts[1:]))
-        if runs not in laws:
-            laws[runs] = (runs, *_heard_law(runs, n))
-        return laws[runs]
+        return (runs, *_heard_law(runs, n))
 
     n_wrong = int(wrong.sum())
+    # W > 0 only under one clock: its start-correct and start-wrong agents
+    classes = [(np.flatnonzero(~wrong), np.flatnonzero(wrong))] if n_wrong else [(m,) for m in members]
     blocks = []     # (close, agents, P(B) or beta per agent, q)
     for k, (e, j, g) in enumerate(shut):
         s = lengths[j] // 2
         below = heard_law(max(t, e - lengths[j]), e)[3]     # below[y] = P(heard < y)
-        for c in range(1 + (n_wrong > 0)):
-            agents = members[g][wrong[members[g]] == c] if n_wrong else members[g]
+        for c, agents in enumerate(classes[g]):
             if agents.size:
                 fresh = e - lengths[j] >= t
-                fail = below[np.clip(s - (0 if fresh else cnt[agents]), 0, below.size - 1)]
+                fail = below[min(s, below.size - 1) if fresh else np.clip(s - cnt[agents], 0, below.size - 1)]
                 law = phase_class(fail, s, (n_wrong - c) / (n - 1), p)
                 event = law.event if fresh else \
                     fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - law.q)
@@ -495,16 +493,21 @@ def _binomial_pmf(r, h, size):
     return pmf
 
 
+@lru_cache(maxsize=256)
 def _heard_law(runs, n):
     """For rounds in ``runs`` of ``(rounds, m)``, m the senders besides a
     listener in each of them: the law of the rounds it hears in each run,
     Binomial(rounds, 1-(1-1/(n-1))^m), the law of the sum over the runs from
-    each one on, and ``below[y]`` = P(the whole sum is below y)."""
-    laws = [_binomial_pmf(r, 1.0 - ((n - 2) / (n - 1)) ** m, r + 1) for r, m in runs]
+    each one on, and ``below[y]`` = P(the whole sum is below y), read-only:
+    the windows of a layout recur from draw to draw."""
+    laws = tuple(_binomial_pmf(r, 1.0 - ((n - 2) / (n - 1)) ** m, r + 1) for r, m in runs)
     suffix = [np.ones(1)]
     for law in reversed(laws):
         suffix.insert(0, np.convolve(law, suffix[0]))
-    return laws, suffix, np.concatenate(([0.0], np.cumsum(suffix[0])))
+    below = np.concatenate(([0.0], np.cumsum(suffix[0])))
+    for a in (*suffix, below):
+        a.flags.writeable = False
+    return laws, tuple(suffix), below
 
 
 def _log_comb(a, b):
