@@ -43,8 +43,9 @@ fast without changing any distribution:
   its union bound is ``KLM_CUTOFF`` or more: under one clock each window
   that opens with every agent holding an opinion (its law is
   :func:`~flipsim.oracle.phase_law`), under staggered clocks the rest of
-  the run from right after the last opinion change, when every agent is
-  correct, up to the first close that changes an opinion again.
+  the run from the latest group's first stage-2 close, or from right
+  after a later opinion change once every agent is correct, up to the
+  first close whose outcome differs from every member ending correct.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines.  Every draw of the windowed engine consumes
@@ -58,7 +59,7 @@ simulated round passes, and ``flipsim.protocols.stage2_draw``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -205,7 +206,12 @@ def _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen):
 # round at n = 4096 and 2424 against 1637 us at n = 2^16 (ratios 0.660 and
 # 0.675), and a desync draw at n = 4096 forced into it 0.304 against 0.221 s
 # (0.727).  So a draw pays while pi is below the smallest ratio.  No stage-2
-# phase of the golden grids or the benchmark workloads has pi in [0.56, 1).
+# draw of the golden grids or the benchmark workloads has pi in [0.56, 1).
+# The first staggered draw of a desync-n12 input (n = 4096, eps 0.25, seeds
+# 5, 4242 and 11) comes at the latest group's first stage-2 close, with 46-80
+# agents still wrong under supplied clocks and 20-84 with the preamble; its
+# pi is 0.00088-0.00089 and 0.00028.  A refused staggered try costs about
+# 5 ms (n = 4096, eps 0.4, where the final phase alone has pi = 1.46).
 KLM_CUTOFF = 0.66
 
 
@@ -221,46 +227,59 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     window of rounds before ``opens[g] + sum(lengths[:j+1])``; agent i, in
     group ``gid[i]``, holds ``cnt[i]`` samples in its current window,
     ``corr[i]`` of them correct, and its opinion is wrong where ``wrong`` is
-    set; an agent sends while its group is in stage 2.  Either one group
-    opens a window at t that closes at ``horizon``, with any number W of
-    wrong agents, or no agent is wrong (W = 0).
+    set; an agent sends while its group is in stage 2.
 
-    The frozen path runs the rounds with every opinion held as it is at t,
-    and closes windows as the engine does.  Let B_ij be "agent i fails in
-    window j (fewer than s = m_j/2 samples), or ends it on a wrong
-    majority".  The rounds i hears in the rest of window j are a
-    Poisson-binomial sum (:func:`_heard_law`), and each new sample is
-    correct with probability q = (1-p)(1-w) + p w, w the wrong share among
-    the other agents, independently.  So in a window that opens at t or
-    later the wrong majority is a coin, and beta_ij = P(B_ij) = fail +
-    (1-fail) coin (:func:`oracle.phase_class`; for one group
-    :func:`oracle.phase_law`).  In a window that opened before t, beta_ij =
-    fail + (1-fail) b bounds P(B_ij), b from :func:`_wrong_bound`.
+    The reference path runs the rounds with opinions fixed between closes,
+    closes windows as the engine does, and at every close leaves each member
+    of the closing group correct: the outcome without failures and wrong
+    majorities, so its opinions are deterministic.  Let B_ij be "agent i
+    fails in window j (fewer than s = m_j/2 samples), or ends it on a wrong
+    majority".  Cut at every close, the rest of window j falls into runs of
+    rounds with a fixed count of senders besides i and a fixed share w of
+    wrong ones among them.  The rounds i hears are a Poisson-binomial sum
+    (:func:`_heard_law`), and a sample from a run is correct with probability
+    q = (1-p)(1-w) + p w, independently.  The bound law gives every new
+    sample of the window the smallest q of its runs, which makes a wrong
+    majority likelier.  In a window that opens at t or later, beta_ij = fail
+    + (1-fail) coin, the coin the wrong majority of s samples under the
+    bound law (:func:`oracle.phase_class`; with one share, as in one group's
+    window, beta_ij = P(B_ij) and the law is :func:`oracle.phase_law`).  In
+    a window that opened before t, beta_ij = fail + (1-fail) b, b from
+    :func:`_wrong_bound`.
 
     The Karp-Luby-Madras sampler: with probability pi = sum of beta_ij pick
-    (I, J) with probability beta_IJ/pi; with probability P(B_IJ)/beta_IJ
-    draw I's rounds in window J given B_IJ (its count, its subset's
-    composition (:func:`_wrong_weights`), and the class of each sender it
-    picked), run the frozen path given them (:func:`_occupancy_given` in
-    window J, the kernel elsewhere), close every window, and keep the path
-    with probability 1/|F|, F the pairs whose B holds.  In every other case
-    no B_ij happens: every close succeeds and ends correct.  A path X with
-    a nonempty F is drawn with probability sum over F of beta_ij P(B_ij) /
+    (I, J) with probability beta_IJ/pi; draw I's rounds in window J under
+    the bound law given its event (its count, its subset's composition
+    (:func:`_wrong_weights`), a uniformly random round for each sample
+    type, since there the samples are exchangeable), thin each wrong subset
+    sample to its run's law (it turns correct with probability (q_run - q) /
+    (1 - q)), and draw the class of each sender I picked.  Where B_IJ no
+    longer holds, and in the slack of beta_IJ over the bound law's event, no
+    B_ij happens; so B_IJ and I's rounds are drawn with probability
+    P(B_IJ)/beta_IJ and with their law given B_IJ.  Then run the
+    reference path given them (:func:`_occupancy_given` in window J, the
+    kernel elsewhere), close every window, and keep the path with
+    probability 1/|F|, F the pairs whose B holds.  In every other case no
+    B_ij happens: every close succeeds and ends correct.  A path X with a
+    nonempty F is drawn with probability sum over F of beta_ij P(B_ij) /
     beta_ij P(X | B_ij) / |F| = P(X), its own.
 
-    The real path uses the same rounds as the frozen one as long as no
+    The real path uses the same rounds as the reference one as long as no
     opinion differs, opinions change only at closes, and the closes of one
-    round read the counters of the rounds before it.  So the two paths agree
-    through the first round e at which a close changes an opinion (a
-    stopping time), and the real state there (opinions and counters) has
-    the frozen state's law; past it the engine simulates the rounds.  That
-    prefix is what makes the draw exact.  Returns ``(end, closes, cnt,
-    corr)``: the round the engine resumes at, e or ``horizon``, the closes
-    through it in the engine's order as ``(j, g, failed, turned)`` (the
-    agents that fail, and those whose majority is wrong), and every agent's
-    counters there.  Returns None when pi >= KLM_CUTOFF, before drawing
-    anything, or at n = 2, where each agent hears in every round and no
-    sender can aim past I; the caller then simulates the rounds.
+    round read the counters of the rounds before it.  The two first differ
+    at a close where a wrong agent fails or ends on a wrong majority, or a
+    correct one ends on a wrong majority.  So they agree through the first
+    round e with such a close (a stopping time), and the real state there
+    (opinions and counters) has the reference state's law; past it the
+    engine simulates the rounds.  That prefix is what makes the draw exact.
+    Returns ``(end, closes, cnt, corr)``: the round the engine resumes at, e
+    or ``horizon``, the closes through it in the engine's order as ``(j, g,
+    failed, turned)`` (the agents that fail and keep their opinions, and
+    those whose majority is wrong; every other member ends correct), and
+    every agent's counters there.  Returns None when pi >= KLM_CUTOFF,
+    before drawing anything, or at n = 2, where each agent hears in every
+    round and no sender can aim past I; the caller then simulates the
+    rounds.
     """
     n = gid.size
     if n < 3:
@@ -272,30 +291,42 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     steps, gone = leave.tolist(), [0, *accumulate(m.size for m in members)]     # who left by each
     g_at, j_at = np.nonzero((ends > t) & (ends <= horizon))
     shut = sorted(zip(ends[g_at, j_at].tolist(), j_at.tolist(), g_at.tolist()))     # the engine's close order
+    # the rounds at which a run of fixed wrong share starts, and that share
+    # for a correct listener and for a wrong one: the reference turns a
+    # wrong agent correct at its group's first close after t, and a group
+    # that left by t sends nothing
+    bounds = sorted({t, *(e for e, _, _ in shut)})
+    after = ends > t
+    turns = np.sort(np.where(after.any(1), ends[np.arange(opens.size), after.argmax(1)], t)[gid[wrong]])
+    senders = n - 1 - np.array([gone[bisect_right(steps, u)] for u in bounds])
+    left = turns.size - np.searchsorted(turns, bounds, "right")
+    shares = [left / np.maximum(senders, 1), (left - 1) / np.maximum(senders, 1)]
 
     def heard_law(a, b):
         """The runs of rounds [a, b) with a fixed count of senders besides a
         listener, and :func:`_heard_law` over them."""
-        cuts = [a, *(v for v in steps if a < v < b), b]
-        runs = tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, cuts[1:]))
+        cuts = [a, *(v for v in steps if a < v < b)]
+        runs = tuple((v - u, n - 1 - gone[bisect_right(steps, u)]) for u, v in zip(cuts, [*cuts[1:], b]))
         return (runs, *_heard_law(runs, n))
 
-    n_wrong = int(wrong.sum())
-    # W > 0 only under one clock: its start-correct and start-wrong agents
-    classes = [(np.flatnonzero(~wrong), np.flatnonzero(wrong))] if n_wrong else [(m,) for m in members]
-    blocks = []     # (close, agents, P(B) or beta per agent, q)
+    blocks = []     # (close, agents, P(B) or beta per agent, q, listener wrong)
     for k, (e, j, g) in enumerate(shut):
         s = lengths[j] // 2
-        below = heard_law(max(t, e - lengths[j]), e)[3]     # below[y] = P(heard < y)
-        for c, agents in enumerate(classes[g]):
+        a = max(t, e - lengths[j])
+        below = heard_law(a, e)[3]     # below[y] = P(heard < y)
+        fresh = e - lengths[j] >= t
+        mem = members[g]
+        # a window open at t holds the agents wrong at t until its close
+        classes = (mem[~wrong[mem]], mem[wrong[mem]]) if e - lengths[j] <= t else (mem,)
+        span = slice(bisect_left(bounds, a), bisect_left(bounds, e))     # the window's runs
+        for c, agents in enumerate(classes):
             if agents.size:
-                fresh = e - lengths[j] >= t
                 fail = below[min(s, below.size - 1) if fresh else np.clip(s - cnt[agents], 0, below.size - 1)]
-                law = phase_class(fail, s, (n_wrong - c) / (n - 1), p)
+                law = phase_class(fail, s, shares[c][span].max(), p)
                 event = law.event if fresh else \
                     fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - law.q)
-                blocks.append((k, agents, event, law.q))
-    weights = np.cumsum([event.sum() if np.ndim(event) else agents.size * event for _, agents, event, _ in blocks])
+                blocks.append((k, agents, event, law.q, c))
+    weights = np.cumsum([event.sum() if np.ndim(event) else agents.size * event for _, agents, event, _, _ in blocks])
     pi = float(weights[-1])
     if pi >= KLM_CUTOFF:
         return None
@@ -304,7 +335,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     quiet = horizon, [(j, g, none, none) for _, j, g in shut], zero, zero
     if gen.random() >= pi:
         return quiet
-    k, agents, event, q = blocks[min(int(np.searchsorted(weights, gen.random() * pi, "right")), len(blocks) - 1)]
+    k, agents, event, q, c = blocks[min(int(np.searchsorted(weights, gen.random() * pi, "right")), len(blocks) - 1)]
     if np.ndim(event):
         x = min(int(np.searchsorted(np.cumsum(event), gen.random() * event.sum(), "right")), agents.size - 1)
         i, event = int(agents[x]), event[x]
@@ -319,6 +350,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     fail = below[need]
     u = gen.random() * event
     lost = u >= fail        # I succeeds, on a wrong majority
+    x = v = 0
     if not lost:
         law = suffix[0][:need]
         h = int(gen.choice(need, p=law / law.sum()))
@@ -326,40 +358,51 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     else:
         hx, xv = _wrong_weights(held, good, suffix[0], s, q)
         if held and u >= fail + hx.sum():
-            return quiet        # the slack of beta_IJ over P(B_IJ)
+            return quiet        # the slack of beta_IJ over the bound law's P(B_IJ)
         by_h = hx.sum(1)[need:][::-1]       # by rounds missed, ascending
         h = hx.shape[0] - 1 - int(gen.choice(by_h.size, p=by_h / by_h.sum()))
-        x = v = 0
         if held:
             x = int(gen.choice(hx.shape[1], p=hx[h] / hx[h].sum()))
             v = int(gen.choice(xv.shape[1], p=xv[x] / xv[x].sum()))
         sub = s - x     # new samples in the subset, of which z are correct
         z = _truncated_binomial(sub, q, s // 2 - x + v + 1, gen)
-    w = (n_wrong - wrong[i]) / (n - 1)
-    # a picked sender is wrong-class with probability w, updated on the
-    # sample it gave when that sample lies in the subset
-    cell = np.concatenate((np.full(z, w * p / q), np.full(sub - z, w * (1.0 - p) / (1.0 - q)),
-                           np.full(h - sub, w))) if w else 0.0
-    classes = gen.random(h) < cell
-    counts, left = [], h    # I's heard rounds per run, given their sum
-    for law, rest in zip(per[:-1], suffix[1:]):
-        y = left - np.arange(min(law.size, left + 1))
-        w = law[:y.size] * np.where(y < rest.size, rest[np.minimum(y, rest.size - 1)], 0.0)
+    # I's samples by index: z correct ones in its subset, sub - z wrong ones
+    # there, h - sub outside it; a picked sender is wrong-class with its
+    # run's share w, which the subset samples update on the sample they gave
+    flags = gen.random(h)
+    counts, rest = [], h    # I's heard rounds per run, given their sum
+    for law, tail in zip(per[:-1], suffix[1:]):
+        y = rest - np.arange(min(law.size, rest + 1))
+        w = law[:y.size] * np.where(y < tail.size, tail[np.minimum(y, tail.size - 1)], 0.0)
         counts.append(int(gen.choice(y.size, p=w / w.sum())))
-        left -= counts[-1]
-    counts.append(left)
+        rest -= counts[-1]
+    counts.append(rest)
     starts = np.cumsum([0, *(r for r, _ in runs)])
-    at = np.concatenate([o + gen.permutation(r)[:c] for (r, _), o, c in zip(runs, starts, counts)])   # by sample
+    at = np.concatenate([o + gen.permutation(r)[:m] for (r, _), o, m in zip(runs, starts, counts)])   # by sample
+    if len(runs) > 1:
+        at = gen.permutation(at)    # each sample type at uniformly random rounds
+    ws = shares[c][np.searchsorted(bounds, a + at, "right") - 1]     # each sample's run's wrong share
+    qs = (1.0 - p) * (1.0 - ws) + p * ws
+    right = np.arange(sub) < z      # I's subset samples that are correct
+    thin = np.flatnonzero(qs[z:sub] > q) + z    # wrong ones from runs likelier correct than the bound's
+    if thin.size:
+        right[thin] = gen.random(thin.size) < _turn_correct(qs[thin], q)
+        if right.sum() + x - v > s // 2:
+            return quiet        # B_IJ no longer holds
+    with np.errstate(divide="ignore", invalid="ignore"):      # 0/0 where no sender is wrong
+        cell = np.concatenate((np.where(right, ws[:sub] * p / qs[:sub], ws[:sub] * (1.0 - p) / (1.0 - qs[:sub])),
+                               ws[sub:]))
+    classes = flags < np.where(ws > 0.0, cell, 0.0)
     pick = np.full(e - a, -1, np.int8)      # per round: -1 I hears nothing, else its pick is wrong-class
     pick[at] = classes
 
-    cnt = cnt.astype(np.int64)      # the frozen path's counters
+    cnt = cnt.astype(np.int64)      # the reference path's counters
     corr = corr.astype(np.float64)
+    wrong = wrong.copy()            # ... and its wrong agents
     vote = np.empty(n, np.int8)
     buffers = None
     closes, found, stop, pos = [], 0, None, 0
-    cuts = sorted({t, *(c[0] for c in shut)})
-    for u, v in zip(cuts, cuts[1:]):
+    for u, v in zip(bounds, bounds[1:]):
         sending = leave[gid] > u
         if a <= u < e:
             heard, match = _occupancy_given(i, pick[u - a:v - a], wrong, channel, gen, sending)
@@ -371,7 +414,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
                                                      v - u, n, channel, gen, buffers)
         cnt += heard * sending
         corr += match * sending
-        first = len(closes)
+        differs = False
         while pos < len(shut) and shut[pos][0] == v:
             _, jv, gv = shut[pos]
             pos += 1
@@ -386,11 +429,14 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
             turned = others[vote[others] == 0]
             if mine and lost:
                 turned = np.sort(np.append(turned, i))
-            closes.append((jv, gv, mem[~ok], turned))
-            found += (~ok).sum() + turned.size
+            failed = mem[~ok]
+            closes.append((jv, gv, failed, turned))
+            found += failed.size + turned.size
+            differs |= turned.size > 0 or wrong[failed].any()
+            wrong[mem] = False
             cnt[mem] = 0
             corr[mem] = 0
-        if stop is None and any(c[3].size for c in closes[first:]):
+        if stop is None and differs:
             stop = v, len(closes), cnt.copy(), corr.copy()
     if gen.random() * found >= 1.0:
         return quiet
@@ -398,16 +444,22 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         return horizon, closes, zero, zero
     v, upto, cnt, corr = stop
     if a < v < e:
-        # I's window J is still open at v, which needs several groups and so
-        # W = 0: I's samples are exchangeable over its heard rounds, and the
-        # k heard before v hold a uniform k of its h samples (z correct and
-        # sub - z wrong ones in the subset, h - sub outside it), whichever
-        # runs ``at`` gave each type
-        k = int((at < v - a).sum())
-        inside, _, outside = gen.multivariate_hypergeometric([z, sub - z, h - sub], k)
-        cnt[i] += k
-        corr[i] += inside + gen.binomial(outside, q)
+        # I's window J is still open at v: the samples it heard before v,
+        # and the correct ones among them (an outside sample is correct
+        # with probability 1-p from a correct-class sender, p from a wrong one)
+        early = at < v - a
+        outside = classes[sub:][early[sub:]]
+        cnt[i] += early.sum()
+        corr[i] += (right & early[:sub]).sum() + (gen.random(outside.size) < np.where(outside, p, 1.0 - p)).sum()
     return v, closes[:upto], cnt, corr
+
+
+def _turn_correct(qs, q):
+    """The thinning of a wrong sample drawn under the bound law, correct
+    with probability q, to its run's law, correct with probability qs >= q:
+    it turns correct with probability (qs - q) / (1 - q), so that it ends
+    correct with probability q + (1 - q)(qs - q)/(1 - q) = qs."""
+    return (qs - q) / (1.0 - q)
 
 
 def _occupancy_given(i, pick, wrong, channel, gen, sending=None):
@@ -610,12 +662,15 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     span is one round, because an agent that hears starts sending in the
     next round.  Once every group is in stage 2, one branch hands rounds to
     :func:`stage2_draw`: with one group, every window that opens with every
-    agent holding an opinion; with several, the rest of the run, at the
+    agent holding an opinion; with several, the rest of the run, once at
+    the first span start at which every group has closed its first stage-2
+    window (with the agents still wrong there), and after that at the
     first span start at which every agent is correct after each opinion
-    change (any close's).  A draw returns the closes it covers, which
-    ``close`` applies, and the round and counters the loop resumes from;
-    None leaves the rounds simulated.  The run ends when the last window of
-    the latest group has closed.
+    change (any close's), so a refused draw is not retried at every close.
+    A draw returns the closes it covers, which ``close`` applies, and the
+    round and counters the loop resumes from; None leaves the rounds
+    simulated.  The run ends when the last window of the latest group has
+    closed.
     """
     n = config.n
     channel = config.channel
@@ -667,6 +722,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
 
     last_change = -math.inf     # the last round that follows a close that changed an opinion
     tried = None    # last_change when a staggered draw was last tried
+    settled = False     # whether one was tried once every group had closed its first stage-2 window
 
     def close(code_v, g, drawn=None):
         """Close window ``code_v`` for clock group ``g``, drawing its subset
@@ -712,9 +768,12 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             if groups.size == 1:
                 if (opinion >= 0).all():    # a window opens now: spans end at window edges
                     horizon = t + lengths[int(gcode[0]) - t1 - 1]
-            elif tried != last_change and (opinion == correct).all():
-                tried = last_change
-                horizon = int(groups[-1]) + local_total
+            else:
+                late = t >= groups[-1] + open2 + lengths[0]
+                if (late and not settled and (opinion >= 0).all()
+                        or tried != last_change and (opinion == correct).all()):
+                    tried, settled = last_change, late
+                    horizon = int(groups[-1]) + local_total
         if horizon is not None:
             drawn = stage2_draw(t, groups + open2, lengths, horizon, gid, cnt, corr, opinion != correct, channel, gen)
             if drawn is not None:
@@ -837,8 +896,8 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     the realized ``DesyncInfo.offset_spread`` has the law of push rumor
     spreading's completion time (A13 in ``tests/test_acceptance.py``).
     Either way the clock groups close their windows at different rounds, and
-    the rest of stage 2 from the last opinion change on is drawn by
-    :func:`stage2_draw` (see :func:`_run_windows`).
+    the rest of stage 2 from the latest group's first stage-2 close on is
+    drawn by :func:`stage2_draw` (see :func:`_run_windows`).
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n

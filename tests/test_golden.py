@@ -90,8 +90,8 @@ GOLDEN = {
 RECORDED = {
     "broadcast": "d62ccb793679b5b2",
     "consensus": "673df4c674e2e090",
-    "desync-clocks": "d8ff70d59becfe84",
-    "desync-preamble": "ce06165577dab74a",
+    "desync-clocks": "79b0e50f65f2cc7b",
+    "desync-preamble": "d20e962204585a50",
 }
 
 

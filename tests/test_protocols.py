@@ -27,16 +27,18 @@ from flipsim import (
     run_majority_consensus,
 )
 from flipsim.model import deliver_span_counts
-from flipsim.oracle import phase_law
+from flipsim.oracle import phase_class, phase_law
 from flipsim.params import _ceil_log2, clock_bound
 from flipsim.protocols import (
     KLM_CUTOFF,
+    _heard_law,
     _local_windows,
     _occupancy_given,
     _run_windows,
     _stage1_pick,
     _stage2_apply,
     _truncated_binomial,
+    _turn_correct,
     _wrong_bound,
     _wrong_weights,
     stage2_draw,
@@ -180,42 +182,46 @@ def test_stage1_pick_exact_law():
                 assert abs(share - q) < 4 * math.sqrt(q * (1 - q) / agents), (k, j)
 
 
-def test_count_path_matches_permutation_path(monkeypatch):
-    # The count kernel and stage-1 pick must give the law of the permutation
-    # kernel, installed here in the engine through an adapter, at the SMALL
-    # constants; mean per-phase y and z and the first stage-2 start fraction
-    # must agree within 4 sigma.  Every round the engine simulates must
-    # reach the adapter: with the rounds covered by the drawn stage-2
-    # path, they make up the whole run.
-    runs = 1500
-    config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
-    assert derive_schedule(64, config.channel, SMALL).t_phases == 1
-    seen = [0, 0]     # rounds through the adapter, rounds drawn by the shortcut
+def _count_path(config, runs, reference):
+    """``runs`` broadcasts on one path, the count kernel or, when
+    ``reference``, the permutation kernel through an adapter: per run, the
+    per-phase stage-1 y and z and the first stage-2 start fraction.  Every
+    round the engine simulates must reach the kernel: with the rounds
+    covered by the drawn stage-2 path, they make up the whole run."""
+    seen = [0, 0]     # rounds through the kernel, rounds drawn by the shortcut
+    kernel = permutation_counts if reference else deliver_span_counts
 
     def adapter(carriers, others, rounds, *args):
         seen[0] += rounds
-        return permutation_counts(carriers, others, rounds, *args)
+        return kernel(carriers, others, rounds, *args)
 
     def shortcut(t, *args):
         drawn = stage2_draw(t, *args)
         seen[1] += drawn[0] - t if drawn is not None else 0
         return drawn
 
-    samples = []
-    for reference in (False, True):
-        if reference:
-            monkeypatch.setattr("flipsim.protocols.deliver_span_counts", adapter)
-            monkeypatch.setattr("flipsim.protocols.stage2_draw", shortcut)
-        rows = []
+    rows = []
+    with mock.patch("flipsim.protocols.deliver_span_counts", adapter), \
+            mock.patch("flipsim.protocols.stage2_draw", shortcut):
         for seed in range(runs):
             seen[:] = [0, 0]
             out = run_broadcast(config, rng=derive_rng(seed, "paths", reference))
-            if reference:
-                assert seen[0] > 0 and sum(seen) == out.rounds_used, (seen, out.rounds_used)
+            assert seen[0] > 0 and sum(seen) == out.rounds_used, (seen, out.rounds_used)
             row = [v for m in out.stage1.per_phase for v in (m.y, m.z)]
             rows.append(row + [out.stage2[0].start_correct_fraction])
-        samples.append(np.array(rows, float))
-    count, perm = samples
+    return np.array(rows, float)
+
+
+def test_count_path_matches_permutation_path():
+    # The count kernel and stage-1 pick must give the law of the permutation
+    # kernel, installed in the engine through an adapter (_count_path), at
+    # the SMALL constants; mean per-phase y and z and the first stage-2
+    # start fraction must agree within 4 sigma.  The two paths run in two
+    # forked processes.
+    runs = 1500
+    config = SimConfig(n=64, channel=NoiseChannel.from_epsilon(0.25), constants=SMALL)
+    assert derive_schedule(64, config.channel, SMALL).t_phases == 1
+    count, perm = _forked(*((_count_path, config, runs, reference) for reference in (False, True)))
     sigma = np.sqrt(count.var(0, ddof=1) / runs + perm.var(0, ddof=1) / runs)
     assert (np.abs(count.mean(0) - perm.mean(0)) < 4 * sigma).all(), (count.mean(0), perm.mean(0))
 
@@ -305,8 +311,34 @@ def _one_phase_run(config, schedule, gen, wrong):
     return record.successful_count, int(ends_wrong[wrong:].sum()), int(ends_wrong[:wrong].sum())
 
 
+def _unanimous_path(config, schedule, wrong, runs, simulated):
+    """``runs`` one-phase runs from a start with ``wrong`` agents wrong on
+    one path, the drawn stage-2 path patched out when ``simulated``, the
+    cutoff lifted to 1: the keys of :func:`_one_phase_run`, |F| of each
+    drawn phase, and how many phases ran the Karp-Luby-Madras branch."""
+    events = []     # |F| of each drawn phase
+    branches = [0]  # phases that ran the Karp-Luby-Madras branch
+
+    def drawn_phase(*args):
+        out = stage2_draw(*args)
+        ((_, _, failed, turned),) = out[1]
+        events.append(failed.size + turned.size)
+        return out
+
+    def occupancy(*args):
+        branches[0] += 1
+        return _occupancy_given(*args)
+
+    with mock.patch("flipsim.protocols.stage2_draw", (lambda *args: None) if simulated else drawn_phase), \
+            mock.patch("flipsim.protocols._occupancy_given", occupancy), \
+            mock.patch("flipsim.protocols.KLM_CUTOFF", 1.0):
+        gen = derive_rng(16, "unanimous", wrong, simulated)
+        keys = [_one_phase_run(config, schedule, gen, wrong) for _ in range(runs)]
+    return keys, events, branches[0]
+
+
 @pytest.mark.filterwarnings("ignore:epsilon")  # n=20 at eps=0.35 sits outside the regime by design
-def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
+def test_unanimous_phase_matches_simulated_rounds():
     # One 54-round phase at n=20 and eps=0.35 that opens with W in {0, 2, 5}
     # agents wrong: pi = 0.23, 0.24 and 0.84, with failures and wrong
     # majorities both in it; the cutoff is lifted to 1 so that the draw
@@ -317,7 +349,8 @@ def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
     # 4 sigma, and the Karp-Luby-Madras branch must run in over 10% of the
     # drawn phases.  On both paths the mean number of agents ending wrong
     # must match its exact law, and on the drawn path E|F| = pi, F the
-    # agents that fail or end on a wrong majority.
+    # agents that fail or end on a wrong majority.  The two paths run in
+    # two forked processes.
     n, m, runs = 20, 54, 4000
     config = cfg(n, 0.35)
     p = config.channel.flip_probability
@@ -327,37 +360,16 @@ def test_unanimous_phase_matches_simulated_rounds(monkeypatch):
         assert 0.2 < pi < 0.9
         expected = sum(agents * (1 - cls.correct)
                        for agents, cls in zip((n - wrong, wrong), phase_law(n, m, wrong, p)))
-        tables = []
-        for simulated in (False, True):
-            events = []     # |F| of each drawn phase
-            branches = [0]  # phases that ran the Karp-Luby-Madras branch
-
-            def drawn_phase(*args):
-                out = stage2_draw(*args)
-                ((_, _, failed, turned),) = out[1]
-                events.append(failed.size + turned.size)
-                return out
-
-            def occupancy(*args):
-                branches[0] += 1
-                return _occupancy_given(*args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr("flipsim.protocols.stage2_draw",
-                              (lambda *args: None) if simulated else drawn_phase)
-                patch.setattr("flipsim.protocols._occupancy_given", occupancy)
-                patch.setattr("flipsim.protocols.KLM_CUTOFF", 1.0)
-                gen = derive_rng(16, "unanimous", wrong, simulated)
-                keys = [_one_phase_run(config, schedule, gen, wrong) for _ in range(runs)]
-            tables.append(Counter(keys))
+        paths = _forked(*((_unanimous_path, config, schedule, wrong, runs, simulated) for simulated in (False, True)))
+        for simulated, (keys, events, branches) in zip((False, True), paths):
             ends = np.array([a + b for _, a, b in keys], float)
             sigma = max(ends.std(), math.sqrt(expected)) / math.sqrt(runs)
             assert abs(ends.mean() - expected) < 4 * sigma, (wrong, ends.mean(), expected)
             if not simulated:
-                assert len(events) == runs and branches[0] > 0.1 * runs, (wrong, branches)
+                assert len(events) == runs and branches > 0.1 * runs, (wrong, branches)
                 events = np.array(events, float)
                 assert abs(events.mean() - pi) < 4 * events.std() / math.sqrt(runs), (wrong, events.mean(), pi)
-        drawn, simulated = tables
+        drawn, simulated = (Counter(keys) for keys, _, _ in paths)
         for key in set(drawn) | set(simulated):
             a, b = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
             pooled = (a + b) / 2
@@ -546,13 +558,15 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
 @pytest.mark.parametrize("preamble", [False, True], ids=["clocks", "preamble"])
 def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
     # under staggered clocks (supplied or set by the preamble) the drawn
-    # stage-2 path never draws one window of one clock: every draw starts
-    # with every agent correct and runs to the end of the run, and the
-    # rounds still outnumber the schedule's
+    # stage-2 path never draws one window of one clock: every draw runs to
+    # the end of the run and starts at the latest group's first stage-2
+    # close or with every agent correct, and the rounds still outnumber the
+    # schedule's
     calls = []
 
     def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
-        assert opens.size > 1 and not wrong.any() and horizon == opens.max() + sum(lengths)
+        assert opens.size > 1 and horizon == opens.max() + sum(lengths)
+        assert t == opens.max() + lengths[0] or not wrong.any(), (t, opens.max() + lengths[0], wrong.sum())
         calls.append(t)
         return stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
 
@@ -571,30 +585,39 @@ def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
 
 def _staggered_union_bound(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel):
     """pi = the sum of beta_ij over every (agent, phase-j window) that closes
-    after round t, every agent correct: beta_ij = f + (1-f) b, f = P(agent
-    i ends its window with fewer than s_j = m_j/2 samples), built round by
-    round (agent i hears in round u with probability 1-(1-1/(n-1))^(m_u-1),
-    m_u the agents of the groups still in stage 2, and starts from
-    ``cnt[i]`` in a window that opened before t), and b the chance of a
-    wrong majority: P(Binomial(s_j, p) > s_j/2), or its bound
+    after round t: beta_ij = f + (1-f) b, f = P(agent i ends its window with
+    fewer than s_j = m_j/2 samples), built round by round (agent i hears in
+    round u with probability 1-(1-1/(n-1))^(m_u-1), m_u the agents of the
+    groups still in stage 2, and starts from ``cnt[i]`` in a window that
+    opened before t), and b the chance of a wrong majority when each sample
+    is wrong with the largest probability r = 1 - q over the window's rounds
+    (q = (1-p)(1-w) + p w, w the share of wrong agents among the other
+    senders, an agent wrong at t counting as wrong until its group's first
+    close after t): P(Binomial(s_j, r) > s_j/2), or its bound
     :func:`_wrong_bound` in a window that opened before t."""
     n, p = gid.size, channel.flip_probability
     ends = opens[:, None] + np.cumsum(lengths)
+    turn = np.array([min([e for e in row if e > t], default=t) for row in ends])[gid]
     pi = 0.0
     for g, j in zip(*np.nonzero((ends > t) & (ends <= horizon))):
         m = lengths[j]
         law = np.zeros(m + 1)
         law[0] = 1.0
-        for u in range(max(t, ends[g, j] - m), ends[g, j]):
+        rounds = np.arange(max(t, ends[g, j] - m), ends[g, j])
+        for u in rounds:
             h = 1 - (1 - 1 / (n - 1)) ** ((ends[gid, -1] > u).sum() - 1)
             law[1:] = law[1:] * (1 - h) + law[:-1] * h
             law[0] *= 1 - h
+        sending = ends[gid, -1] > rounds[:, None]       # a row per round
+        bad = sending & wrong & (turn > rounds[:, None])
         for i in np.flatnonzero(gid == g):
             held = cnt[i] if ends[g, j] - m < t else 0
             f = law[:max(m // 2 - held, 0)].sum()
             s = m // 2
-            b = (_wrong_bound(s, held, held - corr[i], p) if held
-                 else sum(math.comb(s, k) * p ** k * (1 - p) ** (s - k) for k in range(s // 2 + 1, s + 1)))
+            w = (bad.sum(1) - bad[:, i]) / np.maximum(sending.sum(1) - 1, 1)     # i sends in its window
+            r = (1 - ((1 - p) * (1 - w) + p * w)).max()
+            b = (_wrong_bound(s, held, held - corr[i], r) if held
+                 else sum(math.comb(s, k) * r ** k * (1 - r) ** (s - k) for k in range(s // 2 + 1, s + 1)))
             pi += f + (1 - f) * b
     return pi
 
@@ -618,15 +641,19 @@ def _staggered_path(config, schedule, opens, wrong, runs, simulated):
     stage-2 path patched out when ``simulated``: the key table, the agents
     wrong after each phase per run, the inputs of the first draw of each
     run (up to 200), and how many runs called the draw ("called"), took one
-    ("taken"), ran its conditioned branch ("branch") and resumed the
-    simulated rounds before its horizon ("handoff")."""
+    ("taken"), took the first one with some agent wrong ("wrong-start"), ran
+    its conditioned branch ("branch") and resumed the simulated rounds
+    before its horizon ("handoff")."""
     firsts, seen, branches, keys = [], set(), Counter(), []
 
     def draw(*args):
-        if "called" not in seen and len(firsts) < 200:
+        first = "called" not in seen
+        if first and len(firsts) < 200:
             firsts.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:9]))
         seen.add("called")
         out = stage2_draw(*args)
+        if first and out is not None and args[7].any():
+            seen.add("wrong-start")
         seen.update(() if out is None else ("taken", "handoff") if out[0] < args[3] else ("taken",))
         return out
 
@@ -716,11 +743,40 @@ def test_staggered_tail_matches_simulated_rounds(n, eps, sizes, offsets, wrong, 
         assert branches["branch"] > 0.1 * runs and branches["handoff"] > 0.1 * runs, branches
         pi = np.median([_staggered_union_bound(*first) for first in firsts])
         assert 0.2 <= pi < KLM_CUTOFF, pi
+    _assert_paths_agree(drawn, simulated, a, b, runs)
+
+
+def _assert_paths_agree(drawn, simulated, a, b, runs):
+    """The key tables of two paths of ``runs`` runs agree cell by cell
+    within 4 sigma, and so do the mean counts wrong after each phase."""
     for key in set(drawn) | set(simulated):
         x, y = drawn.get(key, 0) / runs, simulated.get(key, 0) / runs
         pooled = (x + y) / 2
         assert abs(x - y) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (key, x, y)
     assert (abs(a.mean(0) - b.mean(0)) <= 4 * np.sqrt((a.var(0) + b.var(0)) / runs)).all(), (a.mean(0), b.mean(0))
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
+def test_staggered_draw_from_wrong_agents_matches_simulated_rounds():
+    # Three 102-round stage-2 phases at n=24, eps=0.2, with groups of 12
+    # that open stage 2 in rounds 2 and 0, and 6 agents of the late group
+    # wrong at the start.  Phase 1 leaves a few agents wrong, and the first
+    # draw of every run comes at the late group's first close (round 104);
+    # the reference path turns its wrong agents correct at their next close.
+    # That first draw must start with W > 0 wrong agents and be taken in
+    # over half of the runs, and the conditioned branch and the hand-off to
+    # the simulated rounds must each run in over 10% of them.  The key
+    # tables of the drawn and the simulated paths, run in two forked
+    # processes, must agree as in the test above.
+    n, m, runs = 24, 102, 4000
+    config = cfg(n, 0.2)
+    schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(m, m, m))
+    (drawn, a, firsts, branches), (simulated, b, _, _) = _forked(
+        *((_staggered_path, config, schedule, np.repeat((2, 0), 12), 6, runs, path) for path in (False, True)))
+    assert all(first[0] == 2 + m for first in firsts), [first[0] for first in firsts]
+    assert branches["wrong-start"] > 0.5 * runs, branches
+    assert branches["branch"] > 0.1 * runs and branches["handoff"] > 0.1 * runs, branches
+    _assert_paths_agree(drawn, simulated, a, b, runs)
 
 
 @pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
@@ -775,6 +831,64 @@ def test_wrong_weights_exact_enumeration():
     assert (wrong_given_h <= _wrong_bound(s, held, held - good, 1 - q) + 1e-15).all()
 
 
+def test_run_bound_and_thinning_exact_enumeration():
+    # A listener's window in two runs of 3 and 4 rounds at n=6, with 5 and
+    # then 4 senders besides it, whose samples are from wrong senders with
+    # share 1/4 in the first run and 0 in the second (a close between them
+    # turned a wrong agent), p=0.2, a subset of s=3.  B = "fewer than s
+    # samples, or a wrong majority".  beta, the event of the bound law that
+    # gives every sample the first run's smaller q (oracle.phase_class at
+    # the larger share), must be at least P(B) summed over every heard
+    # count, subset split and correct count per run.  And the bound law
+    # given a wrong majority, its correct subset samples z spread over the
+    # runs like a uniform subset, each wrong one thinned by _turn_correct,
+    # kept where the majority stays wrong, must give every (heard counts,
+    # subset split, correct count per run) its direct probability, to 1e-12.
+    n, p, s = 6, 0.2, 3
+    shares = (0.25, 0.0)
+    qa, qb = ((1 - p) * (1 - w) + p * w for w in shares)
+    runs = ((3, 5), (4, 4))
+    (law_a, law_b), _, below = _heard_law(runs, n)
+    fail = below[s]
+    bound = phase_class(fail, s, max(shares), p)
+    q = bound.q
+    assert q == min(qa, qb)
+
+    def binom(k, j, r):
+        return math.comb(k, j) * r ** j * (1 - r) ** (k - j) if 0 <= j <= k else 0.0
+
+    direct, drawn = {}, {}
+    for ca, pa in enumerate(law_a):
+        for cb, pb in enumerate(law_b):
+            if ca + cb < s:
+                continue
+            for ya in range(s + 1):     # subset samples from the first run
+                yb = s - ya
+                split = pa * pb * math.comb(ca, ya) * math.comb(cb, yb) / math.comb(ca + cb, s)
+                if not split:
+                    continue
+                for za in range(ya + 1):
+                    for zb in range(yb + 1):
+                        if za + zb <= s // 2:
+                            direct[ca, cb, ya, za, zb] = split * binom(ya, za, qa) * binom(yb, zb, qb)
+                # the bound law: z correct of s, za0 of them among the
+                # first run's ya subset samples, then thinned
+                for z in range(s // 2 + 1):
+                    for za0 in range(min(z, ya) + 1):
+                        w0 = split * binom(s, z, q) * math.comb(ya, za0) * math.comb(yb, z - za0) / math.comb(s, z)
+                        for za in range(za0, ya + 1):
+                            for zb in range(z - za0, yb + 1):
+                                if za + zb <= s // 2:
+                                    key = ca, cb, ya, za, zb
+                                    drawn[key] = drawn.get(key, 0.0) + w0 \
+                                        * binom(ya - za0, za - za0, _turn_correct(qa, q)) \
+                                        * binom(yb - z + za0, zb - z + za0, _turn_correct(qb, q))
+    assert set(direct) == set(drawn)
+    for key, value in direct.items():
+        assert abs(drawn[key] - value) < 1e-12, (key, drawn[key], value)
+    assert bound.event > fail + sum(direct.values()), (bound.event, fail + sum(direct.values()))
+
+
 def test_stage2_rounds_end_at_the_last_opinion_change(monkeypatch):
     # A supplied-clock desync run at n=1024 whose stage-2 phase 2 ends all
     # correct: the drawn stage-2 path takes over right after the last
@@ -803,6 +917,40 @@ def test_stage2_rounds_end_at_the_last_opinion_change(monkeypatch):
     simulated = sum(r for what, r in log if what == "stage 2")
     assert not [r for what, r in log[last:] if what == "stage 2"], log[last:]
     assert 0 < simulated < out.rounds_used - sum(derive_schedule(1024, config.channel).stage2_phase_lengths[2:])
+
+
+def test_stage2_rounds_end_at_the_latest_first_close(monkeypatch):
+    # A supplied-clock desync run at n=1024: the drawn stage-2 path is tried
+    # at the first round at which every clock group has closed its first
+    # stage-2 window, with the agents still wrong there, and where it is
+    # taken no round that draws its counts (a stage-2 round) reaches the
+    # kernel at or after that round.
+    n = 1024
+    config = cfg(n, 0.25)
+    d = clock_bound(n)
+    offsets = derive_rng(0, "first-close-clocks").integers(0, d, n)
+    lengths = derive_schedule(n, config.channel).stage2_phase_lengths
+    first_close = int(_local_windows(derive_schedule(n, config.channel), d)[0][-1]) - sum(lengths[1:]) \
+        - int(offsets.min())
+    log = []
+
+    def counting(carriers, others, rounds, n, channel, rng, out, expected=False):
+        log.append("stage 1" if expected else "stage 2")
+        return deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected)
+
+    def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
+        drawn = stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
+        log.append((t, int(wrong.sum()), drawn and drawn[0] == horizon))
+        return drawn
+
+    monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
+    monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
+    out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d), rng=derive_rng(0, "first-close"))
+    draws = [k for k, entry in enumerate(log) if isinstance(entry, tuple)]
+    t, wrong, whole = log[draws[0]]
+    assert t == first_close and wrong > 0 and whole, log[draws[0]]
+    assert draws == [draws[0]] and "stage 2" not in log[draws[0]:], log[draws[0]:]
+    assert "stage 2" in log[:draws[0]] and out.correct_fraction == 1.0
 
 
 def test_tail_failures_match_direct_occupancy():
@@ -909,6 +1057,92 @@ def test_handoff_inside_the_conditioned_window(monkeypatch):
                 assert abs(seen[c, x] - expected) <= 4 * math.sqrt(expected), (c, x, seen[c, x], expected)
     excess = sum(k * (x - (1 - p) * c) for (c, x), k in seen.items())
     assert abs(excess) <= 4 * math.sqrt(sum(k * c * p * (1 - p) for (c, _), k in seen.items())), excess
+
+
+def _reference_paths(t, opens, lengths, gid, cnt, corr, wrong, p, sims, gen):
+    """``sims`` direct simulations of :func:`stage2_draw`'s reference path
+    from round t to the last close: each sender aims at a uniform other
+    agent, each listener accepts a uniform arrival through the channel, and
+    a close leaves every member of its group correct.  For each path with
+    some event (a failure or a wrong majority): the round of its first close
+    that differs from the reference (a wrong agent failing, or any agent
+    ending on a wrong majority), or the last close, and ``(j, g, failures,
+    wrong majorities)`` for its closes through that round."""
+    n = gid.size
+    ends = opens[:, None] + np.cumsum(lengths)
+    shut = sorted((e, j, g) for g, row in enumerate(ends.tolist()) for j, e in enumerate(row) if e > t)
+    horizon = shut[-1][0]
+    cnt, corr, ref = (np.tile(x, (sims, 1)) for x in (cnt.astype(np.int64), corr.astype(np.int64), wrong))
+    rows = np.arange(sims)[:, None]
+    stop = np.full(sims, horizon)
+    events = np.zeros(sims, np.int64)
+    logs = [[] for _ in range(sims)]
+    for u in range(t, horizon):
+        senders = np.flatnonzero(ends[gid, -1] > u)
+        aim = gen.integers(0, n - 1, size=(sims, senders.size))
+        aim += aim >= senders
+        arrivals, right = np.zeros((sims, n)), np.zeros((sims, n))
+        np.add.at(arrivals, (rows, aim), 1.0)
+        np.add.at(right, (rows, aim), ~ref[:, senders])
+        sample = gen.random((sims, n)) * arrivals < right * (1 - p) + (arrivals - right) * p
+        listening = ends[gid, -1] > u
+        cnt += (arrivals > 0) & listening
+        corr += sample & listening
+        for e, j, g in (c for c in shut if c[0] == u + 1):
+            mem = gid == g
+            s = lengths[j] // 2
+            ok = cnt[:, mem] >= s
+            good = gen.hypergeometric(corr[:, mem], cnt[:, mem] - corr[:, mem], np.minimum(s, cnt[:, mem]))
+            turned = ok & (good <= s // 2)
+            failed = ~ok
+            for k in np.flatnonzero(stop >= e):
+                logs[k].append((j, g, int(failed[k].sum()), int(turned[k].sum())))
+            differs = (turned | (failed & ref[:, mem])).any(1)
+            stop = np.where((stop == horizon) & differs, e, stop)
+            events += failed.sum(1) + turned.sum(1)
+            ref[:, mem] = False
+            cnt[:, mem] = 0
+            corr[:, mem] = 0
+    return [(int(stop[k]), tuple(logs[k])) for k in np.flatnonzero(events)]
+
+
+@pytest.mark.filterwarnings("ignore:epsilon")  # tiny n sits outside the regime by design
+def test_reference_path_matches_direct_simulation(monkeypatch):
+    # stage2_draw at n=4 from round 3, with groups {0, 1} and {2, 3} that
+    # opened stage 2 in rounds 0 and 3 (windows of 6 and 10 rounds), p=0.1:
+    # agent 0 is wrong and holds 3 samples, 1 of them correct, and its
+    # group's close at round 6 turns it correct in the reference path, so
+    # from then on it sends correct samples to the other windows; group 1's
+    # first window spans that close, so a conditioned agent there holds
+    # samples of two runs with wrong shares 1/3 and 0, thinned.  With the
+    # cutoff lifted, a returned path other than the quiet one has the
+    # reference path's law given some event: the law of its end round and
+    # of the failures and wrong majorities of its closes must match 60,000
+    # direct simulations of the reference path, cell by cell within 4 sigma,
+    # with the cells expected fewer than 10 times in the draws pooled.
+    n, p, draws = 4, 0.1, 3000
+    lengths = (6, 10)
+    opens = np.array([0, 3])
+    gid = np.array([0, 0, 1, 1], np.intp)
+    cnt = np.array([3, 3, 0, 0], np.int32)
+    corr = np.array([1.0, 3.0, 0.0, 0.0])
+    wrong = np.arange(n) == 0
+    monkeypatch.setattr("flipsim.protocols.KLM_CUTOFF", math.inf)
+    gen = derive_rng(26, "reference-turn")
+    drawn = Counter()
+    for _ in range(draws):
+        end, closes, _, _ = stage2_draw(3, opens, lengths, 19, gid, cnt, corr, wrong, NoiseChannel(p), gen)
+        if any(failed.size + turned.size for *_, failed, turned in closes):
+            drawn[end, tuple((j, g, failed.size, turned.size) for j, g, failed, turned in closes)] += 1
+    direct = Counter(_reference_paths(3, opens, lengths, gid, cnt, corr, wrong, p, 20 * draws, gen))
+    keys = sorted(set(drawn) | set(direct))
+    x, y = (np.array([table[key] for key in keys], float) for table in (drawn, direct))
+    pooled = (x + y) / (x.sum() + y.sum())
+    rare = pooled * x.sum() < 10
+    x, y, pooled = (np.append(v[~rare], v[rare].sum()) for v in (x, y, pooled))
+    assert x.sum() > 0.3 * draws and rare.sum() < rare.size, (x.sum(), rare.sum())
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / x.sum() + 1 / y.sum()))
+    assert (np.abs(x / x.sum() - y / y.sum()) <= 4 * sigma).all(), (x / x.sum(), y / y.sum())
 
 
 @pytest.mark.parametrize("pick", [0, -1], ids=["hit", "missed"])
