@@ -14,6 +14,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -52,9 +53,12 @@ def binomial_tail_geq(n: int, k: int, p: float) -> float:
     return float(binomial_tails(n, k, p)[1])
 
 
+@lru_cache(maxsize=256)
 def _majority_tails(gamma: int, q: float):
     """(wrong, correct) probabilities of the majority of ``gamma`` independent
-    samples, each correct with probability q.  ``gamma`` must be odd."""
+    samples, each correct with probability q.  ``gamma`` must be odd.
+    Cached: a staggered stage-2 draw asks for the same few tails once per
+    close and listener class."""
     if gamma < 1 or gamma % 2 == 0:
         raise ConfigurationError(f"gamma must be odd and positive, got {gamma}")
     _check_unit("q", q, 0.0, 1.0)

@@ -48,7 +48,9 @@ fast without changing any distribution:
   first close whose outcome differs from every member ending correct.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
-only in the two baselines.  Every draw of the windowed engine consumes
+only in the two baselines' threshold loop, which delivers blocks of rounds
+cut at the first round in which an agent reaches its threshold
+(:func:`_threshold_loop`).  Every draw of the windowed engine consumes
 randomness in a pattern that depends on opinions only through "equals the
 correct opinion", so a run is invariant under relabeling the opinions
 0 <-> 1.  Tests that watch or replace the engine's draws patch its
@@ -915,6 +917,12 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
 # failing baselines
 
 
+# A step of the threshold loop delivers at most STEP_MESSAGES messages (but
+# at least one round).  On a 2-vCPU host, 24 silent-wait runs at n = 10^4
+# took the same time, within noise, with budgets from 256 to 2048.
+STEP_MESSAGES = 1024
+
+
 def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     """Both failing baselines: every agent outside the source waits silently
     until it has accepted ``threshold`` messages, then adopts their majority
@@ -926,6 +934,23 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     reached the threshold, through diagnostics-only sender metadata that the
     protocol itself never reads; ``first_reach`` is the first round in which
     some agent reached the threshold (None if none did).
+
+    The senders change only in a round in which some agent reaches the
+    threshold, so the loop steps in blocks of rounds: one call of
+    :func:`~flipsim.model.deliver_round_arrays` delivers a step's rounds
+    with the current senders, and the loop applies them up to and including
+    the first round in which a waiting agent reaches the threshold, and
+    drops the rest.  The rounds of a step are independent rounds of the
+    one-round law and that round is a stopping time of them, so the applied
+    rounds have the law of rounds simulated one at a time, and the dropped
+    draws are independent of them.  A step lasts about the expected wait for
+    the next crossing, ``(n - 1) / (m w)`` rounds for ``m`` senders and
+    ``w`` waiting agents one accept short of the threshold, but delivers at
+    most ``STEP_MESSAGES`` messages (or one round) and stops at
+    ``max_rounds``.  Its length depends only on the state before it, so it
+    moves the stream and not the law.  At threshold 1 (forwarding) every
+    step is one round, since the senders and waiting agents then number
+    ``m + w = n``, so ``m w >= n - 1``.
     """
     if not (_is_int(threshold) and _is_int(max_rounds) and threshold >= 1 and max_rounds >= 1):
         raise ConfigurationError(f"threshold and max_rounds must be integers >= 1, "
@@ -937,30 +962,64 @@ def _threshold_loop(config: SimConfig, threshold: int, max_rounds: int, gen):
     corr = np.zeros(n, np.int64)
     depth = np.full(n, -1, np.int64)
     depth[0] = 0
+    # a step that scans slots has one round (n cells) or fewer than
+    # SORT_FACTOR cells per message, STEP_MESSAGES messages at most
+    slot = np.full(max(n, model.SORT_FACTOR * STEP_MESSAGES), -1, np.int64)
+    senders = np.flatnonzero(opinion >= 0)
+    payloads = opinion[senders]
+    holders = senders.size
+    short = n - holders if threshold == 1 else 0    # waiting agents one accept short
     first_reach = None
-    messages = rounds = 0
-    for t in range(max_rounds):
-        senders = np.flatnonzero(opinion >= 0)
-        recv, acc, src = deliver_round_arrays(senders, opinion[senders], n, config.channel, gen)
-        messages += senders.size
-        waiting = opinion[recv] < 0
-        wr = recv[waiting]
-        cnt[wr] += 1
-        corr[wr] += acc[waiting] == correct
-        hit = cnt[wr] >= threshold
-        reached = wr[hit]
-        if reached.size:
+    messages = t = 0
+    while t < max_rounds and holders < n:
+        m = senders.size
+        step = max(1, STEP_MESSAGES // m)
+        if short:
+            step = min(step, -(-(n - 1) // (m * short)))
+        step = min(step, max_rounds - t)
+        cells, acc, src = deliver_round_arrays(senders, payloads, n, config.channel, gen, step, slot)
+        last = step - 1         # the last round applied
+        if step == 1:           # every forwarding step: distinct receivers, no sort
+            recv = cells
+            applied = np.flatnonzero(opinion[recv] < 0)     # the waiting receivers' accepts
+            u = recv[applied]
+            via = applied
+        else:
+            rnd, recv = np.divmod(cells, n)
+            wait = np.flatnonzero(opinion[recv] < 0)
+            wait = wait[np.argsort(recv[wait], kind="stable")]     # by agent, then by round
+            agents = recv[wait]
+            starts = np.flatnonzero(np.diff(agents, prepend=-1))
+            u = agents[starts]
+            # where each agent's accept that brings it to the threshold would sit
+            k = starts + threshold - 1 - cnt[u]
+            crosses = k < np.r_[starts[1:], agents.size]
+            via = wait[np.minimum(k, agents.size - 1)]
+            if crosses.any():
+                last = int(rnd[via[crosses]].min())
+            applied = wait[rnd[wait] <= last]
+        heard = recv[applied]
+        before = cnt[u]
+        np.add.at(cnt, heard, 1)
+        np.add.at(corr, heard[acc[applied] == correct], 1)
+        after = cnt[u]
+        short += int(np.count_nonzero(after == threshold - 1) - np.count_nonzero(before == threshold - 1))
+        t += last + 1
+        messages += m * (last + 1)
+        hit = after >= threshold    # only in round last: no earlier round is applied
+        if hit.any():
+            reached = u[hit]
             if first_reach is None:
-                first_reach = t + 1
+                first_reach = t
             good = 2 * corr[reached] > threshold
             if threshold % 2 == 0:
                 good |= (2 * corr[reached] == threshold) & (gen.random(reached.size) < 0.5)
             opinion[reached] = np.where(good, correct, complement(correct))
-            depth[reached] = depth[src[waiting][hit]] + 1
-        rounds = t + 1
-        if (opinion >= 0).all():
-            break
-    return opinion, rounds, messages, depth, first_reach
+            depth[reached] = depth[src[via[hit]]] + 1
+            holders += reached.size
+            senders = np.flatnonzero(opinion >= 0)
+            payloads = opinion[senders]
+    return opinion, t, messages, depth, first_reach
 
 
 def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcome:
@@ -973,12 +1032,10 @@ def run_baseline_forward(config: SimConfig, max_rounds: int, rng=None) -> Outcom
     gen = _as_generator(rng, config, "baseline-forward")
     opinion, rounds, messages, depth, _ = _threshold_loop(config, 1, max_rounds, gen)
     correct = config.correct_opinion
-    table = []
-    for dv in range(1, int(depth.max()) + 1):
-        at = depth == dv
-        agents = int(at.sum())
-        if agents:
-            table.append(DepthStat(dv, agents, int((opinion[at] == correct).sum())))
+    reached = depth >= 1
+    agents = np.bincount(depth[reached])
+    right = np.bincount(depth[reached & (opinion == correct)], minlength=agents.size)
+    table = [DepthStat(int(dv), int(agents[dv]), int(right[dv])) for dv in np.flatnonzero(agents)]
     return Outcome(opinion, _correct_fraction(opinion, correct), rounds, messages,
                    stage1=None, stage2=(), depth_table=tuple(table))
 

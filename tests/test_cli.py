@@ -88,8 +88,8 @@ def test_run_prints_cell_extras(monkeypatch, capsys):
         "  depth 5: 7/20 correct (0.3500)",
         "  depth 6: 1/7 correct (0.1429)",
         "  depth 7: 1/1 correct (1.0000)",
-        "n=64 eps=0.25 runs=3 successRate=0.0000 wilson=[0.0000,0.5615] meanRounds=27.0 meanMessages=464.0",
-        "  median first-threshold round: 7.0",
+        "n=64 eps=0.25 runs=3 successRate=0.0000 wilson=[0.0000,0.5615] meanRounds=30.0 meanMessages=469.3",
+        "  median first-threshold round: 11.0",
         "n=64 eps=0.5 runs=2 successRate=1.0000 wilson=[0.3424,1.0000] meanRounds=550.0 meanMessages=24400.0",
         "n=128 eps=0.5 runs=2 successRate=1.0000 wilson=[0.3424,1.0000] meanRounds=728.0 meanMessages=64050.0",
         "scaling fit: rounds ~ 44.500 * log2(n)/eps^2 + -518.0 (max residual 0.000)",

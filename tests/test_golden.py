@@ -24,15 +24,19 @@ from flipsim import (
     ClockConfiguration,
     NoiseChannel,
     SimConfig,
+    cli,
     derive_rng,
+    protocols,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
     run_desynchronized,
     run_majority_consensus,
 )
+from flipsim.harness import report_to_csv, run_experiment, save_report
 from flipsim.params import InitialSetTooSmallError, _ceil_log2, clock_bound
 from reference import run_recorded
+from test_harness import small_spec
 
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
 # preamble runs whose realized clock spread exceeds D (19 and 20 against
@@ -84,7 +88,7 @@ GOLDEN = {
     "desync-preamble": "c82ab8877ce2ff68",
     "desync-preamble-overlap": "f9211faa9c49d471",
     "baseline-forward": "d0dc5c27eca2d018",
-    "baseline-silent": "71ed5148a0b3dc8c",
+    "baseline-silent": "42f1af3fc5017cb5",
 }
 
 RECORDED = {
@@ -145,3 +149,25 @@ def test_golden_fingerprint(engine):
 @pytest.mark.parametrize("engine", sorted(RECORDED))
 def test_recorded_stream(monkeypatch, engine):
     assert recorded(monkeypatch, engine) == RECORDED[engine]
+
+
+def test_one_round_steps_give_the_old_silent_stream(monkeypatch, tmp_path, capsys):
+    # silent wait's threshold loop steps in blocks of rounds; with one round
+    # per step it draws as the loop drew before it stepped in blocks, so the
+    # three silent pins that the block steps moved come back: the golden
+    # digest, the CLI lines and the pinned report
+    monkeypatch.setattr(protocols, "STEP_MESSAGES", 1)
+    monkeypatch.setenv("FLIPSIM_THREADS", "1")
+    assert fingerprint("baseline-silent") == "71ed5148a0b3dc8c"
+    assert cli.main(["run", "--protocol", "baseline-silent", "--n", "64", "--eps", "0.25",
+                     "--runs", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=64 eps=0.25 runs=3 successRate=0.0000 wilson=[0.0000,0.5615] meanRounds=27.0 meanMessages=464.0",
+        "  median first-threshold round: 7.0",
+    ]
+    report = run_experiment(small_spec(protocol="baseline-silent", n_grid=(64,), epsilon_grid=(0.25,),
+                                       threshold=3, master_seed=5))
+    save_report(report, tmp_path / "r.json")
+    report_to_csv(report, tmp_path / "r.csv")
+    written = (tmp_path / "r.json").read_bytes() + (tmp_path / "r.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == "3de5b92d8ca5b9eec17869e861c1cf6084d64d06ad19997f17dd0b206a3ce774"

@@ -307,7 +307,7 @@ _PINNED = [
      "8e694a5aa1ef8da742b698e1389d2242f5a278f3cc52fefbf7018936df561389"),
     (dict(protocol="baseline-silent", n_grid=(64,), epsilon_grid=(0.25,), threshold=3),
      {"threshold"}, {"medianFirstThreshold"}, False,
-     "3de5b92d8ca5b9eec17869e861c1cf6084d64d06ad19997f17dd0b206a3ce774"),
+     "37d3231bab21685661913d47409f4dfbe7403904d89e1d7f3763fc0e6629f22c"),
 ]
 
 

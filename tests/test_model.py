@@ -164,6 +164,68 @@ def test_deliver_accept_choice_is_uniform():
     assert abs(f2 - 0.375) < 0.015
 
 
+@pytest.mark.parametrize("path", ["scan", "sort"])
+def test_deliver_one_round_replays_its_draws(monkeypatch, path):
+    # a one-round call draws m targets, one permutation of its m messages and
+    # one uniform per accepted message, and the earliest arrival in the
+    # permuted order wins each receiver, whichever way the winners are found
+    monkeypatch.setattr(model, "SORT_FACTOR", 10 ** 6 if path == "scan" else 1)
+    ch = NoiseChannel(0.3)
+    gen = derive_rng(16, "one-round", path)
+    for n, m in [(2, 1), (5, 5), (40, 3), (40, 35), (1000, 700)]:
+        ids = np.sort(gen.choice(n, m, replace=False))
+        pay = gen.integers(0, 2, m).astype(np.int8)
+        slot = np.full(n, -1, np.int64)
+        for _ in range(20):
+            twin = clone(gen)
+            targets = replay_targets(ids, n, twin)
+            perm = twin.permutation(m)
+            winner = {}
+            for i in perm:
+                winner.setdefault(int(targets[i]), int(i))
+            receivers = np.array(sorted(winner), np.int64)
+            chosen = np.array([winner[r] for r in receivers], np.int64)
+            flips = twin.random(receivers.size) < ch.flip_probability
+            recv, acc, src = deliver_round_arrays(ids, pay, n, ch, gen, 1, slot)
+            assert np.array_equal(recv, receivers), (n, m)
+            assert np.array_equal(acc, pay[chosen] ^ flips) and acc.dtype == np.int8
+            assert np.array_equal(src, ids[chosen])
+            assert gen.bit_generator.state == twin.bit_generator.state
+            assert (slot == -1).all()       # the scan resets the cells it touched
+
+
+@pytest.mark.parametrize("path", ["scan", "sort"])
+def test_deliver_block_of_rounds_law(monkeypatch, path):
+    # n=3, senders 1 and 2, eight rounds per call: in every round receiver 0
+    # accepts each sender with probability 0.375, as in one round
+    # (test_deliver_accept_choice_is_uniform), and so in both rounds of any
+    # pair with probability 0.375^2; no sender hits itself; cells ascend.
+    # Sixteen messages against 24 cells scan slots; SORT_FACTOR 1 sorts them.
+    monkeypatch.setattr(model, "SORT_FACTOR", 8 if path == "scan" else 1)
+    ch = NoiseChannel(0.0)
+    gen = derive_rng(17, "block-law", path)
+    ids = np.array([1, 2])
+    pay = np.array([0, 1], np.int8)
+    n, rounds, calls = 3, 8, 20_000
+    slot = np.full(rounds * n, -1, np.int64)
+    from_sender = np.zeros((calls, rounds), np.int64)    # 0: none, else the sender
+    for c in range(calls):
+        cells, acc, src = deliver_round_arrays(ids, pay, n, ch, gen, rounds, slot)
+        assert (np.diff(cells) > 0).all() and 0 <= cells[0] and cells[-1] < rounds * n
+        assert not np.any(cells % n == src)
+        assert np.array_equal(acc, src - 1)     # zero noise: sender 1 sends 0, sender 2 sends 1
+        at0 = cells % n == 0
+        from_sender[c, cells[at0] // n] = src[at0]
+    assert (slot == -1).all()
+    for s, share in ((1, 0.375), (2, 0.375)):
+        freq = (from_sender == s).mean(0)
+        sigma = math.sqrt(share * (1 - share) / calls)
+        assert (np.abs(freq - share) < 4 * sigma).all(), (path, s, freq)
+    both = ((from_sender[:, :-1] == 1) & (from_sender[:, 1:] == 1)).mean(0)
+    share = 0.375 ** 2
+    assert (np.abs(both - share) < 4 * math.sqrt(share * (1 - share) / calls)).all(), (path, both)
+
+
 def _cell_law(n, carriers, others):
     """Per-round law of one agent's (arrivals a, reference-bit arrivals c)
     when ``carriers`` and ``others`` each send one message to a uniform other

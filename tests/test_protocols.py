@@ -20,6 +20,7 @@ from flipsim import (
     derive_rng,
     derive_schedule,
     majority_bias,
+    protocols,
     run_baseline_forward,
     run_baseline_silent_wait,
     run_broadcast,
@@ -37,6 +38,7 @@ from flipsim.protocols import (
     _run_windows,
     _stage1_pick,
     _stage2_apply,
+    _threshold_loop,
     _truncated_binomial,
     _turn_correct,
     _wrong_bound,
@@ -1413,6 +1415,37 @@ def test_silent_wait_threshold_one_degenerates():
         assert np.array_equal(fwd.final_opinions, silent.final_opinions)
         assert fwd.rounds_used == silent.rounds_used
         assert fwd.messages_sent == silent.messages_sent
+
+
+def _silent_path(n, threshold, runs, one_round):
+    """(first-threshold round, rounds used, correct count, largest depth) of
+    ``runs`` silent-wait runs, with one-round steps forced when ``one_round``."""
+    rows = []
+    with mock.patch.object(protocols, "STEP_MESSAGES", 1 if one_round else protocols.STEP_MESSAGES):
+        for seed in range(runs):
+            config = cfg(n, 0.25, seed=seed)
+            gen = derive_rng(seed, "silent-steps", threshold, int(one_round))
+            opinion, rounds, _, depth, first = _threshold_loop(config, threshold, 10 * math.isqrt(n) + 10, gen)
+            rows.append((first or 0, rounds, int((opinion == config.correct_opinion).sum()), int(depth.max())))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("threshold", [2, 3])
+def test_silent_wait_block_steps_match_one_round_steps(threshold):
+    # block steps cut at the first crossing against the loop's one-round
+    # steps: the first-threshold round, rounds used, correct count and
+    # largest depth agree in mean within 4 sigma and in each value's share
+    # within 4 sigma of the pooled share
+    n, runs = 150, 3000
+    block, single = _forked(*((_silent_path, n, threshold, runs, one_round) for one_round in (False, True)))
+    sigma = np.sqrt(block.var(0, ddof=1) / runs + single.var(0, ddof=1) / runs)
+    assert (np.abs(block.mean(0) - single.mean(0)) < 4 * sigma).all(), (block.mean(0), single.mean(0))
+    for col in range(block.shape[1]):
+        a, b = Counter(block[:, col]), Counter(single[:, col])
+        for key in set(a) | set(b):
+            x, y = a[key] / runs, b[key] / runs
+            pooled = (x + y) / 2
+            assert abs(x - y) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / runs), (col, key, x, y)
 
 
 def test_silent_wait_birthday_scaling_small_n():
