@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .model import ConfigurationError, NoiseChannel, _is_int, derive_rng
-from .params import ProtocolConstants, SimConfig, _ceil_log2, clock_bound, min_initial_set_size
+from .params import ProtocolConstants, SimConfig, _ceil_log2, clock_bound, derive_schedule, min_initial_set_size
 from .protocols import (
     ClockConfiguration,
     Outcome,
@@ -41,6 +41,7 @@ from .protocols import (
 
 SCHEMA_VERSION = 1
 PROTOCOLS = ("broadcast", "consensus", "desync", "baseline-forward", "baseline-silent")
+TWO_STAGE = PROTOCOLS[:3]       # the protocols that run the derived schedule
 RELAXED_SUCCESS = 0.99
 
 
@@ -109,10 +110,10 @@ class ExperimentSpec:
             out.append("runsPerCell: must be an integer >= 1")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 2 ** 64:
             out.append("masterSeed: must be a 64-bit unsigned integer")
+        ns = [n for n in self.n_grid if _is_int(n) and n >= 2]    # the rest is reported above
+        epss = [e for e in self.epsilon_grid if _is_epsilon(e)]
         if self.protocol == "consensus":
             size = self.initial_set_size
-            ns = [n for n in self.n_grid if _is_int(n) and n >= 2]    # the rest is reported above
-            epss = [e for e in self.epsilon_grid if _is_epsilon(e)]
             if size is None:
                 out.append("initialSetSize: required for consensus")
             elif not _is_int(size):
@@ -132,6 +133,13 @@ class ExperimentSpec:
                 out.append("initialBias: required for consensus")
             elif not _is_real(self.initial_bias) or not (0.0 <= self.initial_bias <= 0.5):
                 out.append("initialBias: must be a number in [0, 1/2]")
+        if self.protocol in TWO_STAGE:
+            try:
+                for n in ns:
+                    for eps in epss:
+                        derive_schedule(n, NoiseChannel.from_epsilon(eps), self.constants)
+            except ConfigurationError as e:
+                out.append(f"constants: {e} at (n={n}, eps={eps})")
         if not _is_int(self.threshold):
             out.append("threshold: must be an integer")
         elif self.protocol == "baseline-silent" and self.threshold < 1:
@@ -461,8 +469,12 @@ def load_spec(path) -> ExperimentSpec:
             raw = json.load(fh)
     except OSError as e:
         raise SpecParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SpecParseError(f"{path}: not UTF-8 text (byte {e.start})") from e
     except json.JSONDecodeError as e:
         raise SpecParseError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise SpecParseError(f"{path}: JSON nested too deeply") from None
     spec = ExperimentSpec.from_dict(raw, source=str(path))
     spec.validate()
     return spec

@@ -129,7 +129,8 @@ def derive_schedule(n: int, channel: NoiseChannel, constants: ProtocolConstants 
     """Derive the complete two-stage schedule.
 
     Raises :class:`ConstantsOrderingError` when the configured constants fail
-    to produce f > beta > s.
+    to produce f > beta > s, and :class:`ConfigurationError` when a constant
+    scales a round count past the largest float.
     """
     if constants is None:
         constants = ProtocolConstants()
@@ -138,9 +139,15 @@ def derive_schedule(n: int, channel: NoiseChannel, constants: ProtocolConstants 
     eps = channel.epsilon_bias
     inv_eps2 = 1.0 / (eps * eps)
 
-    s = math.ceil(constants.c_s * inv_eps2)
-    beta = math.ceil(constants.c_beta * inv_eps2)
-    f = math.ceil(constants.c_f * inv_eps2)
+    def rounds(name, scaled):
+        if not math.isfinite(scaled):
+            raise ConfigurationError(f"{name} = {getattr(constants, name):g} scales a round count "
+                                     "past the largest float")
+        return math.ceil(scaled)
+
+    s = rounds("c_s", constants.c_s * inv_eps2)
+    beta = rounds("c_beta", constants.c_beta * inv_eps2)
+    f = rounds("c_f", constants.c_f * inv_eps2)
     if not f > beta:
         raise ConstantsOrderingError(f"need f > beta, got f={f} <= beta={beta}")
     if not beta > s:
@@ -161,14 +168,14 @@ def derive_schedule(n: int, channel: NoiseChannel, constants: ProtocolConstants 
         bounds.append((beta_s + (i - 1) * beta, beta))
     bounds.append((beta_s + t * beta, beta_f))
 
-    r = math.ceil(constants.r_scale * inv_eps2)
+    r = rounds("r_scale", constants.r_scale * inv_eps2)
     gamma = 2 * r + 1
 
     log2n = math.log2(n)
     delta1 = math.sqrt(log2n / n)
     k = max(1, math.ceil(math.log2(1.0 / delta1)))
 
-    m_final = math.ceil(constants.c_final_stage2 * inv_eps2 * log2n)
+    m_final = rounds("c_final_stage2", constants.c_final_stage2 * inv_eps2 * log2n)
     while m_final % 4 != 2:
         m_final += 1    # m/2 must be odd so subset majorities cannot tie
     lengths = tuple([2 * gamma] * k + [m_final])

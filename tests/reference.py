@@ -249,16 +249,24 @@ def replay_targets(senders, n, rng, rounds=None):
     kernel's order), drawn from ``rng``, a :func:`clone` of the call's
     generator: one per sender, or with ``rounds`` the (rounds, senders)
     targets of :func:`~flipsim.model.deliver_span_counts`, which draws them
-    block by block, sender by sender.  Past the first block these are the
-    call's targets only if it draws nothing else, as with ``expected``."""
+    block by block, sender by sender.  A span that the kernel splits (at
+    ``n >= SPLIT_AGENTS``, two or more rounds) takes one draw for the second
+    half's generator, then draws its first ``rounds // 2`` rounds from the
+    call's generator and the rest from that one.  Past the first block of a
+    half these are the call's targets only if it draws nothing else, as with
+    ``expected``."""
     if rounds is None:
         t = rng.integers(0, n - 1, size=senders.size)
         return t + (t >= senders)
+    halves = [(rng, rounds)]
+    if n >= model.SPLIT_AGENTS and rounds >= 2:
+        halves = [(rng, rounds // 2), (model._split_rng(rng), rounds - rounds // 2)]
     block = model._block_rounds(n)
     rows = []
-    for first in range(0, rounds, block):
-        t = rng.integers(0, n - 1, size=(senders.size, min(block, rounds - first)))
-        rows.append((t + (t >= senders[:, None])).T)
+    for gen, span in halves:
+        for first in range(0, span, block):
+            t = gen.integers(0, n - 1, size=(senders.size, min(block, span - first)))
+            rows.append((t + (t >= senders[:, None])).T)
     return np.concatenate(rows)
 
 

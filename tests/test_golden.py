@@ -16,6 +16,7 @@ covers every kernel call and every drawn stage-2 path.
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from flipsim import (
     SimConfig,
     cli,
     derive_rng,
+    model,
     protocols,
     run_baseline_forward,
     run_baseline_silent_wait,
@@ -41,7 +43,9 @@ from test_harness import small_spec
 GRID = [(n, eps, seed) for n in (64, 512) for eps in (0.25, 0.5) for seed in (0, 1)]
 # preamble runs whose realized clock spread exceeds D (19 and 20 against
 # D = 16), so that window traffic of neighbouring phases overlaps
-GRIDS = {"desync-preamble-overlap": [(256, 0.25, 42), (256, 0.25, 133)]}
+GRIDS = {"desync-preamble-overlap": [(256, 0.25, 42), (256, 0.25, 133)],
+         # the smallest n at which the kernel splits long spans in two halves
+         "broadcast-split": [(model.SPLIT_AGENTS, 0.25, 0)]}
 
 
 def _consensus(config):
@@ -71,6 +75,7 @@ def _desync_overlap(config):
 
 ENGINES = {
     "broadcast": run_broadcast,
+    "broadcast-split": run_broadcast,
     "consensus": _consensus,
     "desync-clocks": _desync_clocks,
     "desync-preamble": run_desynchronized,
@@ -83,6 +88,7 @@ ENGINES = {
 
 GOLDEN = {
     "broadcast": "cadb6064b06fc9cd",
+    "broadcast-split": "d0aff99cf9c6c65e",
     "consensus": "b1dba40b60f7dc6a",
     "desync-clocks": "a59ffa45c6243020",
     "desync-preamble": "c82ab8877ce2ff68",
@@ -93,6 +99,7 @@ GOLDEN = {
 
 RECORDED = {
     "broadcast": "d62ccb793679b5b2",
+    "broadcast-split": "1b63baaa2fdb220c",
     "consensus": "673df4c674e2e090",
     "desync-clocks": "79b0e50f65f2cc7b",
     "desync-preamble": "d20e962204585a50",
@@ -149,6 +156,29 @@ def test_golden_fingerprint(engine):
 @pytest.mark.parametrize("engine", sorted(RECORDED))
 def test_recorded_stream(monkeypatch, engine):
     assert recorded(monkeypatch, engine) == RECORDED[engine]
+
+
+def test_split_halves_inline_give_the_threaded_outcome(monkeypatch):
+    # a pool worker delivers a split span's second half on its own thread,
+    # after the first; the values depend only on (n, rounds) and the parent
+    # generator, so the outcome is the one the helper threads give
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(model.threading, "Thread", Counted)
+    config = next(_configs("broadcast-split"))
+    threaded = run_broadcast(config)
+    assert started
+    started.clear()
+    monkeypatch.setattr(model, "parent_process", lambda: object())
+    inline = run_broadcast(config)
+    assert not started
+    assert np.array_equal(threaded.final_opinions, inline.final_opinions)
+    assert _fields(threaded) == _fields(inline)
 
 
 def test_one_round_steps_give_the_old_silent_stream(monkeypatch, tmp_path, capsys):

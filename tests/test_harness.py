@@ -92,6 +92,9 @@ def test_spec_validation_lists_every_problem():
         (dict(protocol="consensus", initial_set_size=64, initial_bias=0.7), "initialBias: must be a number"),
         (dict(protocol="baseline-silent", threshold=0), "threshold: must be >= 1"),
         (dict(max_rounds=0), "maxRounds: must be an integer >= 1"),
+        # constants the schedule cannot use are rejected before any run
+        (dict(constants=ProtocolConstants(c_s=3.0, c_beta=3.0)), "constants: need beta > s"),
+        (dict(constants=ProtocolConstants(c_s=1e308)), "constants: c_s = 1e+308 scales a round count"),
     ]:
         assert [p for p in small_spec(**overrides).problems() if p.startswith(message)], message
 
@@ -135,6 +138,8 @@ _SPECS = st.fixed_dictionaries(
 @example({"schemaVersion": 1, "protocol": "consensus", "nGrid": [2 ** 14],
           "epsilonGrid": [5e-324], "runsPerCell": 1, "masterSeed": 0,
           "initialSetSize": 8, "initialBias": 0.1})    # eps * eps underflows to 0
+@example({"schemaVersion": 1, "protocol": "broadcast", "nGrid": [64], "epsilonGrid": [0.25],
+          "runsPerCell": 1, "masterSeed": 0, "constants": {"cS": 1e308}})     # s overflows
 def test_spec_fuzz_only_spec_errors_escape(raw):
     try:
         ExperimentSpec.from_dict(raw).validate()
@@ -216,6 +221,20 @@ def test_spec_parse_errors(tmp_path):
                                      "runsPerCell": 1, "masterSeed": 0}))
         with pytest.raises(SchemaVersionError):
             load_spec(stale)
+
+
+def test_spec_not_utf8(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"schemaVersion": 1, "protocol": "broad\xffcast"}')
+    with pytest.raises(SpecParseError, match="not UTF-8 text"):
+        load_spec(latin)
+
+
+def test_spec_nested_too_deeply(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SpecParseError, match="nested too deeply"):
+        load_spec(deep)
 
 
 def test_run_experiment_deterministic():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -326,14 +328,55 @@ def _count_law(step, n, p, carriers, others):
 def test_count_kernel_exact_law(monkeypatch):
     # n=6: agents 0..2 send the reference bit, 3 and 4 its complement, 5 is
     # silent.  Five senders among six agents take the dense step; lowering
-    # SPARSE_FACTOR sends the same calls through the sparse step.
+    # SPARSE_FACTOR sends the same calls through the sparse step, and
+    # lowering SPLIT_AGENTS sends them, in the dense step, through two
+    # halves drawn from two generators, the second on a helper thread.
     n, p = 6, 0.2
     carriers = np.array([0, 1, 2])
     others = np.array([3, 4])
-    assert model.SPARSE_FACTOR * 5 > n
+    assert model.SPARSE_FACTOR * 5 > n and model.SPLIT_AGENTS > n
     _count_law("dense", n, p, carriers, others)
-    monkeypatch.setattr(model, "SPARSE_FACTOR", 1)
-    _count_law("sparse", n, p, carriers, others)
+    with monkeypatch.context() as m:
+        m.setattr(model, "SPARSE_FACTOR", 1)
+        _count_law("sparse", n, p, carriers, others)
+    monkeypatch.setattr(model, "SPLIT_AGENTS", n)
+    _count_law("split", n, p, carriers, others)
+
+
+def test_split_span_joins_its_helper_thread(monkeypatch):
+    # a split span's second half runs on a helper thread, or in a pool
+    # worker on the calling one; the helper is joined inside the call, also
+    # when either half raises, and the error reaches the caller
+    n = 6
+    monkeypatch.setattr(model, "SPLIT_AGENTS", n)
+    ch = NoiseChannel(0.2)
+    buffers = delivery_buffers(n)
+    carriers, others = np.array([0, 1, 2]), np.array([3, 4])
+    before = threading.active_count()
+    callers = []
+
+    class Broken:
+        def integers(self, *args, **kwargs):
+            callers.append(threading.current_thread() is threading.main_thread())
+            time.sleep(0.1)     # outlasts the other half, unless the call waits
+            raise RuntimeError("broken generator")
+
+    deliver_span_counts(carriers, others, 4, n, ch, derive_rng(3, "threads"), buffers)
+    assert threading.active_count() == before
+    monkeypatch.setattr(model, "_split_rng", lambda rng: Broken())
+    with pytest.raises(RuntimeError, match="broken"):
+        deliver_span_counts(carriers, others, 4, n, ch, derive_rng(3, "threads"), buffers)
+    assert threading.active_count() == before
+    monkeypatch.setattr(model, "_split_rng", lambda rng: derive_rng(4, "threads"))
+    with pytest.raises(RuntimeError, match="broken"):
+        deliver_span_counts(carriers, others, 4, n, ch, Broken(), buffers)
+    assert threading.active_count() == before
+    monkeypatch.setattr(model, "_split_rng", lambda rng: Broken())
+    monkeypatch.setattr(model, "parent_process", lambda: object())
+    with pytest.raises(RuntimeError, match="broken"):
+        deliver_span_counts(carriers, others, 4, n, ch, derive_rng(3, "threads"), buffers)
+    assert threading.active_count() == before
+    assert callers == [False, True, True]
 
 
 def test_deliver_sender_validation():

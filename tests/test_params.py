@@ -92,6 +92,13 @@ def test_constants_ordering_error():
         derive_schedule(1024, ch, ProtocolConstants(c_beta=9.0, c_f=9.0))
 
 
+def test_constants_scaling_past_the_largest_float():
+    ch = NoiseChannel.from_epsilon(0.25)
+    for name in ("c_s", "c_beta", "c_f", "r_scale", "c_final_stage2"):
+        with pytest.raises(ConfigurationError, match=f"{name} = 1e\\+308 scales a round count"):
+            derive_schedule(1024, ch, ProtocolConstants(**{name: 1e308}))
+
+
 def test_constants_validation():
     with pytest.raises(ConfigurationError):
         ProtocolConstants(c_s=0.0)
