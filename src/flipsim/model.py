@@ -209,20 +209,27 @@ SPLIT_AGENTS = 2 ** 15
 
 
 def delivery_buffers(n: int):
-    """Work arrays for :func:`deliver_span_counts` at ``n`` agents: the
-    per-agent int32 ``heard`` and float64 ``match`` arrays and the cell
-    buffers of one block, and at ``n >= SPLIT_AGENTS`` a second such set
-    for the half of a span that the helper thread delivers (about 2 MB more
-    at n = 2^16).  A run allocates them once and passes them to every call,
-    so calls allocate no per-agent arrays (fresh ones cost a page fault per
-    touched page).  The arrival counts stay zero between calls."""
+    """Work arrays for :func:`deliver_span_counts` at ``n`` agents, as a
+    tuple of buffer sets.  A set holds the per-agent int32 ``heard`` and
+    float64 ``match`` arrays and the cell buffers of one block; at
+    ``n >= SPLIT_AGENTS`` a second set holds the half of a span that the
+    helper thread delivers (about 2 MB more at n = 2^16).  A run allocates
+    them once and passes them to every call, so calls allocate no per-agent
+    arrays (fresh ones cost a page fault per touched page).  The arrival
+    counts stay zero between calls."""
     cells = _block_rounds(n) * n
-    out = ()
-    for _ in range(2 if n >= SPLIT_AGENTS else 1):
-        out += (np.empty(n, np.int32), np.empty(n, np.float64),
-                np.zeros(cells, np.float64), np.zeros(cells, np.float64),
-                np.empty(cells, np.float64), np.empty(cells, bool))
-    return out
+    return tuple((np.empty(n, np.int32), np.empty(n, np.float64),
+                  np.zeros(cells, np.float64), np.zeros(cells, np.float64),
+                  np.empty(cells, np.float64), np.empty(cells, bool))
+                 for _ in range(2 if n >= SPLIT_AGENTS else 1))
+
+
+def _halves(n: int, rounds: int) -> tuple:
+    """The round counts that :func:`deliver_span_counts` delivers from the
+    caller's generator and, if the span splits, from the second one."""
+    if n >= SPLIT_AGENTS and rounds >= 2:
+        return rounds // 2, rounds - rounds // 2
+    return (rounds,)
 
 
 def _add_rows(total, cells, b, n):
@@ -291,17 +298,16 @@ def deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected
         raise ConfigurationError("delivery requires at least two agents")
     k = carriers.size
     p = channel.flip_probability
-    heard, match = out[:2]
-    if n >= SPLIT_AGENTS and rounds >= 2:
-        half = rounds // 2
+    halves = _halves(n, rounds)
+    heard, match = out[0][:2]
+    if len(halves) == 2:
         helper = _split_rng(rng)
-        second = out[6:]    # delivery_buffers' second set
-        _run_halves(lambda: _deliver_rounds(k, senders, half, n, p, rng, out[:6], expected),
-                    lambda: _deliver_rounds(k, senders, rounds - half, n, p, helper, second, expected))
-        heard += second[0]
-        match += second[1]
+        _run_halves(lambda: _deliver_rounds(k, senders, halves[0], n, p, rng, out[0], expected),
+                    lambda: _deliver_rounds(k, senders, halves[1], n, p, helper, out[1], expected))
+        heard += out[1][0]
+        match += out[1][1]
     else:
-        _deliver_rounds(k, senders, rounds, n, p, rng, out, expected)
+        _deliver_rounds(k, senders, rounds, n, p, rng, out[0], expected)
     if expected:
         match *= 1.0 - 2.0 * p      # sum of q = p heard + (1 - 2p) sum of c / a
         match += p * heard
@@ -317,7 +323,11 @@ def _split_rng(rng):
 def _run_halves(first, second):
     """Run ``first()`` here and ``second()`` on a helper thread that is
     joined before this returns or raises; in a pool worker, whose siblings
-    keep the other CPUs busy, run both here, in that order."""
+    keep the other CPUs busy, run both here, in that order.  On a 2-vCPU
+    host a harness batch of broadcasts over two workers (medians of 10
+    alternated pairs) took 11% (n = 2^15) and 9% (2^16) longer with threads
+    at 4 runs, where both workers stay busy, and 5% and 15% less at 3 runs,
+    where the last run leaves a CPU idle."""
     if parent_process() is not None:
         first()
         second()

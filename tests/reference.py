@@ -249,21 +249,20 @@ def replay_targets(senders, n, rng, rounds=None):
     kernel's order), drawn from ``rng``, a :func:`clone` of the call's
     generator: one per sender, or with ``rounds`` the (rounds, senders)
     targets of :func:`~flipsim.model.deliver_span_counts`, which draws them
-    block by block, sender by sender.  A span that the kernel splits (at
-    ``n >= SPLIT_AGENTS``, two or more rounds) takes one draw for the second
-    half's generator, then draws its first ``rounds // 2`` rounds from the
-    call's generator and the rest from that one.  Past the first block of a
+    block by block, sender by sender.  A span that the kernel splits (see
+    ``model._halves``) takes one draw for the second half's generator, then
+    draws the first half's rounds from the call's generator and the rest
+    from that one.  Past the first block of a
     half these are the call's targets only if it draws nothing else, as with
     ``expected``."""
     if rounds is None:
         t = rng.integers(0, n - 1, size=senders.size)
         return t + (t >= senders)
-    halves = [(rng, rounds)]
-    if n >= model.SPLIT_AGENTS and rounds >= 2:
-        halves = [(rng, rounds // 2), (model._split_rng(rng), rounds - rounds // 2)]
+    spans = model._halves(n, rounds)
+    gens = (rng, model._split_rng(rng)) if len(spans) == 2 else (rng,)
     block = model._block_rounds(n)
     rows = []
-    for gen, span in halves:
+    for gen, span in zip(gens, spans):
         for first in range(0, span, block):
             t = gen.integers(0, n - 1, size=(senders.size, min(block, span - first)))
             rows.append((t + (t >= senders[:, None])).T)
@@ -277,7 +276,7 @@ def permutation_counts(carriers, others, rounds, n, channel, rng, out, expected=
     accepted payload 1 over the rounds.  ``match`` is a drawn count also
     with ``expected``, whose sum of q is that count's mean given the
     targets."""
-    heard, match = out[:2]
+    heard, match = out[0][:2]
     senders = np.concatenate((carriers, others))
     payloads = (np.arange(senders.size) < carriers.size).astype(np.int8)
     heard.fill(0)

@@ -307,8 +307,8 @@ def _count_law(step, n, p, carriers, others):
     # draws the targets alone ends in the call's state, and the replayed
     # targets give every cell's (a, c): heard counts the cells with a > 0
     # and match is the sum of q(a, c) over them, in calls of one block and
-    # in one call over several.
-    for rounds in [4] * 300 + [long]:
+    # in one call over several.  A one-round call is never split.
+    for rounds in [4] * 300 + [1, long]:
         twin = clone(gen)
         targets = replay_targets(senders, n, twin, rounds)
         heard, match = deliver_span_counts(carriers, others, rounds, n, ch, gen, buffers, True)

@@ -20,6 +20,7 @@ from flipsim import (
     derive_rng,
     derive_schedule,
     majority_bias,
+    model,
     protocols,
     run_baseline_forward,
     run_baseline_silent_wait,
@@ -1315,6 +1316,24 @@ def test_desync_preamble_reduction():
     out = run_desynchronized(config, rng=derive_rng(1, "pre"))
     assert out.desync.d_bound == clock_bound(512)
     assert out.desync.preamble_rounds == 4 * _ceil_log2(512)
+    assert not out.desync.stalled
+    assert out.correct_fraction == 1.0
+
+
+def test_desync_preamble_with_split_spans(monkeypatch):
+    # with the kernel splitting at n = 512, the preamble hands it one-round
+    # spans while agents are uninformed and longer spans later, so a run
+    # goes through both the split and the unsplit delivery
+    monkeypatch.setattr(model, "SPLIT_AGENTS", 512)
+    spans = []
+
+    def counting(carriers, others, span, *args):
+        spans.append(span)
+        return deliver_span_counts(carriers, others, span, *args)
+
+    monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
+    out = run_desynchronized(cfg(512, 0.25, seed=8), rng=derive_rng(1, "pre"))
+    assert 1 in spans and max(spans) >= 2
     assert not out.desync.stalled
     assert out.correct_fraction == 1.0
 
