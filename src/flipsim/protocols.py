@@ -43,9 +43,10 @@ fast without changing any distribution:
   its union bound is ``KLM_CUTOFF`` or more: under one clock each window
   that opens with every agent holding an opinion (its law is
   :func:`~flipsim.oracle.phase_law`), under staggered clocks the rest of
-  the run from the latest group's first stage-2 close, or from right
-  after a later opinion change once every agent is correct, up to the
-  first close whose outcome differs from every member ending correct.
+  the run from the latest group's first stage-2 close, and from any later
+  span start at which every agent is correct, unless a draw was refused
+  since the last opinion change.  A drawn path with some event ends at the
+  close of its first one.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines' threshold loop, which delivers blocks of rounds
@@ -260,28 +261,29 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     B_ij happens; so B_IJ and I's rounds are drawn with probability
     P(B_IJ)/beta_IJ and with their law given B_IJ.  Then run the
     reference path given them (:func:`_occupancy_given` in window J, the
-    kernel elsewhere), close every window, and keep the path with
-    probability 1/|F|, F the pairs whose B holds.  In every other case no
-    B_ij happens: every close succeeds and ends correct.  A path X with a
-    nonempty F is drawn with probability sum over F of beta_ij P(B_ij) /
-    beta_ij P(X | B_ij) / |F| = P(X), its own.
+    kernel elsewhere) up to J's close, and keep the path only when (I, J)
+    is its first event, with the pairs ordered by close (in the engine's
+    close order) and then by agent index: not when a close before J's has
+    an event, or an agent below I has one at J's close.  In every other
+    case no B_ij happens: every close succeeds and ends correct.  A path X
+    with some event is drawn with probability beta_ij P(B_ij) / beta_ij
+    P(X | B_ij) = P(X), its own, through (i, j) its first event only.
 
     The real path uses the same rounds as the reference one as long as no
     opinion differs, opinions change only at closes, and the closes of one
-    round read the counters of the rounds before it.  The two first differ
-    at a close where a wrong agent fails or ends on a wrong majority, or a
-    correct one ends on a wrong majority.  So they agree through the first
-    round e with such a close (a stopping time), and the real state there
-    (opinions and counters) has the reference state's law; past it the
-    engine simulates the rounds.  That prefix is what makes the draw exact.
-    Returns ``(end, closes, cnt, corr)``: the round the engine resumes at, e
-    or ``horizon``, the closes through it in the engine's order as ``(j, g,
-    failed, turned)`` (the agents that fail and keep their opinions, and
-    those whose majority is wrong; every other member ends correct), and
-    every agent's counters there.  Returns None when pi >= KLM_CUTOFF,
-    before drawing anything, or at n = 2, where each agent hears in every
-    round and no sender can aim past I; the caller then simulates the
-    rounds.
+    round read the counters of the rounds before it.  No close before J's
+    has an event, so the two agree through the round e_J of J's close, its
+    closes included: the real state there (opinions and counters) has the
+    reference state's law, and past it the engine simulates the rounds.
+    That prefix is what makes the draw exact, and it needs no round at or
+    after e_J.  Returns ``(end, closes, cnt, corr)``: the round the engine
+    resumes at, e_J or ``horizon``, the closes through it in the engine's
+    order as ``(j, g, failed, turned)`` (the agents that fail and keep
+    their opinions, and those whose majority is wrong; every other member
+    ends correct), and every agent's counters there.  Returns None when pi
+    >= KLM_CUTOFF, before drawing anything, or at n = 2, where each agent
+    hears in every round and no sender can aim past I; the caller then
+    simulates the rounds.
     """
     n = gid.size
     if n < 3:
@@ -333,8 +335,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     if pi >= KLM_CUTOFF:
         return None
     none = np.empty(0, np.int64)
-    zero = np.zeros(n)
-    quiet = horizon, [(j, g, none, none) for _, j, g in shut], zero, zero
+    quiet = horizon, [(j, g, none, none) for _, j, g in shut], np.zeros(n), np.zeros(n)
     if gen.random() >= pi:
         return quiet
     k, agents, event, q, c = blocks[min(int(np.searchsorted(weights, gen.random() * pi, "right")), len(blocks) - 1)]
@@ -343,7 +344,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         i, event = int(agents[x]), event[x]
     else:
         i = int(agents[gen.integers(agents.size)])
-    e, j, g = shut[k]
+    e, j, _ = shut[k]
     s = lengths[j] // 2
     a = max(t, e - lengths[j])
     runs, per, suffix, below = heard_law(a, e)
@@ -403,7 +404,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     wrong = wrong.copy()            # ... and its wrong agents
     vote = np.empty(n, np.int8)
     buffers = None
-    closes, found, stop, pos = [], 0, None, 0
+    closes = []
     for u, v in zip(bounds, bounds[1:]):
         sending = leave[gid] > u
         if a <= u < e:
@@ -416,13 +417,11 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
                                                      v - u, n, channel, gen, buffers)
         cnt += heard * sending
         corr += match * sending
-        differs = False
-        while pos < len(shut) and shut[pos][0] == v:
-            _, jv, gv = shut[pos]
-            pos += 1
+        while len(closes) < len(shut) and shut[len(closes)][0] == v:
+            _, jv, gv = shut[len(closes)]
             mem = members[gv]
             ok = cnt[mem] >= lengths[jv] // 2
-            mine = (jv, gv) == (j, g)
+            mine = len(closes) == k
             if mine:
                 ok[mem == i] = lost
             successful = mem[ok]
@@ -432,28 +431,14 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
             if mine and lost:
                 turned = np.sort(np.append(turned, i))
             failed = mem[~ok]
+            if len(closes) < k and failed.size + turned.size or mine and ((failed < i).any() or (turned < i).any()):
+                return quiet        # (I, J) is not the path's first event
             closes.append((jv, gv, failed, turned))
-            found += failed.size + turned.size
-            differs |= turned.size > 0 or wrong[failed].any()
             wrong[mem] = False
             cnt[mem] = 0
             corr[mem] = 0
-        if stop is None and differs:
-            stop = v, len(closes), cnt.copy(), corr.copy()
-    if gen.random() * found >= 1.0:
-        return quiet
-    if stop is None:
-        return horizon, closes, zero, zero
-    v, upto, cnt, corr = stop
-    if a < v < e:
-        # I's window J is still open at v: the samples it heard before v,
-        # and the correct ones among them (an outside sample is correct
-        # with probability 1-p from a correct-class sender, p from a wrong one)
-        early = at < v - a
-        outside = classes[sub:][early[sub:]]
-        cnt[i] += early.sum()
-        corr[i] += (right & early[:sub]).sum() + (gen.random(outside.size) < np.where(outside, p, 1.0 - p)).sum()
-    return v, closes[:upto], cnt, corr
+        if v == e:
+            return e, closes, cnt, corr
 
 
 def _turn_correct(qs, q):
@@ -666,13 +651,15 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     :func:`stage2_draw`: with one group, every window that opens with every
     agent holding an opinion; with several, the rest of the run, once at
     the first span start at which every group has closed its first stage-2
-    window (with the agents still wrong there), and after that at the
-    first span start at which every agent is correct after each opinion
-    change (any close's), so a refused draw is not retried at every close.
-    A draw returns the closes it covers, which ``close`` applies, and the
-    round and counters the loop resumes from; None leaves the rounds
-    simulated.  The run ends when the last window of the latest group has
-    closed.
+    window (with the agents still wrong there), and after that at every
+    span start at which every agent is correct, except that a refused draw
+    is retried only after an opinion change (any close's), not at every
+    close.  A draw returns the closes it covers, which ``close`` applies,
+    and the round and counters the loop resumes from, its first event's
+    close; an accepted draw that ends where only a correct agent failed
+    changes no opinion, so the next span start tries again.  None leaves
+    the rounds simulated.  The run ends when the last window of the latest
+    group has closed.
     """
     n = config.n
     channel = config.channel
@@ -723,7 +710,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listening
 
     last_change = -math.inf     # the last round that follows a close that changed an opinion
-    tried = None    # last_change when a staggered draw was last tried
+    refused = None  # last_change when a staggered draw was last refused
     settled = False     # whether one was tried once every group had closed its first stage-2 window
 
     def close(code_v, g, drawn=None):
@@ -773,12 +760,14 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             else:
                 late = t >= groups[-1] + open2 + lengths[0]
                 if (late and not settled and (opinion >= 0).all()
-                        or tried != last_change and (opinion == correct).all()):
-                    tried, settled = last_change, late
+                        or refused != last_change and (opinion == correct).all()):
+                    settled = late
                     horizon = int(groups[-1]) + local_total
         if horizon is not None:
             drawn = stage2_draw(t, groups + open2, lengths, horizon, gid, cnt, corr, opinion != correct, channel, gen)
-            if drawn is not None:
+            if drawn is None:
+                refused = last_change
+            else:
                 end, shut, held, good = drawn
                 messages += int((np.clip(groups + local_total, t, end) - t) @ np.bincount(gid))
                 for j, g, failed, turned in shut:

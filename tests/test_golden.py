@@ -87,7 +87,7 @@ ENGINES = {
 }
 
 GOLDEN = {
-    "broadcast": "cadb6064b06fc9cd",
+    "broadcast": "6b38d882816cd15b",
     "broadcast-split": "d0aff99cf9c6c65e",
     "consensus": "b1dba40b60f7dc6a",
     "desync-clocks": "a59ffa45c6243020",
@@ -98,9 +98,9 @@ GOLDEN = {
 }
 
 RECORDED = {
-    "broadcast": "d62ccb793679b5b2",
+    "broadcast": "f44b4bd981770971",
     "broadcast-split": "1b63baaa2fdb220c",
-    "consensus": "673df4c674e2e090",
+    "consensus": "a48c1becef6df4a1",
     "desync-clocks": "79b0e50f65f2cc7b",
     "desync-preamble": "d20e962204585a50",
 }
