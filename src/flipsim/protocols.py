@@ -36,17 +36,16 @@ fast without changing any distribution:
 * the majority of a uniformly random fixed-size subset of samples is
   realized by drawing the subset's correct-sample count from the matching
   hypergeometric law;
-* once every clock group is in stage 2, stage-2 closes are drawn from
-  their exact law, without simulating their rounds, by one
-  Karp-Luby-Madras union sampler over the events "an agent fails in a
-  window, or ends it on a wrong majority" (:func:`stage2_draw`), unless
-  its union bound is ``KLM_CUTOFF`` or more: under one clock each window
-  that opens with every agent holding an opinion (its law is
-  :func:`~flipsim.oracle.phase_law`), under staggered clocks the rest of
-  the run from the latest group's first stage-2 close, and from any later
-  span start at which every agent is correct, unless a draw was refused
-  since the last opinion change.  A drawn path with some event ends at the
-  close of its first one.
+* once every clock group is in stage 2 and every agent holds an opinion,
+  stage-2 closes are drawn from their exact law, without simulating their
+  rounds, by one Karp-Luby-Madras union sampler over the events "an agent
+  fails in a window, or ends it on a wrong majority" (:func:`stage2_draw`),
+  from a span start up to the first close at which every group that still
+  sends closes a window: the window's end under one clock (its law is
+  :func:`~flipsim.oracle.phase_law`), the end of the run under staggered
+  clocks.  A draw whose union bound reaches ``KLM_CUTOFF`` is refused, and
+  the next one is tried at the latest group's next close.  A drawn path
+  with some event ends at the close of its first one.
 
 The permutation kernel (:func:`~flipsim.model.deliver_round_arrays`) runs
 only in the two baselines' threshold loop, which delivers blocks of rounds
@@ -210,11 +209,15 @@ def _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen):
 # 0.675), and a desync draw at n = 4096 forced into it 0.304 against 0.221 s
 # (0.727).  So a draw pays while pi is below the smallest ratio.  No stage-2
 # draw of the golden grids or the benchmark workloads has pi in [0.56, 1).
-# The first staggered draw of a desync-n12 input (n = 4096, eps 0.25, seeds
-# 5, 4242 and 11) comes at the latest group's first stage-2 close, with 46-80
-# agents still wrong under supplied clocks and 20-84 with the preamble; its
-# pi is 0.00088-0.00089 and 0.00028.  A refused staggered try costs about
-# 5 ms (n = 4096, eps 0.4, where the final phase alone has pi = 1.46).
+# A draw stops at the first block that brings its running bound to the
+# cutoff.  The first staggered try of a desync-n12 input (n = 4096, eps 0.25,
+# seeds 5, 4242 and 11) comes at the latest group's stage-2 open, with
+# 1416-1543 agents wrong, and is refused in 0.7-1.1 ms, after its first
+# block under supplied clocks and after 6-10 with the preamble.  The retry
+# at that group's first stage-2 close, with 46-80 agents still wrong under
+# supplied clocks and 20-84 with the preamble, is taken; its pi is
+# 0.00088-0.00089 and 0.00028.  At eps 0.4, where the final phase alone
+# has pi = 1.46, every staggered try is refused, in 1.7-4.5 ms each.
 KLM_CUTOFF = 0.66
 
 
@@ -224,13 +227,16 @@ def _truncated_binomial(m, q, s, gen):
     return int(gen.choice(pmf.size, p=pmf / pmf.sum()))
 
 
-def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen):
-    """The stage-2 closes from round ``t`` through round ``horizon``, drawn
-    without simulating their rounds.  Clock group g's stage-2 phase j is the
-    window of rounds before ``opens[g] + sum(lengths[:j+1])``; agent i, in
-    group ``gid[i]``, holds ``cnt[i]`` samples in its current window,
-    ``corr[i]`` of them correct, and its opinion is wrong where ``wrong`` is
-    set; an agent sends while its group is in stage 2.
+def stage2_draw(t, opens, lengths, gid, cnt, corr, wrong, channel, gen):
+    """The stage-2 closes from round ``t`` through its horizon, drawn without
+    simulating their rounds.  Clock group g's stage-2 phase j is the window
+    of rounds before ``opens[g] + sum(lengths[:j+1])``; agent i, in group
+    ``gid[i]``, holds ``cnt[i]`` samples in its current window, ``corr[i]``
+    of them correct, and its opinion is wrong where ``wrong`` is set; an
+    agent sends while its group is in stage 2.  The horizon is the first
+    close after t at which every group that still sends closes a window, so
+    that every counter is zero there: under one clock the current window's
+    end, under staggered clocks the end of the run.
 
     The reference path runs the rounds with opinions fixed between closes,
     closes windows as the engine does, and at every close leaves each member
@@ -277,13 +283,14 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     reference state's law, and past it the engine simulates the rounds.
     That prefix is what makes the draw exact, and it needs no round at or
     after e_J.  Returns ``(end, closes, cnt, corr)``: the round the engine
-    resumes at, e_J or ``horizon``, the closes through it in the engine's
+    resumes at, e_J or the horizon, the closes through it in the engine's
     order as ``(j, g, failed, turned)`` (the agents that fail and keep
     their opinions, and those whose majority is wrong; every other member
-    ends correct), and every agent's counters there.  Returns None when pi
-    >= KLM_CUTOFF, before drawing anything, or at n = 2, where each agent
-    hears in every round and no sender can aim past I; the caller then
-    simulates the rounds.
+    ends correct), and every agent's counters there.  Returns None as soon
+    as the running sum of the beta_ij, block by block in close order,
+    reaches KLM_CUTOFF, before computing the rest or drawing anything, or at
+    n = 2, where each agent hears in every round and no sender can aim past
+    I; the caller then simulates the rounds.
     """
     n = gid.size
     if n < 3:
@@ -291,6 +298,11 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
     p = channel.flip_probability
     ends = opens[:, None] + np.cumsum(lengths)      # each group's closes
     leave = ends[:, -1]                             # a group sends before this round, ascending
+    # the horizon: the first close after t of every group that still sends,
+    # where every counter is zero (a group's closes are distinct, and one
+    # that left earlier closes nothing there)
+    at, closing = np.unique(ends[ends > t], return_counts=True)
+    horizon = int(at[np.argmax(closing == leave.size - np.searchsorted(leave, at))])
     members = [np.flatnonzero(gid == g) for g in range(opens.size)]
     steps, gone = leave.tolist(), [0, *accumulate(m.size for m in members)]     # who left by each
     g_at, j_at = np.nonzero((ends > t) & (ends <= horizon))
@@ -314,6 +326,7 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
         return (runs, *_heard_law(runs, n))
 
     blocks = []     # (close, agents, P(B) or beta per agent, q, listener wrong)
+    weights, pi = [], 0.0   # the running union bound after each block
     for k, (e, j, g) in enumerate(shut):
         s = lengths[j] // 2
         a = max(t, e - lengths[j])
@@ -329,11 +342,11 @@ def stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, gen)
                 law = phase_class(fail, s, shares[c][span].max(), p)
                 event = law.event if fresh else \
                     fail + (1.0 - fail) * _wrong_bound(s, cnt[agents], cnt[agents] - corr[agents], 1.0 - law.q)
+                pi += event.sum() if np.ndim(event) else agents.size * event
+                if pi >= KLM_CUTOFF:
+                    return None
                 blocks.append((k, agents, event, law.q, c))
-    weights = np.cumsum([event.sum() if np.ndim(event) else agents.size * event for _, agents, event, _, _ in blocks])
-    pi = float(weights[-1])
-    if pi >= KLM_CUTOFF:
-        return None
+                weights.append(pi)
     none = np.empty(0, np.int64)
     quiet = horizon, [(j, g, none, none) for _, j, g in shut], np.zeros(n), np.zeros(n)
     if gen.random() >= pi:
@@ -647,19 +660,15 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
     groups whose code changes at a span's end close their windows there, in
     (code, shift) order.  While the preamble is still informing agents a
     span is one round, because an agent that hears starts sending in the
-    next round.  Once every group is in stage 2, one branch hands rounds to
-    :func:`stage2_draw`: with one group, every window that opens with every
-    agent holding an opinion; with several, the rest of the run, once at
-    the first span start at which every group has closed its first stage-2
-    window (with the agents still wrong there), and after that at every
-    span start at which every agent is correct, except that a refused draw
-    is retried only after an opinion change (any close's), not at every
+    next round.  Once every group is in stage 2, no agent is uninformed and
+    every agent holds an opinion, every span start tries
+    :func:`stage2_draw`, which draws up to its own horizon, except that
+    after a refused draw none is tried before the latest group's next
     close.  A draw returns the closes it covers, which ``close`` applies,
     and the round and counters the loop resumes from, its first event's
-    close; an accepted draw that ends where only a correct agent failed
-    changes no opinion, so the next span start tries again.  None leaves
-    the rounds simulated.  The run ends when the last window of the latest
-    group has closed.
+    close or its horizon, where the next try comes.  None leaves the rounds
+    simulated.  The run ends when the last window of the latest group has
+    closed.
     """
     n = config.n
     channel = config.channel
@@ -709,15 +718,10 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
         listening = (inside & (code <= t1) & (opinion < 0)) | (code > t1)
         return np.flatnonzero(carries), np.flatnonzero(main & ~carries), listening
 
-    last_change = -math.inf     # the last round that follows a close that changed an opinion
-    refused = None  # last_change when a staggered draw was last refused
-    settled = False     # whether one was tried once every group had closed its first stage-2 window
-
     def close(code_v, g, drawn=None):
         """Close window ``code_v`` for clock group ``g``, drawing its subset
         majorities, or with ``drawn = (failed, turned)`` from a drawn path:
-        its failed agents, and the successful ones whose majority is wrong.
-        Returns whether any opinion changed."""
+        its failed agents, and the successful ones whose majority is wrong."""
         members = np.flatnonzero(gid == g)
         if code_v <= t1:
             new = members[(opinion[members] < 0) & (cnt[members] > 0)]
@@ -727,52 +731,37 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             z_acc[code_v] += int(right.sum())
             cnt[new] = 0     # stage 2 counts its samples from zero
             corr[new] = 0
-            return new.size > 0
+            return
         j = code_v - t1 - 1
         subset = lengths[j] // 2
         if start_frac[j] is None:
             start_frac[j] = _correct_fraction(opinion, correct)
         if drawn is None:
             successful = members[cnt[members] >= subset]
-            before = opinion[successful]
             _stage2_apply(opinion, correct, successful, cnt, corr, subset, gen)
         else:
             successful = np.setdiff1d(members, drawn[0], assume_unique=True) if drawn[0].size else members
-            before = opinion[successful]
             opinion[successful] = correct
             opinion[drawn[1]] = complement(correct)
         succ_acc[j] += int(successful.size)
         end_frac[j] = _correct_fraction(opinion, correct)   # last group's close wins
         cnt[members] = 0
         corr[members] = 0
-        return bool((opinion[successful] != before).any())
 
     messages = 0
-    t = 0
+    t = retry = 0   # after a refused draw, none is tried before the latest group's next close
     while t < groups[-1] + local_total:
         seg = np.searchsorted(edges, t - groups, "right")   # each group's segment at round t
         gcode = codes[seg]
-        horizon = None
-        if not uninformed and t >= groups[-1] + open2:
-            if groups.size == 1:
-                if (opinion >= 0).all():    # a window opens now: spans end at window edges
-                    horizon = t + lengths[int(gcode[0]) - t1 - 1]
-            else:
-                late = t >= groups[-1] + open2 + lengths[0]
-                if (late and not settled and (opinion >= 0).all()
-                        or refused != last_change and (opinion == correct).all()):
-                    settled = late
-                    horizon = int(groups[-1]) + local_total
-        if horizon is not None:
-            drawn = stage2_draw(t, groups + open2, lengths, horizon, gid, cnt, corr, opinion != correct, channel, gen)
+        if not uninformed and t >= max(retry, groups[-1] + open2) and (opinion >= 0).all():
+            drawn = stage2_draw(t, groups + open2, lengths, gid, cnt, corr, opinion != correct, channel, gen)
             if drawn is None:
-                refused = last_change
+                retry = groups[-1] + edges[seg[-1]]
             else:
                 end, shut, held, good = drawn
                 messages += int((np.clip(groups + local_total, t, end) - t) @ np.bincount(gid))
                 for j, g, failed, turned in shut:
-                    if close(t1 + 1 + j, g, (failed, turned)):
-                        last_change = end
+                    close(t1 + 1 + j, g, (failed, turned))
                 cnt[:] = held
                 corr[:] = good
                 t = end
@@ -806,8 +795,7 @@ def _run_windows(opinion, config, schedule, gen, shift, d=0):
             np.add(corr, match, out=corr)
         shut = np.flatnonzero((gcode >= 0) & (np.searchsorted(edges, end - groups, "right") != seg))
         for code_v, g in sorted(zip(gcode[shut].tolist(), shut.tolist())):
-            if close(code_v, g):
-                last_change = end
+            close(code_v, g)
         if fresh is not None and fresh.size:
             # the new group's windows all lie ahead, so it joins after the closes
             uninformed -= fresh.size
@@ -886,9 +874,10 @@ def run_desynchronized(config: SimConfig, clocks: ClockConfiguration | None = No
     clock differences within D = 2*ceil(log2 n) only with high probability;
     the realized ``DesyncInfo.offset_spread`` has the law of push rumor
     spreading's completion time (A13 in ``tests/test_acceptance.py``).
-    Either way the clock groups close their windows at different rounds, and
-    the rest of stage 2 from the latest group's first stage-2 close on is
-    drawn by :func:`stage2_draw` (see :func:`_run_windows`).
+    Either way the clock groups close their windows at different rounds, so
+    a drawn stage-2 path (:func:`stage2_draw`) runs to the end of the run;
+    it is tried from the latest group's stage-2 open on, and after a refusal
+    again at each of that group's closes (see :func:`_run_windows`).
     """
     gen = _as_generator(rng, config, "desync")
     n = config.n

@@ -4,9 +4,9 @@ The engines realize these operations with vectorized equivalents (count-based
 picks, hypergeometric subset counts, array delivery); the tests pin those
 equivalents against the plain forms here.  The two kernel stand-ins at the
 end are installed by tests in place of ``flipsim.protocols.deliver_span_counts``
-(and the recorder also in place of ``flipsim.protocols.stage2_draw``), and
+(and the recorder also in place of ``flipsim.protocols.stage2_draw``),
 :func:`phase_draw` calls that drawn stage-2 path for one window under one
-clock.
+clock, and :func:`clean_horizon` writes out the round up to which it draws.
 
 The lemma references state the paper's side claims that the package does not
 ship: the two-step process (fair coin, then corrective flip) with its exact
@@ -288,6 +288,17 @@ def permutation_counts(carriers, others, rounds, n, channel, rng, out, expected=
     return heard, match
 
 
+def clean_horizon(t, opens, lengths):
+    """The first round after t at which every clock group that still sends
+    closes a window, so that every counter is zero there: group g closes
+    its stage-2 window j in round ``opens[g] + sum(lengths[:j+1])`` and
+    sends until its last close."""
+    ends = [[int(o) + sum(lengths[:j + 1]) for j in range(len(lengths))] for o in opens]
+    for e in sorted({e for row in ends for e in row if e > t}):
+        if all(e in row for row in ends if row[-1] >= e):
+            return e
+
+
 class KernelRecorder:
     """Count kernel that feeds every call's carriers, other senders, round
     count, mode, ``heard`` and ``match`` into one sha256, and counts the
@@ -296,7 +307,8 @@ class KernelRecorder:
     it covers, the agents wrong at its start, the agents that fail in it and
     the agents wrong after it, with more than one close each close's phase,
     group and failure count, and the counters it hands back when it stops
-    before its horizon; it counts the messages of the rounds it covers."""
+    before its :func:`clean_horizon`; it counts the messages of the rounds
+    it covers."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -311,8 +323,8 @@ class KernelRecorder:
         self.messages += rounds * (carriers.size + others.size)
         return heard, match
 
-    def draw(self, t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, rng):
-        drawn = stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel, rng)
+    def draw(self, t, opens, lengths, gid, cnt, corr, wrong, channel, rng):
+        drawn = stage2_draw(t, opens, lengths, gid, cnt, corr, wrong, channel, rng)
         if drawn is not None:
             end, closes, held, good = drawn
             failed = np.concatenate([c[2] for c in closes])
@@ -322,7 +334,7 @@ class KernelRecorder:
                 self.sha.update(arr.tobytes())
             if len(closes) > 1:
                 self.sha.update(np.array([(j, g, f.size) for j, g, f, _ in closes], np.int64).tobytes())
-            if end < horizon:
+            if end < clean_horizon(t, opens, lengths):
                 self.sha.update(np.asarray(held, np.int64).tobytes() + np.asarray(good, np.int64).tobytes())
             # every agent sends until its group's last window closes
             self.messages += int((np.clip(opens[gid] + sum(lengths), t, end) - t).sum())
@@ -350,7 +362,7 @@ def phase_draw(n, m, wrong, channel, rng, t=0):
     ``wrong`` marking the agents wrong then: None when it refuses, else
     ``(failed, wrong_after)``, the agents that fail and keep their
     opinions, and the agents wrong after the window."""
-    drawn = stage2_draw(t, np.array([t], np.int64), (m,), t + m, np.zeros(n, np.intp),
+    drawn = stage2_draw(t, np.array([t], np.int64), (m,), np.zeros(n, np.intp),
                         np.zeros(n, np.int32), np.zeros(n), wrong, channel, rng)
     if drawn is None:
         return None

@@ -101,8 +101,8 @@ RECORDED = {
     "broadcast": "f44b4bd981770971",
     "broadcast-split": "1b63baaa2fdb220c",
     "consensus": "a48c1becef6df4a1",
-    "desync-clocks": "79b0e50f65f2cc7b",
-    "desync-preamble": "d20e962204585a50",
+    "desync-clocks": "06f12d1d8094e720",
+    "desync-preamble": "74f370a0aedf63f4",
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import sys
 import traceback
 from collections import Counter
 from dataclasses import replace
@@ -48,6 +49,8 @@ from flipsim.protocols import (
 )
 from reference import (
     ProtocolInvariantError,
+    clean_horizon,
+    clone,
     majority_update,
     permutation_counts,
     phase_draw,
@@ -561,17 +564,16 @@ def test_unanimous_phase_falls_back_when_union_bound_exceeds_one(monkeypatch):
 @pytest.mark.parametrize("preamble", [False, True], ids=["clocks", "preamble"])
 def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
     # under staggered clocks (supplied or set by the preamble) the drawn
-    # stage-2 path never draws one window of one clock: every draw runs to
-    # the end of the run and starts at the latest group's first stage-2
-    # close or with every agent correct, and the rounds still outnumber the
-    # schedule's
+    # stage-2 path never draws one window of one clock: every draw comes
+    # once the latest group has opened stage 2, and its clean horizon is the
+    # end of the run; the rounds still outnumber the schedule's
     calls = []
 
-    def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
-        assert opens.size > 1 and horizon == opens.max() + sum(lengths)
-        assert t == opens.max() + lengths[0] or not wrong.any(), (t, opens.max() + lengths[0], wrong.sum())
+    def draw(t, opens, lengths, gid, cnt, corr, wrong, *args):
+        assert opens.size > 1 and clean_horizon(t, opens, lengths) == opens.max() + sum(lengths)
+        assert t >= opens.max(), (t, opens.max())
         calls.append(t)
-        return stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
+        return stage2_draw(t, opens, lengths, gid, cnt, corr, wrong, *args)
 
     monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
     config = cfg(512, 0.25, seed=6)
@@ -586,23 +588,23 @@ def test_staggered_clocks_bypass_the_shortcut(monkeypatch, preamble):
 # stage 2 under staggered clocks: the drawn path to the end of the run
 
 
-def _staggered_union_bound(t, opens, lengths, horizon, gid, cnt, corr, wrong, channel):
+def _staggered_union_bound(t, opens, lengths, gid, cnt, corr, wrong, channel):
     """pi = the sum of beta_ij over every (agent, phase-j window) that closes
-    after round t: beta_ij = f + (1-f) b, f = P(agent i ends its window with
-    fewer than s_j = m_j/2 samples), built round by round (agent i hears in
-    round u with probability 1-(1-1/(n-1))^(m_u-1), m_u the agents of the
-    groups still in stage 2, and starts from ``cnt[i]`` in a window that
-    opened before t), and b the chance of a wrong majority when each sample
-    is wrong with the largest probability r = 1 - q over the window's rounds
-    (q = (1-p)(1-w) + p w, w the share of wrong agents among the other
-    senders, an agent wrong at t counting as wrong until its group's first
-    close after t): P(Binomial(s_j, r) > s_j/2), or its bound
-    :func:`_wrong_bound` in a window that opened before t."""
+    after round t and by its :func:`~reference.clean_horizon`: beta_ij = f +
+    (1-f) b, f = P(agent i ends its window with fewer than s_j = m_j/2
+    samples), built round by round (agent i hears in round u with probability
+    1-(1-1/(n-1))^(m_u-1), m_u the agents of the groups still in stage 2, and
+    starts from ``cnt[i]`` in a window that opened before t), and b the chance
+    of a wrong majority when each sample is wrong with the largest probability
+    r = 1 - q over the window's rounds (q = (1-p)(1-w) + p w, w the share of
+    wrong agents among the other senders, an agent wrong at t counting as
+    wrong until its group's first close after t): P(Binomial(s_j, r) > s_j/2),
+    or its bound :func:`_wrong_bound` in a window that opened before t."""
     n, p = gid.size, channel.flip_probability
     ends = opens[:, None] + np.cumsum(lengths)
     turn = np.array([min([e for e in row if e > t], default=t) for row in ends])[gid]
     pi = 0.0
-    for g, j in zip(*np.nonzero((ends > t) & (ends <= horizon))):
+    for g, j in zip(*np.nonzero((ends > t) & (ends <= clean_horizon(t, opens, lengths)))):
         m = lengths[j]
         law = np.zeros(m + 1)
         law[0] = 1.0
@@ -642,22 +644,24 @@ def _staggered_stage2(config, schedule, gen, opens, wrong):
 def _staggered_path(config, schedule, opens, wrong, runs, simulated):
     """``runs`` stage-2 runs under staggered clocks on one path, the drawn
     stage-2 path patched out when ``simulated``: the key table, the agents
-    wrong after each phase per run, the inputs of the first draw of each
-    run (up to 200), and how many runs called the draw ("called"), took one
-    ("taken"), took the first one with some agent wrong ("wrong-start"), ran
-    its conditioned branch ("branch") and resumed the simulated rounds
-    before its horizon ("handoff")."""
+    wrong after each phase per run, the inputs of the first draw taken in
+    each run, or of its first call when it took none (up to 200 runs), and
+    how many runs called the draw ("called"), took one ("taken"), took the
+    first one taken with some agent wrong ("wrong-start"), ran its
+    conditioned branch ("branch") and resumed the simulated rounds before
+    the draw's clean horizon ("handoff")."""
     firsts, seen, branches, keys = [], set(), Counter(), []
+    first = []      # the inputs this run's entry of firsts takes
 
     def draw(*args):
-        first = "called" not in seen
-        if first and len(firsts) < 200:
-            firsts.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:9]))
-        seen.add("called")
         out = stage2_draw(*args)
-        if first and out is not None and args[7].any():
-            seen.add("wrong-start")
-        seen.update(() if out is None else ("taken", "handoff") if out[0] < args[3] else ("taken",))
+        if not first or out is not None and "taken" not in seen:
+            first[:] = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args[:8])]
+            if out is not None and args[6].any():
+                seen.add("wrong-start")
+        seen.add("called")
+        seen.update(() if out is None else
+                    ("taken", "handoff") if out[0] < clean_horizon(*args[:3]) else ("taken",))
         return out
 
     def occupancy(*args):
@@ -669,8 +673,11 @@ def _staggered_path(config, schedule, opens, wrong, runs, simulated):
         gen = derive_rng(22, "staggered", config.n, wrong, simulated)
         for _ in range(runs):
             seen.clear()
+            first.clear()
             keys.append(_staggered_stage2(config, schedule, gen, opens, wrong))
             branches.update(seen)
+            if first and len(firsts) < 200:
+                firsts.append(first[0])
     return Counter(keys), np.array([k[3:] for k in keys], float), firsts, branches
 
 
@@ -729,9 +736,9 @@ def test_staggered_tail_matches_simulated_rounds(n, eps, sizes, offsets, wrong, 
     # of the reference union bound at each run's first draw is in
     # [0.2, KLM_CUTOFF), and the conditioned branch and the hand-off to the
     # simulated rounds each run in over 10% of the runs.  From a start with
-    # wrong agents the draw is taken in over 10% of the runs, and most
-    # first draws come while the late group's first window, open since
-    # before the last opinion change, is still open.
+    # wrong agents the draw is taken in over 10% of the runs, and each run's
+    # first draw taken comes where the one trigger tries before any draw is
+    # taken: at the late group's stage-2 open or at one of its closes.
     config = cfg(n, eps)
     schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(m, m, m))
     opens = np.repeat(offsets, sizes)
@@ -739,8 +746,7 @@ def test_staggered_tail_matches_simulated_rounds(n, eps, sizes, offsets, wrong, 
         *((_staggered_path, config, schedule, opens, wrong, runs, path) for path in (False, True)))
     if wrong:
         assert branches["taken"] > 0.1 * runs, branches
-        inside = np.mean([offsets[-1] < t < offsets[-1] + m for t, *_ in firsts])
-        assert inside > 0.5, (inside, [f[0] for f in firsts])
+        assert all((t - offsets[-1]) % m == 0 for t, *_ in firsts), [f[0] for f in firsts]
     else:
         assert branches["called"] == runs and branches["taken"] > 0.9 * runs, branches
         assert branches["branch"] > 0.1 * runs and branches["handoff"] > 0.1 * runs, branches
@@ -763,12 +769,13 @@ def _assert_paths_agree(drawn, simulated, a, b, runs):
 def test_staggered_draw_from_wrong_agents_matches_simulated_rounds():
     # Three 102-round stage-2 phases at n=24, eps=0.2, with groups of 12
     # that open stage 2 in rounds 2 and 0, and 6 agents of the late group
-    # wrong at the start.  Phase 1 leaves a few agents wrong, and the first
-    # draw of every run comes at the late group's first close (round 104);
-    # the reference path turns its wrong agents correct at their next close.
-    # That first draw must start with W > 0 wrong agents and be taken in
-    # over half of the runs, and the conditioned branch and the hand-off to
-    # the simulated rounds must each run in over 10% of them.  The key
+    # wrong at the start.  Phase 1 leaves a few agents wrong; the reference
+    # path turns wrong agents correct at their next close.  Before any draw
+    # is taken the draw is tried at the late group's stage-2 open (round 2)
+    # and then at its closes (round 104 first), so each run's first draw
+    # taken comes at one of them; in over half of the runs it must start
+    # with W > 0 wrong agents, and the conditioned branch and the hand-off
+    # to the simulated rounds must each run in over 10% of them.  The key
     # tables of the drawn and the simulated paths, run in two forked
     # processes, must agree as in the test above.
     n, m, runs = 24, 102, 4000
@@ -776,7 +783,7 @@ def test_staggered_draw_from_wrong_agents_matches_simulated_rounds():
     schedule = replace(derive_schedule(n, config.channel), stage2_phase_lengths=(m, m, m))
     (drawn, a, firsts, branches), (simulated, b, _, _) = _forked(
         *((_staggered_path, config, schedule, np.repeat((2, 0), 12), 6, runs, path) for path in (False, True)))
-    assert all(first[0] == 2 + m for first in firsts), [first[0] for first in firsts]
+    assert all(first[0] in (2, 2 + m, 2 + 2 * m) for first in firsts), [first[0] for first in firsts]
     assert branches["wrong-start"] > 0.5 * runs, branches
     assert branches["branch"] > 0.1 * runs and branches["handoff"] > 0.1 * runs, branches
     _assert_paths_agree(drawn, simulated, a, b, runs)
@@ -924,10 +931,11 @@ def test_stage2_rounds_end_at_the_last_opinion_change(monkeypatch):
 
 def test_stage2_rounds_end_at_the_latest_first_close(monkeypatch):
     # A supplied-clock desync run at n=1024: the drawn stage-2 path is tried
-    # at the first round at which every clock group has closed its first
-    # stage-2 window, with the agents still wrong there, and where it is
-    # taken no round that draws its counts (a stage-2 round) reaches the
-    # kernel at or after that round.
+    # first at the latest group's stage-2 open, where it is refused, and
+    # next at the first round at which every clock group has closed its
+    # first stage-2 window, with agents still wrong there.  It is taken
+    # there up to the end of the run, so no round that draws its counts (a
+    # stage-2 round) reaches the kernel at or after that round.
     n = 1024
     config = cfg(n, 0.25)
     d = clock_bound(n)
@@ -941,19 +949,21 @@ def test_stage2_rounds_end_at_the_latest_first_close(monkeypatch):
         log.append("stage 1" if expected else "stage 2")
         return deliver_span_counts(carriers, others, rounds, n, channel, rng, out, expected)
 
-    def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
-        drawn = stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
-        log.append((t, int(wrong.sum()), drawn and drawn[0] == horizon))
+    def draw(t, opens, lengths, gid, cnt, corr, wrong, *args):
+        drawn = stage2_draw(t, opens, lengths, gid, cnt, corr, wrong, *args)
+        log.append((t, int(wrong.sum()), drawn and drawn[0] == clean_horizon(t, opens, lengths)))
         return drawn
 
     monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
     monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
     out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d), rng=derive_rng(0, "first-close"))
     draws = [k for k, entry in enumerate(log) if isinstance(entry, tuple)]
-    t, wrong, whole = log[draws[0]]
-    assert t == first_close and wrong > 0 and whole, log[draws[0]]
-    assert draws == [draws[0]] and "stage 2" not in log[draws[0]:], log[draws[0]:]
-    assert "stage 2" in log[:draws[0]] and out.correct_fraction == 1.0
+    assert len(draws) == 2, [log[k] for k in draws]
+    (opened, _, refused), (t, wrong, whole) = (log[k] for k in draws)
+    assert opened == first_close - lengths[0] and refused is None, log[draws[0]]
+    assert t == first_close and wrong > 0 and whole, log[draws[1]]
+    assert "stage 2" not in log[draws[1]:], log[draws[1]:]
+    assert "stage 2" in log[draws[0]:draws[1]] and out.correct_fraction == 1.0
 
 
 def test_staggered_draw_retried_after_a_quiet_handoff(monkeypatch):
@@ -968,10 +978,10 @@ def test_staggered_draw_retried_after_a_quiet_handoff(monkeypatch):
     offsets = derive_rng(0, "retry-clocks").integers(0, d, n)
     calls = []
 
-    def draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args):
+    def draw(t, opens, lengths, gid, cnt, corr, wrong, *args):
         calls.append(t)     # each try's round, and the first one's end
         if len(calls) > 1:
-            return stage2_draw(t, opens, lengths, horizon, gid, cnt, corr, wrong, *args)
+            return stage2_draw(t, opens, lengths, gid, cnt, corr, wrong, *args)
         assert not wrong.any()
         ends = opens[:, None] + np.cumsum(lengths)
         e = int(ends[ends > t].min())
@@ -1002,7 +1012,8 @@ def test_tail_failures_match_direct_occupancy():
     opens = np.array([0, 2, 5])
     cnt = np.array([3, 4, 2, 5, 1, 2, 0, 2, 0, 0, 0, 0], np.int32)
     channel, horizon = NoiseChannel(0.0), int(opens.max()) + sum(lengths)
-    args = (t, opens, lengths, horizon, gid, cnt, cnt.astype(float), np.zeros(n, bool), channel)
+    assert clean_horizon(t, opens, lengths) == horizon
+    args = (t, opens, lengths, gid, cnt, cnt.astype(float), np.zeros(n, bool), channel)
     pi = _staggered_union_bound(*args)
     assert 0.2 < pi < 0.6
     gen = derive_rng(23, "tail-klm")
@@ -1060,7 +1071,7 @@ def test_handoff_inside_the_conditioned_window(monkeypatch):
     gen = derive_rng(25, "handoff")
     seen = Counter()
     for _ in range(draws):
-        end, _, held, good = stage2_draw(t, opens, lengths, 23, gid, cnt, np.zeros(n), np.zeros(n, bool),
+        end, _, held, good = stage2_draw(t, opens, lengths, gid, cnt, np.zeros(n), np.zeros(n, bool),
                                          NoiseChannel(p), gen)
         if end == v:
             seen.update(zip(held[1:].astype(int).tolist(), good[1:].astype(int).tolist()))
@@ -1163,7 +1174,7 @@ def test_reference_path_matches_direct_simulation(monkeypatch):
     gen = derive_rng(26, "reference-turn")
     drawn = Counter()
     for _ in range(draws):
-        end, closes, _, _ = stage2_draw(3, opens, lengths, 19, gid, cnt, corr, wrong, NoiseChannel(p), gen)
+        end, closes, _, _ = stage2_draw(3, opens, lengths, gid, cnt, corr, wrong, NoiseChannel(p), gen)
         if any(failed.size + turned.size for *_, failed, turned in closes):
             at = [int(opens[g]) + sum(lengths[:j + 1]) for j, g, _, _ in closes]     # each close's round
             busy = [e for (*_, failed, turned), e in zip(closes, at) if failed.size + turned.size]
@@ -1191,9 +1202,10 @@ def test_conditioned_round_with_sender_subset(i_sends, pick):
 
 def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
     # desync at n=4096, eps=0.4 with supplied clocks: the final 150-round
-    # phase alone has pi = 1.46, so the one draw returns None and the
-    # kernel delivers every round from there to the end of the run, the
-    # whole final phase among them
+    # phase alone has pi = 1.46, so every draw returns None: the one at the
+    # latest group's stage-2 open and the retry at each of its closes before
+    # the end of the run.  The kernel delivers every round from the first
+    # try to the end of the run, the whole final phase among them.
     n = 4096
     config = cfg(n, 0.4)
     d = clock_bound(n)
@@ -1211,11 +1223,116 @@ def test_tail_falls_back_when_union_bound_exceeds_one(monkeypatch):
     monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
     monkeypatch.setattr("flipsim.protocols.deliver_span_counts", counting)
     out = run_desynchronized(config, clocks=ClockConfiguration(offsets, d), rng=derive_rng(0, "fallback"))
-    assert [drawn for _, drawn in calls] == [None], calls
+    lengths = derive_schedule(n, config.channel).stage2_phase_lengths
+    opened = out.rounds_used - sum(lengths)     # the latest group's stage-2 open
+    assert calls == [(u, None) for u in opened + np.cumsum([0, *lengths[:-1]])], calls
     t = calls[0][0]
     assert rounds[0] == out.rounds_used - t
-    final_open = out.desync.local_total - int(offsets.max()) - derive_schedule(n, config.channel).stage2_phase_lengths[-1]
+    final_open = out.desync.local_total - int(offsets.max()) - lengths[-1]
     assert t <= final_open, (t, final_open)
+
+
+@pytest.mark.parametrize("accept", [False, True], ids=["refused", "accepted"])
+@pytest.mark.parametrize("staggered", [False, True], ids=["one-clock", "staggered"])
+def test_one_draw_trigger_for_every_clock_layout(monkeypatch, staggered, accept):
+    # The one trigger: once every clock group is in stage 2 and every agent
+    # holds an opinion, the drawn stage-2 path is tried at every span start,
+    # except that after a refusal none is tried before the latest group's
+    # next close.  With a draw that refuses everything, a broadcast tries at
+    # every stage-2 window start and a supplied-clock desync run at the
+    # latest group's stage-2 open and then at each of that group's closes
+    # before the end of the run.  With the first try accepted instead,
+    # ending at the first close after it of any group, the next try comes
+    # at that close.
+    n = 256
+    config = cfg(n, 0.25, seed=4)
+    lengths = derive_schedule(n, config.channel).stage2_phase_lengths
+    calls, ends = [], []
+
+    def draw(t, opens, phases, gid, *args):
+        calls.append(t)
+        if not accept or len(calls) > 1:
+            return None
+        closes = opens[:, None] + np.cumsum(phases)
+        e = int(closes[closes > t].min())
+        none = np.empty(0, np.int64)
+        ends.append(e)
+        return e, [(j, g, none, none) for j, g in sorted(zip(*np.nonzero(closes.T == e)))], \
+            np.zeros(gid.size), np.zeros(gid.size)
+
+    monkeypatch.setattr("flipsim.protocols.stage2_draw", draw)
+    if staggered:
+        d = clock_bound(n)
+        clocks = ClockConfiguration(derive_rng(0, "trigger-clocks").integers(0, d, n), d)
+        out = run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "trigger"))
+    else:
+        out = run_broadcast(config, rng=derive_rng(0, "trigger"))
+    assert out.stage1.all_activated
+    opened = out.rounds_used - sum(lengths)     # the latest group's stage-2 open
+    tries = sorted({*(opened + np.cumsum([0, *lengths[:-1]])).tolist(), *ends})
+    assert calls == tries, (calls, tries)
+    assert len(ends) == accept
+
+
+def _block_bounds(draw):
+    """``draw()`` with a spy on :func:`stage2_draw`'s blocks: its result,
+    and the running union bound before each block whose law it computes,
+    read from the draw's frame."""
+    bounds = []
+
+    def spy(*args):
+        bounds.append(float(sys._getframe(1).f_locals["pi"]))
+        return phase_class(*args)
+
+    with mock.patch("flipsim.protocols.phase_class", spy):
+        return draw(), bounds
+
+
+@pytest.mark.parametrize("where", ["staggered-open", "final-phase"])
+def test_refused_draw_draws_nothing_past_the_cutoff(where):
+    # A refused draw leaves the generator untouched, which the retry rule
+    # relies on to keep streams stable, and computes no block after the one
+    # whose term brings its running union bound to KLM_CUTOFF: at the
+    # latest group's stage-2 open of a supplied-clock desync run at n=4096,
+    # eps=0.25, and in the final 150-round phase at n=4096, eps=0.4
+    # (pi = 1.46), opening with 20 agents wrong, whose correct agents alone
+    # bring the bound past the cutoff.  With the cutoff lifted the same
+    # inputs have more blocks, and the bound reaches the cutoff exactly
+    # after the last block the refused draw computed.
+    n = 4096
+    if where == "staggered-open":
+        config = cfg(n, 0.25)
+        d = clock_bound(n)
+        clocks = ClockConfiguration(derive_rng(0, "cutoff-clocks").integers(0, d, n), d)
+        first = []      # the first try's inputs but the generator, copied
+
+        def refuse(*args):
+            if not first:
+                first.extend(a.copy() if isinstance(a, np.ndarray) else a for a in args[:8])
+
+        with mock.patch("flipsim.protocols.stage2_draw", refuse):
+            run_desynchronized(config, clocks=clocks, rng=derive_rng(0, "cutoff"))
+        assert first[0] == first[1].max()       # the latest group's stage-2 open
+
+        def draw(gen):
+            return stage2_draw(*first, gen)
+    else:
+        config = cfg(n, 0.4)
+        final = derive_schedule(n, config.channel).stage2_phase_lengths[-1]
+        assert final == 150
+
+        def draw(gen):
+            return phase_draw(n, final, np.arange(n) < 20, config.channel, gen)
+
+    gen = derive_rng(27, "cutoff", where)
+    state = gen.bit_generator.state
+    drawn, bounds = _block_bounds(lambda: draw(gen))
+    assert drawn is None and gen.bit_generator.state == state
+    assert bounds and max(bounds) < KLM_CUTOFF, bounds
+    with mock.patch("flipsim.protocols.KLM_CUTOFF", math.inf):
+        _, every = _block_bounds(lambda: draw(clone(gen)))
+    assert len(every) > len(bounds) and every[:len(bounds)] == bounds, (len(every), len(bounds))
+    assert every[len(bounds)] >= KLM_CUTOFF, every[len(bounds)]
 
 
 # ---------------------------------------------------------------------------
